@@ -11,103 +11,19 @@ response vectors, and a truncation-and-stabilize driver extends the
 method to semi-infinite initial data bounded above in spectrum.
 """
 
-from .errors import (
-    BlowUpError,
-    DegenerateMeasureError,
-    EigenConvergenceError,
-    NumericalError,
-    PoleProximityError,
-    PositivityError,
-)
-from .flow import (
-    DIRECT_ODE,
-    MOMENT_METHOD,
-    TodaTrajectory,
-    evolve_moments,
-    log_omega,
-    moment_recurrence_residual,
-    moser_evolve,
-    solve_toda_finite,
-    weyl_evolution_residual,
-)
-from .jacobi import (
-    DiscreteMeasure,
-    JacobiMatrix,
-    b1_from_measure,
-    eigendecompose,
-    weyl_function,
-)
-from .moments import (
-    FINITE_SUPPORT,
-    INVALID,
-    POSITIVE_DEFINITE,
-    MomentClassification,
-    MomentSequence,
-    check_moment_positivity,
-    hankel_matrix,
-    jacobi_from_measure,
-    jacobi_from_moments,
-    moment_bilinear_form,
-    moments_from_measure,
-)
-from .oracle import compare_trajectories, rk4_toda
-from .response import (
-    ResponseVector,
-    chebyshev_u,
-    lambda_matrix,
-    response_from_measure,
-    response_from_moments,
-)
-from .semi_infinite import (
-    SemiInfiniteInitialData,
-    StabilizationReport,
-    make_initial_data,
-    solve_toda_semi_infinite,
-)
+from . import errors, flow, jacobi, moments, oracle, response, semi_infinite
+from .errors import *  # noqa: F401,F403
+from .flow import *  # noqa: F401,F403
+from .jacobi import *  # noqa: F401,F403
+from .moments import *  # noqa: F401,F403
+from .oracle import *  # noqa: F401,F403
+from .response import *  # noqa: F401,F403
+from .semi_infinite import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlowUpError",
-    "DegenerateMeasureError",
-    "EigenConvergenceError",
-    "NumericalError",
-    "PoleProximityError",
-    "PositivityError",
-    "DIRECT_ODE",
-    "MOMENT_METHOD",
-    "TodaTrajectory",
-    "evolve_moments",
-    "log_omega",
-    "moment_recurrence_residual",
-    "moser_evolve",
-    "solve_toda_finite",
-    "weyl_evolution_residual",
-    "DiscreteMeasure",
-    "JacobiMatrix",
-    "b1_from_measure",
-    "eigendecompose",
-    "weyl_function",
-    "FINITE_SUPPORT",
-    "INVALID",
-    "POSITIVE_DEFINITE",
-    "MomentClassification",
-    "MomentSequence",
-    "check_moment_positivity",
-    "hankel_matrix",
-    "jacobi_from_measure",
-    "jacobi_from_moments",
-    "moment_bilinear_form",
-    "moments_from_measure",
-    "compare_trajectories",
-    "rk4_toda",
-    "ResponseVector",
-    "chebyshev_u",
-    "lambda_matrix",
-    "response_from_measure",
-    "response_from_moments",
-    "SemiInfiniteInitialData",
-    "StabilizationReport",
-    "make_initial_data",
-    "solve_toda_semi_infinite",
+    name
+    for module in (errors, flow, jacobi, moments, oracle, response, semi_infinite)
+    for name in module.__all__
 ]

@@ -90,40 +90,73 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false arrive as bool, which Python counts as int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number_array(value, name: str) -> np.ndarray:
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{name}: need an array of numbers") from exc
+    _require(arr.ndim == 1, f"{name}: need an array of numbers")
+    return arr
+
+
 def _build_matrix(initial: dict) -> JacobiMatrix:
     if "random" in initial:
         params = initial["random"]
         _require(isinstance(params, dict), "initial.random: must be an object")
         n = params.get("n")
         seed = params.get("seed", 0)
-        _require(isinstance(n, int) and n >= 1, "initial.random.n: need an integer >= 1")
+        _require(_is_int(n) and n >= 1, "initial.random.n: need an integer >= 1")
+        _require(_is_int(seed) and seed >= 0, "initial.random.seed: need an integer >= 0")
         rng = np.random.default_rng(seed)
         return JacobiMatrix(diag=rng.uniform(-2.0, 2.0, n), offdiag=rng.uniform(0.5, 2.0, n - 1))
     _require("b" in initial, "initial.b: required for explicit initial data")
-    b = np.asarray(initial["b"], dtype=float)
-    a = np.asarray(initial.get("a", []), dtype=float)
-    _require(b.ndim == 1 and b.size >= 1, "initial.b: need a non-empty array")
+    b = _number_array(initial["b"], "initial.b")
+    a = _number_array(initial.get("a", []), "initial.a")
+    _require(b.size >= 1, "initial.b: need a non-empty array")
     _require(a.shape == (b.size - 1,), f"initial.a: need exactly {b.size - 1} entries")
     _require(bool(np.all(np.isfinite(b))) and bool(np.all(np.isfinite(a))), "initial: entries must be finite")
     _require(a.size == 0 or bool(np.all(a > 0.0)), "initial.a: off-diagonal entries must be strictly positive")
     return JacobiMatrix(diag=b, offdiag=a)
 
 
+def _generator_params(params: dict, prefix: str) -> dict:
+    # tables a, b are arrays; every other generator parameter is one number
+    checked = {}
+    for key, value in params.items():
+        if key in ("a", "b"):
+            checked[key] = _number_array(value, f"{prefix}.{key}")
+        else:
+            _require(_is_number(value), f"{prefix}.{key}: need a number")
+            checked[key] = value
+    return checked
+
+
 def _build_generator(initial: dict) -> SemiInfiniteInitialData:
     if "generator" in initial:
-        try:
-            return make_initial_data(initial["generator"], initial.get("params"))
-        except (ValueError, KeyError) as exc:
-            raise ConfigError(f"initial.generator: {exc}") from exc
-    if "b" in initial:
+        name, field, params = initial["generator"], "initial.generator", initial.get("params", {})
+        _require(isinstance(params, dict), "initial.params: must be an object")
+        params = _generator_params(params, "initial.params")
+    elif "b" in initial:
+        name, field = "table", "initial"
         params = {"a": initial.get("a", []), "b": initial["b"]}
         if "upper_bound" in initial:
             params["upper_bound"] = initial["upper_bound"]
-        try:
-            return make_initial_data("table", params)
-        except ValueError as exc:
-            raise ConfigError(f"initial: {exc}") from exc
-    raise ConfigError("initial: semi_infinite mode needs a generator name or explicit tables")
+        params = _generator_params(params, "initial")
+    else:
+        raise ConfigError("initial: semi_infinite mode needs a generator name or explicit tables")
+    try:
+        return make_initial_data(name, params)
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = ".") -> RunConfig:
@@ -144,8 +177,8 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
     _require(isinstance(grid, dict), "grid: must be an object")
     t_end = grid.get("t_end")
     steps = grid.get("steps")
-    _require(isinstance(t_end, (int, float)) and t_end > 0, "grid.t_end: need a number > 0")
-    _require(isinstance(steps, int) and steps >= 1, "grid.steps: need an integer >= 1")
+    _require(_is_number(t_end) and t_end > 0, "grid.t_end: need a number > 0")
+    _require(_is_int(steps) and steps >= 1, "grid.steps: need an integer >= 1")
     times = np.linspace(0.0, float(t_end), steps + 1)
 
     options = raw.get("options", {})
@@ -153,20 +186,20 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
     config = RunConfig(mode=mode, times=times, out_dir=Path(out_dir))
 
     if "dt" in options:
-        _require(isinstance(options["dt"], (int, float)) and options["dt"] > 0, "options.dt: need a number > 0")
+        _require(_is_number(options["dt"]) and options["dt"] > 0, "options.dt: need a number > 0")
         config.dt = float(options["dt"])
     if "tol" in options:
-        _require(isinstance(options["tol"], (int, float)) and options["tol"] > 0, "options.tol: need a number > 0")
+        _require(_is_number(options["tol"]) and options["tol"] > 0, "options.tol: need a number > 0")
         config.tol = float(options["tol"])
     if "n_max" in options:
-        _require(isinstance(options["n_max"], int) and options["n_max"] >= 2, "options.n_max: need an integer >= 2")
+        _require(_is_int(options["n_max"]) and options["n_max"] >= 2, "options.n_max: need an integer >= 2")
         config.n_max = options["n_max"]
     if "m" in options:
-        _require(isinstance(options["m"], int) and options["m"] >= 1, "options.m: need an integer >= 1")
+        _require(_is_int(options["m"]) and options["m"] >= 1, "options.m: need an integer >= 1")
         config.m = options["m"]
     if "k" in options:
         _require(
-            isinstance(options["k"], int) and _K_RANGE[0] <= options["k"] <= _K_RANGE[1],
+            _is_int(options["k"]) and _K_RANGE[0] <= options["k"] <= _K_RANGE[1],
             f"options.k: need an integer in [{_K_RANGE[0]}, {_K_RANGE[1]}]",
         )
         config.k = options["k"]
@@ -200,10 +233,8 @@ def write_trajectory_csv(path, traj: TodaTrajectory) -> None:
     """Write "t,b1,...,bN,a1,...,a{N-1}" rows with full 17-digit precision."""
     n = traj.size
     header = ",".join(["t"] + [f"b{i}" for i in range(1, n + 1)] + [f"a{i}" for i in range(1, n)])
-    lines = [header]
-    for t, state in zip(traj.times, traj.states):
-        row = [t, *state.diag, *state.offdiag]
-        lines.append(",".join(_format(v) for v in row))
+    rows = np.column_stack((traj.times, traj.diag_array(), traj.offdiag_array()))
+    lines = [header] + [",".join(_format(v) for v in row) for row in rows]
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -220,21 +251,17 @@ def _write_report(path, payload: dict) -> None:
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _spectrum_drift(traj: TodaTrajectory, reference: JacobiMatrix) -> float:
-    lam0 = eigendecompose(reference).nodes
-    drift = 0.0
-    for state in traj.states:
-        drift = max(drift, float(np.max(np.abs(eigendecompose(state).nodes - lam0))))
-    return drift
+def _spectrum_drift(traj: TodaTrajectory, lam0: np.ndarray) -> float:
+    return max(float(np.max(np.abs(eigendecompose(state).nodes - lam0))) for state in traj.states)
 
 
 def _invariant_report(traj: TodaTrajectory, j0: JacobiMatrix) -> dict:
     mu0 = eigendecompose(j0)
     trace0 = float(np.sum(j0.diag))
-    trace_drift = max(abs(float(np.sum(state.diag)) - trace0) for state in traj.states)
+    trace_drift = float(np.max(np.abs(np.sum(traj.diag_array(), axis=1) - trace0)))
     s0_drift = max(abs(evolve_moments(mu0, t, 1).values[0] - 1.0) for t in traj.times)
     return {
-        "eigen_drift": _spectrum_drift(traj, j0),
+        "eigen_drift": _spectrum_drift(traj, mu0.nodes),
         "trace_drift": trace_drift,
         "s0_drift": s0_drift,
     }

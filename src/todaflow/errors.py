@@ -5,6 +5,15 @@ NumericalError subclasses signal breakdowns detected while computing.
 The CLI maps the former to exit code 1 and the latter to exit code 2.
 """
 
+__all__ = [
+    "NumericalError",
+    "EigenConvergenceError",
+    "PoleProximityError",
+    "DegenerateMeasureError",
+    "PositivityError",
+    "BlowUpError",
+]
+
 
 class NumericalError(RuntimeError):
     """Base class for runtime numerical failures (as opposed to bad input)."""

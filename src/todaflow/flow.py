@@ -18,8 +18,8 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .errors import PoleProximityError
-from .jacobi import DiscreteMeasure, JacobiMatrix, eigendecompose, weyl_function
-from .moments import MomentSequence, jacobi_from_measure
+from .jacobi import DiscreteMeasure, JacobiMatrix, _jacobi_arrays, eigendecompose, weyl_function
+from .moments import MomentSequence, _power_terms, jacobi_from_measure
 
 __all__ = [
     "MOMENT_METHOD",
@@ -43,46 +43,51 @@ _SPECTRAL_GAP = 0.5
 
 @dataclass(frozen=True)
 class TodaTrajectory:
-    """A time grid with one Jacobi matrix per grid point.
+    """A time grid with the lattice coefficients at every grid point.
 
-    method records how the states were produced (MOMENT_METHOD or
-    DIRECT_ODE).  All states share the matrix size; off-diagonals stay
-    positive at every time by construction of JacobiMatrix.
+    diag is a read-only (n_times, N) array, offdiag a read-only
+    (n_times, N-1) array with strictly positive entries; row i is the
+    Jacobi matrix at times[i].  method records how the rows were produced
+    (MOMENT_METHOD or DIRECT_ODE).
     """
 
     times: np.ndarray
-    states: tuple[JacobiMatrix, ...]
+    diag: np.ndarray
+    offdiag: np.ndarray
     method: str
 
     def __post_init__(self):
         times = np.array(self.times, dtype=float)
         times.flags.writeable = False
-        states = tuple(self.states)
         if times.ndim != 1 or times.size < 1:
             raise ValueError("times must be a 1-d sequence with at least one entry")
         if times.size > 1 and np.min(np.diff(times)) <= 0.0:
             raise ValueError("times must be strictly increasing")
-        if len(states) != times.size:
-            raise ValueError("need exactly one state per grid time")
-        n = states[0].n
-        if any(state.n != n for state in states):
-            raise ValueError("all states must share the matrix size")
+        diag, offdiag = _jacobi_arrays(self.diag, self.offdiag, 2)
+        if diag.shape[0] != times.size:
+            raise ValueError(f"need one row per grid time: {times.size} times, {diag.shape[0]} rows")
         if self.method not in (MOMENT_METHOD, DIRECT_ODE):
             raise ValueError(f"unknown method tag {self.method!r}")
         object.__setattr__(self, "times", times)
-        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "diag", diag)
+        object.__setattr__(self, "offdiag", offdiag)
 
     @property
     def size(self) -> int:
-        return self.states[0].n
+        return self.diag.shape[1]
+
+    @property
+    def states(self) -> tuple[JacobiMatrix, ...]:
+        """One JacobiMatrix per grid time, built from the rows on each access."""
+        return tuple(JacobiMatrix(diag=d, offdiag=e) for d, e in zip(self.diag, self.offdiag))
 
     def diag_array(self) -> np.ndarray:
-        """(n_times, N) array of diagonal entries."""
-        return np.array([state.diag for state in self.states])
+        """Writable (n_times, N) copy of the diagonal entries."""
+        return self.diag.copy()
 
     def offdiag_array(self) -> np.ndarray:
-        """(n_times, N-1) array of off-diagonal entries."""
-        return np.array([state.offdiag for state in self.states])
+        """Writable (n_times, N-1) copy of the off-diagonal entries."""
+        return self.offdiag.copy()
 
 
 def _check_time(t: float) -> float:
@@ -112,9 +117,7 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
     smallest positive normal and the result renormalized.
     """
     t = _check_time(t)
-    shifted = 2.0 * (mu0.nodes - mu0.nodes[-1]) * t
-    w = mu0.weights * np.exp(shifted)
-    w = np.maximum(w, np.finfo(float).tiny)
+    w = np.maximum(_shifted_weights(mu0, t), np.finfo(float).tiny)
     w = w / math.fsum(w)
     return DiscreteMeasure(nodes=mu0.nodes, weights=w)
 
@@ -126,6 +129,7 @@ def log_omega(mu0: DiscreteMeasure, t: float) -> float:
 
 
 def _shifted_weights(mu0: DiscreteMeasure, t: float) -> np.ndarray:
+    # w_k e^{2 lam_k t} with the top node shifted out of the exponent
     return mu0.weights * np.exp(2.0 * (mu0.nodes - mu0.nodes[-1]) * t)
 
 
@@ -142,15 +146,7 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
     if count < 1:
         raise ValueError("count must be >= 1")
     u = _shifted_weights(mu0, t)
-    with np.errstate(over="ignore"):
-        powers = np.vander(mu0.nodes, count, increasing=True).T
-        terms = powers * u
-    if not np.all(np.isfinite(terms)):
-        raise OverflowError(
-            f"|node|^k * weight left the double-precision range before k={count}"
-        )
-    den = math.fsum(u)
-    vals = np.array([math.fsum(row) for row in terms]) / den
+    vals = np.array([math.fsum(row) for row in _power_terms(mu0.nodes, u, count)]) / math.fsum(u)
     return MomentSequence(values=vals, time=t)
 
 
@@ -182,14 +178,27 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
     is returned as-is.
     """
     times = _check_grid(times)
-    mu0 = eigendecompose(j0)
-    states = []
-    for t in times:
-        if t == 0.0:
-            states.append(j0)
-        else:
-            states.append(jacobi_from_measure(moser_evolve(mu0, t), j0.n))
-    return TodaTrajectory(times=times, states=tuple(states), method=MOMENT_METHOD)
+    diag, offdiag = _evolve_block(j0, eigendecompose(j0), times, j0.n)
+    return TodaTrajectory(times=times, diag=diag, offdiag=offdiag, method=MOMENT_METHOD)
+
+
+def _evolve_block(j0: JacobiMatrix, mu0: DiscreteMeasure, times: np.ndarray, size: int):
+    """Leading size x size block of the lattice at every grid time.
+
+    mu0 is the spectral measure of j0.  Returns (n_times, size) and
+    (n_times, size-1) arrays: j0's own leading block at t = 0, the block
+    reconstructed from the reweighted measure otherwise.  The first k
+    Lanczos steps do the same arithmetic whatever the requested size, so
+    a leading block is bitwise equal to the prefix of the full
+    reconstruction, and it needs only the moments s_0..s_{2 size-1}.
+    """
+    diag = np.empty((times.size, size))
+    offdiag = np.empty((times.size, size - 1))
+    for i, t in enumerate(times):
+        state = j0 if t == 0.0 else jacobi_from_measure(moser_evolve(mu0, t), size)
+        diag[i] = state.diag[:size]
+        offdiag[i] = state.offdiag[: size - 1]
+    return diag, offdiag
 
 
 def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) -> float:
@@ -211,8 +220,8 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
             f"lambda={lam!r} is within {gap:.3e} of the spectrum; need separation >= {_SPECTRAL_GAP}"
         )
     grid = np.unique(np.array([0.0, t - h, t, t + h]))
-    traj = solve_toda_finite(j0, grid)
-    state_at = dict(zip(grid.tolist(), traj.states))
+    diag, offdiag = _evolve_block(j0, mu0, grid, j0.n)
+    state_at = {s: JacobiMatrix(diag=d, offdiag=e) for s, d, e in zip(grid.tolist(), diag, offdiag)}
     m_plus = -weyl_function(state_at[t + h], lam)
     m_minus = -weyl_function(state_at[t - h], lam)
     m_mid = -weyl_function(state_at[t], lam)

@@ -39,6 +39,27 @@ def _readonly(values) -> np.ndarray:
     return arr
 
 
+def _jacobi_arrays(diag, offdiag, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only copies of diag (..., N) and offdiag (..., N-1), checked once.
+
+    diag must have ndim axes and N >= 1, offdiag the matching shape; every
+    entry must be finite and every off-diagonal strictly positive.
+    ndim = 1 is one matrix, ndim = 2 a trajectory with one row per time.
+    """
+    d = _readonly(diag)
+    e = _readonly(offdiag)
+    if d.ndim != ndim or d.shape[-1] < 1:
+        raise ValueError(f"diag must be a {ndim}-d array with at least one entry per row")
+    expected = d.shape[:-1] + (d.shape[-1] - 1,)
+    if e.shape != expected:
+        raise ValueError(f"offdiag must have shape {expected}, got {e.shape}")
+    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
+        raise ValueError("matrix entries must be finite")
+    if e.size and np.min(e) <= 0.0:
+        raise ValueError("offdiag entries must be strictly positive")
+    return d, e
+
+
 @dataclass(frozen=True)
 class JacobiMatrix:
     """Symmetric tridiagonal matrix: diag holds b_1..b_N, offdiag a_1..a_{N-1}.
@@ -51,16 +72,7 @@ class JacobiMatrix:
     offdiag: np.ndarray
 
     def __post_init__(self):
-        d = _readonly(self.diag)
-        e = _readonly(self.offdiag)
-        if d.ndim != 1 or d.size < 1:
-            raise ValueError("diag must be a 1-d sequence with at least one entry")
-        if e.shape != (d.size - 1,):
-            raise ValueError(f"offdiag must have length {d.size - 1}, got shape {e.shape}")
-        if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-            raise ValueError("matrix entries must be finite")
-        if e.size and np.min(e) <= 0.0:
-            raise ValueError("offdiag entries must be strictly positive")
+        d, e = _jacobi_arrays(self.diag, self.offdiag, 1)
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "offdiag", e)
 

@@ -67,8 +67,10 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
 
     n = j0.n
     y = np.concatenate((j0.offdiag, j0.diag))
-    states = [j0]
-    for steps in spans:
+    diag = np.empty((times.size, n))
+    offdiag = np.empty((times.size, n - 1))
+    diag[0], offdiag[0] = j0.diag, j0.offdiag
+    for i, steps in enumerate(spans, start=1):
         for _ in range(steps):
             k1 = _toda_rhs(y, n)
             k2 = _toda_rhs(y + (0.5 * dt) * k1, n)
@@ -83,8 +85,8 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
                 raise BlowUpError(
                     "an off-diagonal entry left the positive cone; reduce dt"
                 )
-        states.append(JacobiMatrix(diag=y[n - 1 :].copy(), offdiag=y[: n - 1].copy()))
-    return TodaTrajectory(times=times, states=tuple(states), method=DIRECT_ODE)
+        diag[i], offdiag[i] = y[n - 1 :], y[: n - 1]
+    return TodaTrajectory(times=times, diag=diag, offdiag=offdiag, method=DIRECT_ODE)
 
 
 def compare_trajectories(first: TodaTrajectory, second: TodaTrajectory) -> float:

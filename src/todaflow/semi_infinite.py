@@ -18,7 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .flow import TodaTrajectory, evolve_moments, solve_toda_finite, _check_grid
+from .flow import MOMENT_METHOD, TodaTrajectory, _check_grid, _evolve_block, evolve_moments
 from .jacobi import JacobiMatrix, eigendecompose
 
 __all__ = [
@@ -180,11 +180,13 @@ def solve_toda_semi_infinite(
 ) -> tuple[TodaTrajectory, StabilizationReport]:
     """Doubling-truncation solve of the semi-infinite lattice.
 
-    Runs the finite moment-method solver at sizes N1, 2 N1, 4 N1, ...
-    (N1 = max(2m+2, 8), capped at n_max) and stops once the first m
-    entries of both coefficient families move by less than tol, in max
-    norm over the whole grid, between consecutive sizes.  Returns the
-    last trajectory windowed to its leading m x m block together with the
+    Decomposes the truncations of sizes N1, 2 N1, 4 N1, ... (N1 =
+    max(2m+2, 8), capped at n_max) once each and reconstructs only their
+    leading (m+1) x (m+1) blocks over the grid: these hold the first m
+    entries of both coefficient families and are bitwise the prefix of
+    the full finite solution.  Stops once those entries move by less than
+    tol, in max norm over the whole grid, between consecutive sizes.
+    Returns the last solution's leading m x m block together with the
     full refinement report.  Non-convergence is reported, not raised;
     eigenvalues above a declared spectral bound raise a warning.
     """
@@ -202,8 +204,6 @@ def solve_toda_semi_infinite(
     offdiag_hist: list[np.ndarray] = []
     spectral_maxima: list[float] = []
     converged = False
-    last_traj: Optional[TodaTrajectory] = None
-    last_mu0 = None
 
     for n in _schedule(max(2 * m + 2, 8), n_max):
         block = init.truncation(n)
@@ -216,12 +216,10 @@ def solve_toda_semi_infinite(
                 f"upper bound {init.declared_upper_bound:g}",
                 stacklevel=2,
             )
-        traj = solve_toda_finite(block, times)
-        diag_hist.append(traj.diag_array()[:, :m])
-        offdiag_hist.append(traj.offdiag_array()[:, :m])
+        diag, offdiag = _evolve_block(block, mu0, times, m + 1)
+        diag_hist.append(diag[:, :m])
+        offdiag_hist.append(offdiag)
         sizes_run.append(n)
-        last_traj = traj
-        last_mu0 = mu0
         if len(sizes_run) > 1:
             dev = max(
                 float(np.max(np.abs(diag_hist[-1] - diag_hist[-2]))),
@@ -232,7 +230,8 @@ def solve_toda_semi_infinite(
                 converged = True
                 break
 
-    moments = np.array([evolve_moments(last_mu0, t, 2 * m).values for t in times])
+    # mu0 is the spectral measure of the largest truncation that ran
+    moments = np.array([evolve_moments(mu0, t, 2 * m).values for t in times])
     report = StabilizationReport(
         entries=m,
         times=times.copy(),
@@ -245,9 +244,5 @@ def solve_toda_semi_infinite(
         spectral_maxima=tuple(spectral_maxima),
         moments=moments,
     )
-    window = tuple(
-        JacobiMatrix(diag=state.diag[:m], offdiag=state.offdiag[: m - 1])
-        for state in last_traj.states
-    )
-    truncated = TodaTrajectory(times=times, states=window, method=last_traj.method)
-    return truncated, report
+    window = TodaTrajectory(times=times, diag=diag[:, :m], offdiag=offdiag[:, : m - 1], method=MOMENT_METHOD)
+    return window, report

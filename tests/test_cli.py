@@ -95,7 +95,7 @@ def test_malformed_offdiag_exits_1(tmp_path, capsys):
     assert "initial.a" in err and "positive" in err
 
 
-def test_validation_failures_exit_1(tmp_path):
+def test_validation_failures_exit_1(tmp_path, capsys):
     bad_grid = write_config(tmp_path / "g.json", {
         "mode": "finite",
         "initial": {"b": [0.0], "a": []},
@@ -112,6 +112,26 @@ def test_validation_failures_exit_1(tmp_path):
     not_json = tmp_path / "nj.json"
     not_json.write_text("{broken")
     assert main(["--config", str(not_json), "--out", str(tmp_path)]) == 1
+    # mistyped fields are rejected with a message naming the field, not a TypeError
+    mistyped = [
+        ("finite", {"random": {"n": 3, "seed": "x"}}, "initial.random.seed"),
+        ("finite", {"random": {"n": 3, "seed": 1.5}}, "initial.random.seed"),
+        ("finite", {"random": {"n": True}}, "initial.random.n"),
+        ("finite", {"b": {"x": 1}}, "initial.b"),
+        ("semi_infinite", {"b": {"x": 1}}, "initial.b"),
+        ("semi_infinite", {"b": 5}, "initial.b"),
+        ("semi_infinite", {"generator": "constant", "params": [1]}, "initial.params"),
+        ("semi_infinite", {"generator": "constant", "params": {"alpha": [1]}}, "initial.params.alpha"),
+    ]
+    capsys.readouterr()
+    for mode, initial, name in mistyped:
+        cfg = write_config(tmp_path / "t.json", {
+            "mode": mode,
+            "initial": initial,
+            "grid": {"t_end": 1.0, "steps": 2},
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
+        assert f"error: {name}:" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

@@ -8,6 +8,7 @@ from todaflow import (
     JacobiMatrix,
     MOMENT_METHOD,
     PoleProximityError,
+    TodaTrajectory,
     eigendecompose,
     evolve_moments,
     log_omega,
@@ -157,6 +158,33 @@ def test_solve_initial_state_is_exact():
     traj = solve_toda_finite(j, np.linspace(0.0, 1.0, 5))
     np.testing.assert_array_equal(traj.states[0].diag, j.diag)
     np.testing.assert_array_equal(traj.states[0].offdiag, j.offdiag)
+
+
+def test_trajectory_holds_readonly_arrays():
+    traj = TodaTrajectory([0.0, 1.0], [[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.8]], MOMENT_METHOD)
+    assert traj.size == 2
+    np.testing.assert_array_equal(traj.diag_array(), [[0.0, 1.0], [0.5, 0.5]])
+    np.testing.assert_array_equal(traj.states[1].offdiag, [0.8])
+    assert not traj.diag.flags.writeable
+    assert not traj.offdiag.flags.writeable
+    copy = traj.offdiag_array()
+    copy[1, 0] = -1.0
+    assert traj.offdiag[1, 0] == 0.8
+
+
+@pytest.mark.parametrize(
+    "diag, offdiag, method, reason",
+    [
+        ([[0.0, 1.0]], [[1.0]], MOMENT_METHOD, "one row per grid time"),
+        ([[0.0, 1.0], [0.5, 0.5]], [[1.0, 1.0], [0.8, 0.8]], MOMENT_METHOD, "offdiag must have shape"),
+        ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.0]], MOMENT_METHOD, "strictly positive"),
+        ([[0.0, np.nan], [0.5, 0.5]], [[1.0], [0.8]], MOMENT_METHOD, "finite"),
+        ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.8]], "euler", "unknown method"),
+    ],
+)
+def test_trajectory_rejects_malformed_arrays(diag, offdiag, method, reason):
+    with pytest.raises(ValueError, match=reason):
+        TodaTrajectory([0.0, 1.0], diag, offdiag, method)
 
 
 def test_solve_requires_grid_from_zero():

@@ -96,8 +96,9 @@ def test_window_matches_full_solution():
     times = np.linspace(0.0, 1.0, 4)
     traj, report = solve_toda_semi_infinite(init, times, 3, 1e-10, 32)
     full = solve_toda_finite(init.truncation(report.truncation_sizes[-1]), times)
-    np.testing.assert_allclose(traj.diag_array(), full.diag_array()[:, :3], atol=1e-14)
-    np.testing.assert_allclose(traj.offdiag_array(), full.offdiag_array()[:, :2], atol=1e-14)
+    # the leading block takes the same Lanczos steps as the full reconstruction
+    np.testing.assert_array_equal(traj.diag_array(), full.diag_array()[:, :3])
+    np.testing.assert_array_equal(traj.offdiag_array(), full.offdiag_array()[:, :2])
 
 
 def test_spectrum_escaping_upward_is_flagged():
