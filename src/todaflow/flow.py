@@ -3,7 +3,9 @@
 The flow never moves the spectral nodes.  The weights evolve by an
 explicit exponential reweighting, normalized back to unit mass; the
 lattice coefficients at time t are then recovered from the evolved
-measure, one independent reconstruction per grid point.  All
+measure.  The evolved measures of a whole grid share their nodes, so
+their weights form one (times, N) stack that a single batched
+reconstruction turns into every grid row at once.  All
 exponentials are evaluated with the top node shifted out, so large
 lambda * t never overflows, and the normalizer Omega is only ever held
 as a logarithm.
@@ -19,7 +21,7 @@ from scipy.special import logsumexp
 
 from .errors import PoleProximityError
 from .jacobi import DiscreteMeasure, JacobiMatrix, _jacobi_arrays, eigendecompose, weyl_function
-from .moments import MomentSequence, _power_terms, jacobi_from_measure
+from .moments import MomentSequence, _power_terms, _stieltjes
 
 __all__ = [
     "MOMENT_METHOD",
@@ -116,10 +118,7 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
     finite t >= 0 is safe; weights that underflow are clamped to the
     smallest positive normal and the result renormalized.
     """
-    t = _check_time(t)
-    w = np.maximum(_shifted_weights(mu0, t), np.finfo(float).tiny)
-    w = w / math.fsum(w)
-    return DiscreteMeasure(nodes=mu0.nodes, weights=w)
+    return DiscreteMeasure(nodes=mu0.nodes, weights=_evolved_weights(mu0, _check_time(t)))
 
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
@@ -128,9 +127,17 @@ def log_omega(mu0: DiscreteMeasure, t: float) -> float:
     return float(logsumexp(2.0 * t * mu0.nodes, b=mu0.weights))
 
 
-def _shifted_weights(mu0: DiscreteMeasure, t: float) -> np.ndarray:
-    # w_k e^{2 lam_k t} with the top node shifted out of the exponent
-    return mu0.weights * np.exp(2.0 * (mu0.nodes - mu0.nodes[-1]) * t)
+def _shifted_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
+    # w_k e^{2 lam_k t} with the top node shifted out of the exponent: a
+    # row per time for an array of times, one row for a scalar
+    return mu0.weights * np.exp(2.0 * (mu0.nodes - mu0.nodes[-1]) * np.asarray(times)[..., np.newaxis])
+
+
+def _evolved_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
+    # Moser weights at each time: underflow clamped to the smallest
+    # normal, every row renormalized to unit mass
+    w = np.maximum(_shifted_weights(mu0, times), np.finfo(float).tiny)
+    return w / np.sum(w, axis=-1, keepdims=True)
 
 
 def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence:
@@ -172,10 +179,10 @@ def moment_recurrence_residual(mu0: DiscreteMeasure, t: float, count: int, h: fl
 def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
     """Moment-method solution of the finite lattice on a time grid.
 
-    Decomposes once, reweights per time, reconstructs per time.  Nodes are
-    never recomputed, so the spectrum of every state equals that of j0
-    exactly.  At t = 0 the pipeline is the identity and the initial matrix
-    is returned as-is.
+    Decomposes once, then reweights and reconstructs every grid time in
+    one batched sweep.  Nodes are never recomputed, so the spectrum of
+    every state equals that of j0 exactly.  At t = 0 the pipeline is the
+    identity and the initial matrix is returned as-is.
     """
     times = _check_grid(times)
     diag, offdiag = _evolve_block(j0, eigendecompose(j0), times, j0.n)
@@ -185,19 +192,20 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
 def _evolve_block(j0: JacobiMatrix, mu0: DiscreteMeasure, times: np.ndarray, size: int):
     """Leading size x size block of the lattice at every grid time.
 
-    mu0 is the spectral measure of j0.  Returns (n_times, size) and
-    (n_times, size-1) arrays: j0's own leading block at t = 0, the block
-    reconstructed from the reweighted measure otherwise.  The first k
-    Lanczos steps do the same arithmetic whatever the requested size, so
-    a leading block is bitwise equal to the prefix of the full
-    reconstruction, and it needs only the moments s_0..s_{2 size-1}.
+    mu0 is the spectral measure of j0 and times a grid that starts at 0
+    and increases strictly.  Returns (n_times, size) and (n_times, size-1)
+    arrays: j0's own leading block at t = 0, below it the blocks
+    reconstructed from the reweighted measures of all later times in one
+    batched sweep.  The first k Lanczos steps do the same arithmetic
+    whatever the requested size, so a leading block is bitwise equal to
+    the prefix of the full reconstruction, and it needs only the moments
+    s_0..s_{2 size-1}.
     """
     diag = np.empty((times.size, size))
     offdiag = np.empty((times.size, size - 1))
-    for i, t in enumerate(times):
-        state = j0 if t == 0.0 else jacobi_from_measure(moser_evolve(mu0, t), size)
-        diag[i] = state.diag[:size]
-        offdiag[i] = state.offdiag[: size - 1]
+    diag[0] = j0.diag[:size]
+    offdiag[0] = j0.offdiag[: size - 1]
+    diag[1:], offdiag[1:] = _stieltjes(mu0.nodes, _evolved_weights(mu0, times[1:]), size)
     return diag, offdiag
 
 

@@ -173,7 +173,9 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     Diagonal entries are the recurrence centers, off-diagonal entries the
     (positive) norms.  When mu has exactly n nodes this inverts
     eigendecompose.  Vectors are reorthogonalized twice per step, which
-    keeps the round trip at roundoff level for desk-scale n.
+    keeps the round trip at roundoff level for desk-scale n.  This is the
+    one-row call of the batched kernel that solve_toda_finite runs over
+    all grid times at once.
 
     Raises
     ------
@@ -185,35 +187,66 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
         raise ValueError("n must be >= 1")
     if mu.nodes.size < n:
         raise ValueError(f"measure has {mu.nodes.size} nodes, fewer than n={n}")
-    x = mu.nodes
-    w = mu.weights
-    diag = np.empty(n)
-    offdiag = np.empty(n - 1) if n > 1 else np.empty(0)
-    basis = np.zeros((n, x.size))
-    q = np.ones_like(x) / math.sqrt(math.fsum(w))
-    basis[0] = q
-    q_prev = np.zeros_like(x)
-    beta = 0.0
+    diag, offdiag = _stieltjes(mu.nodes, mu.weights[np.newaxis], n)
+    return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
+
+
+# Cap on the (n, rows, nodes) basis that one sweep of _stieltjes holds; a
+# longer stack of weight rows is reconstructed in chunks of rows.  Each
+# row's arithmetic is the same whatever rows share its chunk.
+_BASIS_BYTES = 1 << 24
+
+
+def _stieltjes(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence coefficients of every weight row over the shared nodes.
+
+    weights is a (rows, N) stack of positive weight rows on the N nodes;
+    returns (rows, n) diagonals and (rows, n-1) off-diagonals, row i being
+    the Jacobi block of the measure (nodes, weights[i]).  The recurrence
+    of jacobi_from_measure runs over all rows at once, so its loop is over
+    the n steps only.  The basis is stored as (n, rows, N): step k reads
+    the leading slice basis[:k+1], whose layout does not depend on n, so
+    a leading block is bitwise the prefix of a larger reconstruction.
+    """
+    rows_per_chunk = max(1, _BASIS_BYTES // (n * nodes.size * weights.itemsize))
+    diag = np.empty((weights.shape[0], n))
+    offdiag = np.empty((weights.shape[0], n - 1))
+    for start in range(0, weights.shape[0], rows_per_chunk):
+        chunk = slice(start, start + rows_per_chunk)
+        _stieltjes_sweep(nodes, weights[chunk], diag[chunk], offdiag[chunk])
+    return diag, offdiag
+
+
+def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
+    n = diag.shape[1]
+    basis = np.empty((n,) + w.shape)
+    basis[0] = 1.0 / np.sqrt(np.sum(w, axis=1, keepdims=True))
+    q = basis[0]
+    q_prev = np.zeros_like(q)
+    beta = np.zeros((w.shape[0], 1))
     for k in range(n):
         xq = x * q
-        diag[k] = math.fsum(xq * q * w)
+        diag[:, k] = np.sum(xq * q * w, axis=1)
         if k == n - 1:
             break
-        resid = xq - diag[k] * q - beta * q_prev
+        resid = xq - diag[:, k, np.newaxis] * q - beta * q_prev
+        # one (k+1, N) matrix per row: project out the basis twice
+        rows_basis = basis[: k + 1].transpose(1, 0, 2)
         for _ in range(2):
-            resid -= basis[: k + 1].T @ (basis[: k + 1] @ (resid * w))
-        norm = math.sqrt(max(math.fsum(resid * resid * w), 0.0))
-        if norm < _DEGENERATE_NORM:
+            coeffs = rows_basis @ (resid * w)[:, :, np.newaxis]
+            resid -= (rows_basis.transpose(0, 2, 1) @ coeffs)[:, :, 0]
+        norm = np.sqrt(np.maximum(np.sum(resid * resid * w, axis=1), 0.0))
+        low = np.flatnonzero(norm < _DEGENERATE_NORM)
+        if low.size:
             raise DegenerateMeasureError(
-                f"orthogonalization norm {norm:.3e} below 1e-12 at step {k + 1}; "
+                f"orthogonalization norm {norm[low[0]]:.3e} below 1e-12 at step {k + 1}; "
                 f"measure is numerically supported on fewer than {n} points"
             )
-        offdiag[k] = norm
+        offdiag[:, k] = norm
+        beta = norm[:, np.newaxis]
         q_prev = q
-        q = resid / norm
+        q = resid / beta
         basis[k + 1] = q
-        beta = norm
-    return JacobiMatrix(diag=diag, offdiag=offdiag)
 
 
 def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import todaflow.moments
 from todaflow import (
+    DegenerateMeasureError,
     DiscreteMeasure,
     JacobiMatrix,
     MOMENT_METHOD,
@@ -19,6 +22,7 @@ from todaflow import (
     weyl_evolution_residual,
     weyl_function,
 )
+from todaflow.flow import _evolve_block
 
 PM1 = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
 
@@ -158,6 +162,59 @@ def test_solve_initial_state_is_exact():
     traj = solve_toda_finite(j, np.linspace(0.0, 1.0, 5))
     np.testing.assert_array_equal(traj.states[0].diag, j.diag)
     np.testing.assert_array_equal(traj.states[0].offdiag, j.offdiag)
+
+
+def test_evolve_block_rows_do_not_depend_on_the_grid():
+    # a row's bits do not depend on which other times share the sweep
+    rng = np.random.default_rng(21)
+    j = random_jacobi(rng, 16)
+    mu0 = eigendecompose(j)
+    times = np.linspace(0.0, 1.0, 101)
+    diag, offdiag = _evolve_block(j, mu0, times, j.n)
+    np.testing.assert_array_equal(diag[0], j.diag)
+    np.testing.assert_array_equal(offdiag[0], j.offdiag)
+    for i in range(1, times.size):
+        d, e = _evolve_block(j, mu0, np.array([0.0, times[i]]), j.n)
+        np.testing.assert_array_equal(d[1], diag[i])
+        np.testing.assert_array_equal(e[1], offdiag[i])
+
+
+def test_evolve_block_does_not_depend_on_chunking(monkeypatch):
+    rng = np.random.default_rng(22)
+    j = random_jacobi(rng, 12)
+    mu0 = eigendecompose(j)
+    times = np.linspace(0.0, 1.0, 41)
+    diag, offdiag = _evolve_block(j, mu0, times, j.n)
+    # a basis budget of three rows splits the 40 reconstructed rows into 14 chunks
+    monkeypatch.setattr(todaflow.moments, "_BASIS_BYTES", 3 * j.n * j.n * 8)
+    chunked = _evolve_block(j, mu0, times, j.n)
+    np.testing.assert_array_equal(chunked[0], diag)
+    np.testing.assert_array_equal(chunked[1], offdiag)
+
+
+def test_evolve_block_memory_is_bounded():
+    # an unchunked (N, T, N) basis at N = 128, T = 1001 would take 131 MB
+    j = JacobiMatrix(np.zeros(128), np.full(127, 0.5))
+    mu0 = eigendecompose(j)
+    times = np.linspace(0.0, 1.0, 1001)
+    tracemalloc.start()
+    try:
+        diag, _ = _evolve_block(j, mu0, times, j.n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert diag.shape == (1001, 128)
+    # a 16.8 MB basis chunk, the (T, N) weight stack and the results
+    assert peak < 40e6
+
+
+def test_large_time_reconstruction_still_raises():
+    # the t = 50 weights span far more than double precision resolves;
+    # the batched sweep must stay loud about it
+    rng = np.random.default_rng(0)
+    j = random_jacobi(rng, 8)
+    with pytest.raises(DegenerateMeasureError, match="numerically supported on fewer than 8 points"):
+        solve_toda_finite(j, [0.0, 0.5, 50.0])
 
 
 def test_trajectory_holds_readonly_arrays():

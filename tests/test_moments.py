@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -127,8 +129,49 @@ def test_jacobi_from_measure_errors():
         jacobi_from_measure(mu, 3)
     # nearly coincident nodes: numerically supported on fewer points
     tight = DiscreteMeasure([0.0, 1e-14, 1.0], [0.3, 0.3, 0.4])
-    with pytest.raises(DegenerateMeasureError):
+    with pytest.raises(
+        DegenerateMeasureError,
+        match="below 1e-12 at step 2; measure is numerically supported on fewer than 3 points",
+    ):
         jacobi_from_measure(tight, 3)
+
+
+def lanczos_reference(mu, n):
+    # one measure at a time, every sum compensated: the loop the batched
+    # kernel replaced
+    x, w = mu.nodes, mu.weights
+    diag, offdiag = np.empty(n), np.empty(n - 1)
+    basis = np.zeros((n, x.size))
+    q = np.ones_like(x) / math.sqrt(math.fsum(w))
+    basis[0] = q
+    q_prev, beta = np.zeros_like(x), 0.0
+    for k in range(n):
+        xq = x * q
+        diag[k] = math.fsum(xq * q * w)
+        if k == n - 1:
+            break
+        resid = xq - diag[k] * q - beta * q_prev
+        for _ in range(2):
+            resid -= basis[: k + 1].T @ (basis[: k + 1] @ (resid * w))
+        beta = math.sqrt(math.fsum(resid * resid * w))
+        offdiag[k] = beta
+        q_prev, q = q, resid / beta
+        basis[k + 1] = q
+    return diag, offdiag
+
+
+def test_jacobi_from_measure_matches_the_compensated_loop():
+    # only the order of summation changed, so agreement is to roundoff,
+    # amplified by at most the recurrence's conditioning at these sizes
+    tol = 1e4 * np.finfo(float).eps
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        n = int(rng.integers(1, 17))
+        mu = eigendecompose(random_jacobi(rng, n))
+        got = jacobi_from_measure(mu, n)
+        diag, offdiag = lanczos_reference(mu, n)
+        np.testing.assert_allclose(got.diag, diag, rtol=0, atol=tol)
+        np.testing.assert_allclose(got.offdiag, offdiag, rtol=0, atol=tol)
 
 
 def test_jacobi_from_moments_examples():

@@ -34,6 +34,12 @@ def test_generator_builtins():
         make_initial_data("constant", {"epsilon": 1.0})
 
 
+@pytest.mark.parametrize("params", [{"a": [], "b": 5}, {"a": [[1.0]], "b": [[1.0, 2.0]]}])
+def test_table_rejects_non_1d_arrays_at_construction(params):
+    with pytest.raises(ValueError, match="1-d"):
+        make_initial_data("table", params)
+
+
 def test_truncation_rejects_nonpositive_a():
     init = make_initial_data("linear_b", {"alpha": -1.0})
     with pytest.raises(ValueError):
@@ -85,6 +91,7 @@ def test_bounded_data_agrees_with_direct_finite_solve():
     times = np.linspace(0.0, 1.0, 5)
     traj, report = solve_toda_semi_infinite(init, times, 1, 1e-8, 64)
     assert report.converged
+    assert report.stop_reason == "tol"
     reference = solve_toda_finite(init.truncation(32), times)
     ref_b = reference.diag_array()[:, :1]
     got_b = traj.diag_array()
@@ -99,6 +106,25 @@ def test_window_matches_full_solution():
     # the leading block takes the same Lanczos steps as the full reconstruction
     np.testing.assert_array_equal(traj.diag_array(), full.diag_array()[:, :3])
     np.testing.assert_array_equal(traj.offdiag_array(), full.offdiag_array()[:, :2])
+
+
+def test_roundoff_floor_stops_the_doubling():
+    # tol 1e-15 is below what double precision resolves: from N = 64 on
+    # the window only moves by roundoff, so the solve stops there
+    init = make_initial_data("constant", {"alpha": 1.0})
+    times = np.linspace(0.0, 4.0, 11)
+    traj, report = solve_toda_semi_infinite(init, times, 3, 1e-15, 256)
+    assert report.truncation_sizes == (8, 16, 32, 64)
+    assert report.converged
+    assert report.stop_reason == "floor_limited"
+    assert report.to_dict()["stop_reason"] == "floor_limited"
+    capped, _ = solve_toda_semi_infinite(init, times, 3, 1e-15, 64)
+    np.testing.assert_array_equal(traj.diag_array(), capped.diag_array())
+    np.testing.assert_array_equal(traj.offdiag_array(), capped.offdiag_array())
+    _, short = solve_toda_semi_infinite(init, times, 3, 1e-15, 32)
+    assert short.truncation_sizes == (8, 16, 32)
+    assert not short.converged
+    assert short.stop_reason == "n_max"
 
 
 def test_spectrum_escaping_upward_is_flagged():
