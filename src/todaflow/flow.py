@@ -21,7 +21,7 @@ from scipy.special import logsumexp
 
 from .errors import PoleProximityError
 from .jacobi import DiscreteMeasure, JacobiMatrix, _jacobi_arrays, eigendecompose, weyl_function
-from .moments import MomentSequence, _power_terms, _stieltjes
+from .moments import MomentSequence, _moment_sums, _stieltjes
 
 __all__ = [
     "MOMENT_METHOD",
@@ -59,12 +59,7 @@ class TodaTrajectory:
     method: str
 
     def __post_init__(self):
-        times = np.array(self.times, dtype=float)
-        times.flags.writeable = False
-        if times.ndim != 1 or times.size < 1:
-            raise ValueError("times must be a 1-d sequence with at least one entry")
-        if times.size > 1 and np.min(np.diff(times)) <= 0.0:
-            raise ValueError("times must be strictly increasing")
+        times = _check_times(self.times)
         diag, offdiag = _jacobi_arrays(self.diag, self.offdiag, 2)
         if diag.shape[0] != times.size:
             raise ValueError(f"need one row per grid time: {times.size} times, {diag.shape[0]} rows")
@@ -99,14 +94,23 @@ def _check_time(t: float) -> float:
     return t
 
 
-def _check_grid(times) -> np.ndarray:
-    times = np.asarray(times, dtype=float)
+def _check_times(times) -> np.ndarray:
+    # a read-only copy of a 1-d, non-empty, finite, strictly increasing grid
+    times = np.array(times, dtype=float)
+    times.flags.writeable = False
     if times.ndim != 1 or times.size < 1:
         raise ValueError("times must be a 1-d grid with at least one point")
-    if times[0] != 0.0:
-        raise ValueError("times must start at 0")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times.size > 1 and np.min(np.diff(times)) <= 0.0:
         raise ValueError("times must be strictly increasing")
+    return times
+
+
+def _check_grid(times) -> np.ndarray:
+    times = _check_times(times)
+    if times[0] != 0.0:
+        raise ValueError("times must start at 0")
     return times
 
 
@@ -152,9 +156,14 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
     t = _check_time(t)
     if count < 1:
         raise ValueError("count must be >= 1")
-    u = _shifted_weights(mu0, t)
-    vals = np.array([math.fsum(row) for row in _power_terms(mu0.nodes, u, count)]) / math.fsum(u)
-    return MomentSequence(values=vals, time=t)
+    return MomentSequence(values=_evolved_moments(mu0, t, count), time=t)
+
+
+def _evolved_moments(mu0: DiscreteMeasure, times, count: int) -> np.ndarray:
+    # s_0..s_{count-1} of the evolved measure, a row per time for an array
+    # of times; each row is divided by its own s_0, so s_0 = 1 exactly
+    sums = _moment_sums(mu0.nodes, _shifted_weights(mu0, times), count)
+    return sums / sums[..., :1]
 
 
 def moment_recurrence_residual(mu0: DiscreteMeasure, t: float, count: int, h: float) -> np.ndarray:
@@ -168,10 +177,8 @@ def moment_recurrence_residual(mu0: DiscreteMeasure, t: float, count: int, h: fl
         raise ValueError("need t >= h > 0")
     if count < 2:
         raise ValueError("count must be >= 2")
-    s_plus = evolve_moments(mu0, t + h, count).values
-    s_minus = evolve_moments(mu0, t - h, count).values
-    s_mid = evolve_moments(mu0, t, count).values
     dlog = (log_omega(mu0, t + h) - log_omega(mu0, t - h)) / (2.0 * h)
+    s_plus, s_minus, s_mid = _evolved_moments(mu0, np.array([t + h, t - h, t]), count)
     sdot = (s_plus - s_minus) / (2.0 * h)
     return np.abs(sdot[:-1] + dlog * s_mid[:-1] - 2.0 * s_mid[1:])
 

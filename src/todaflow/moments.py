@@ -88,16 +88,24 @@ class MomentClassification:
 
 
 def _power_terms(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
-    # Row k holds nodes**k * weights; finite-ness of every term is the
-    # overflow guard demanded of moment accumulation.
+    # Entry [..., k, j] holds nodes[j]**k * weights[..., j]; finite-ness of
+    # every term is the overflow guard demanded of moment accumulation.
     with np.errstate(over="ignore"):
         powers = np.vander(nodes, count, increasing=True).T
-        terms = powers * weights
+        terms = powers * weights[..., np.newaxis, :]
     if not np.all(np.isfinite(terms)):
         raise OverflowError(
             f"|node|^k * weight left the double-precision range before k={count}"
         )
     return terms
+
+
+def _moment_sums(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
+    """Compensated sums of nodes**k * weights, k < count: (count,) for one
+    weight row (N,), (rows, count) for a (rows, N) stack over the nodes."""
+    terms = _power_terms(nodes, weights, count)
+    sums = [math.fsum(row) for row in terms.reshape(-1, nodes.size)]
+    return np.array(sums).reshape(terms.shape[:-1])
 
 
 def moments_from_measure(mu: DiscreteMeasure, count: int, *, time: float = 0.0) -> MomentSequence:
@@ -109,9 +117,7 @@ def moments_from_measure(mu: DiscreteMeasure, count: int, *, time: float = 0.0) 
     """
     if count < 1:
         raise ValueError("count must be >= 1")
-    terms = _power_terms(mu.nodes, mu.weights, count)
-    vals = np.array([math.fsum(row) for row in terms])
-    return MomentSequence(values=vals, time=time)
+    return MomentSequence(values=_moment_sums(mu.nodes, mu.weights, count), time=time)
 
 
 def hankel_matrix(s: MomentSequence, size: int) -> np.ndarray:
@@ -142,26 +148,35 @@ def check_moment_positivity(s: MomentSequence) -> MomentClassification:
     t_max = (len(s) + 1) // 2
     h = hankel_matrix(s, t_max)
     thresh = _ZERO_PIVOT_REL * float(np.linalg.norm(h))
-    r = np.zeros((t_max, t_max))
-    support = None
-    for i in range(t_max):
-        pivot = h[i, i] - float(r[:i, i] @ r[:i, i])
-        row = h[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]
-        if support is None:
-            if pivot < -thresh:
-                return MomentClassification(kind=INVALID, order=i + 1)
-            if pivot <= thresh:
-                if row.size and np.max(np.abs(row)) > thresh:
-                    return MomentClassification(kind=INVALID, order=i + 1)
-                support = i
-            else:
-                r[i, i] = math.sqrt(pivot)
-                r[i, i + 1 :] = row / r[i, i]
-        elif abs(pivot) > thresh or (row.size and np.max(np.abs(row)) > thresh):
+    r, support, pivot = _hankel_cholesky(h, thresh)
+    if support == t_max:
+        return MomentClassification(kind=POSITIVE_DEFINITE, order=t_max)
+    if pivot < -thresh:
+        return MomentClassification(kind=INVALID, order=support + 1)
+    # a zero pivot: finite support of that size only if the Schur
+    # complement of the factored block vanishes from there on
+    for i in range(support, t_max):
+        if np.max(np.abs(h[i, i:] - r[:i, i] @ r[:i, i:])) > thresh:
             return MomentClassification(kind=INVALID, order=i + 1)
-    if support is not None:
-        return MomentClassification(kind=FINITE_SUPPORT, order=support)
-    return MomentClassification(kind=POSITIVE_DEFINITE, order=t_max)
+    return MomentClassification(kind=FINITE_SUPPORT, order=support)
+
+
+def _hankel_cholesky(h: np.ndarray, floor: float) -> tuple[np.ndarray, int, float | None]:
+    """Rows of the upper-triangular R with R^T R = h until a pivot is <= floor.
+
+    h is square or bordered (more columns than rows).  Returns (r, i, pivot):
+    r holds rows 0..i-1 of R above zero rows, i is the first row whose
+    pivot is <= floor and pivot is that pivot; i = h.shape[0] and pivot =
+    None when every pivot exceeds floor.
+    """
+    r = np.zeros(h.shape)
+    for i in range(h.shape[0]):
+        pivot = h[i, i] - float(r[:i, i] @ r[:i, i])
+        if pivot <= floor:
+            return r, i, pivot
+        r[i, i] = math.sqrt(pivot)
+        r[i, i + 1 :] = (h[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / r[i, i]
+    return r, h.shape[0], None
 
 
 def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
@@ -279,25 +294,15 @@ def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
             stacklevel=2,
         )
     v = s.values
-    h = np.empty((n, n + 1))
-    for i in range(n):
-        h[i] = v[i : i + n + 1]
-    r = np.zeros((n, n + 1))
-    for i in range(n):
-        pivot = h[i, i] - float(r[:i, i] @ r[:i, i])
-        if pivot <= 0.0:
-            raise PositivityError(
-                f"Hankel pivot {i + 1} is nonpositive ({pivot:.3e}); the sequence is "
-                f"not positive definite through order {n}"
-            )
-        r[i, i] = math.sqrt(pivot)
-        r[i, i + 1 :] = (h[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / r[i, i]
-    diag = np.empty(n)
-    diag[0] = r[0, 1] / r[0, 0]
-    for k in range(1, n):
-        diag[k] = r[k, k + 1] / r[k, k] - r[k - 1, k] / r[k - 1, k - 1]
-    offdiag = np.array([r[k + 1, k + 1] / r[k, k] for k in range(n - 1)])
-    return JacobiMatrix(diag=diag, offdiag=offdiag)
+    r, i, pivot = _hankel_cholesky(scipy.linalg.hankel(v[:n], v[n - 1 : 2 * n]), 0.0)
+    if i < n:
+        raise PositivityError(
+            f"Hankel pivot {i + 1} is nonpositive ({pivot:.3e}); the sequence is "
+            f"not positive definite through order {n}"
+        )
+    pivots = np.diagonal(r)
+    centers = np.diagonal(r, 1) / pivots
+    return JacobiMatrix(diag=np.diff(centers, prepend=0.0), offdiag=pivots[1:] / pivots[:-1])
 
 
 def moment_bilinear_form(s: MomentSequence, f, g) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlowUpError
-from .flow import DIRECT_ODE, TodaTrajectory
+from .flow import DIRECT_ODE, TodaTrajectory, _check_times
 from .jacobi import JacobiMatrix
 
 __all__ = ["rk4_toda", "compare_trajectories"]
@@ -48,11 +48,7 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
         guard firing means dt is too large (or a boundary convention is
         broken), not genuine dynamics.
     """
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a 1-d grid with at least one point")
-    if times.size > 1 and np.min(np.diff(times)) <= 0.0:
-        raise ValueError("times must be strictly increasing")
+    times = _check_times(times)
     dt = float(dt)
     if not (dt > 0.0):
         raise ValueError("dt must be positive")

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .flow import MOMENT_METHOD, TodaTrajectory, _check_grid, _evolve_block, evolve_moments
+from .flow import MOMENT_METHOD, TodaTrajectory, _check_grid, _evolve_block, _evolved_moments
 from .jacobi import JacobiMatrix, eigendecompose
 
 __all__ = [
@@ -139,7 +139,7 @@ class StabilizationReport:
     stop_reason says why the refinement ended: "tol" (a deviation fell
     below tol), "floor_limited" (a deviation reached the roundoff floor
     100 eps ||J_n||_inf of the truncation J_n just run, which counts as
-    converged) or "n_max" (the schedule ran out first).  moments holds
+    converged) or "n_max" (size n_max ran without either).  moments holds
     s_0..s_{2m-1} per grid time from the largest truncation (the finite
     stand-in for the limiting moments).  achieved is the last deviation
     (inf when only one size ran).
@@ -181,17 +181,6 @@ def _inf_norm(j: JacobiMatrix) -> float:
     return float(np.max(rows))
 
 
-def _schedule(start: int, n_max: int) -> list[int]:
-    if start > n_max:
-        return [n_max]
-    sizes = []
-    n = start
-    while n <= n_max:
-        sizes.append(n)
-        n *= 2
-    return sizes
-
-
 def solve_toda_semi_infinite(
     init: SemiInfiniteInitialData,
     times,
@@ -201,15 +190,16 @@ def solve_toda_semi_infinite(
 ) -> tuple[TodaTrajectory, StabilizationReport]:
     """Doubling-truncation solve of the semi-infinite lattice.
 
-    Decomposes the truncations of sizes N1, 2 N1, 4 N1, ... (N1 =
-    max(2m+2, 8), capped at n_max) once each and reconstructs only their
-    leading (m+1) x (m+1) blocks over the grid: these hold the first m
-    entries of both coefficient families and are bitwise the prefix of
-    the full finite solution.  Stops once those entries move by less than
-    tol, in max norm over the whole grid, between consecutive sizes, or
-    by no more than the roundoff floor 100 eps ||J_n||_inf of the
-    truncation J_n just run (reported as converged, stop_reason
-    "floor_limited"): past that floor a tighter tol cannot be met.
+    Decomposes the truncations of sizes N1, 2 N1, 4 N1, ... below n_max
+    and then n_max itself (N1 = max(2m+2, 8), capped at n_max) once
+    each and reconstructs only their leading (m+1) x (m+1) blocks over
+    the grid: these hold the first m entries of both coefficient
+    families and are bitwise the prefix of the full finite solution.
+    Stops once those entries move by less than tol, in max norm over the
+    whole grid, between consecutive sizes, or by no more than the
+    roundoff floor 100 eps ||J_n||_inf of the truncation J_n just run
+    (reported as converged, stop_reason "floor_limited"): past that
+    floor a tighter tol cannot be met.
     Returns the last solution's leading m x m block together with the
     full refinement report.  Non-convergence is reported, not raised;
     eigenvalues above a declared spectral bound raise a warning.
@@ -229,7 +219,8 @@ def solve_toda_semi_infinite(
     spectral_maxima: list[float] = []
     stop_reason = "n_max"
 
-    for n in _schedule(max(2 * m + 2, 8), n_max):
+    n = min(max(2 * m + 2, 8), n_max)
+    while True:
         block = init.truncation(n)
         mu0 = eigendecompose(block)
         top = float(mu0.nodes[-1])
@@ -256,9 +247,12 @@ def solve_toda_semi_infinite(
             if dev <= _FLOOR_ULPS * np.finfo(float).eps * _inf_norm(block):
                 stop_reason = "floor_limited"
                 break
+        if n == n_max:
+            break
+        n = min(2 * n, n_max)
 
     # mu0 is the spectral measure of the largest truncation that ran
-    moments = np.array([evolve_moments(mu0, t, 2 * m).values for t in times])
+    moments = _evolved_moments(mu0, times, 2 * m)
     report = StabilizationReport(
         entries=m,
         times=times.copy(),

@@ -132,6 +132,27 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         })
         assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
         assert f"error: {name}:" in capsys.readouterr().err
+    # JSON NaN and Infinity are rejected by the field that carries them
+    escaping = {"generator": "linear_b", "params": {"beta": 1.0}}
+    non_finite = [
+        ("semi_infinite", escaping, {"t_end": 1.0, "steps": 2}, {"tol": math.inf}, "options.tol"),
+        ("semi_infinite", {"generator": "linear_b", "params": {"beta": -1.0, "upper_bound": math.nan}},
+         {"t_end": 1.0, "steps": 2}, {}, "initial.params.upper_bound"),
+        ("semi_infinite", {"b": [0.0, math.nan], "a": [1.0]}, {"t_end": 1.0, "steps": 2}, {}, "initial.b"),
+        ("finite", {"b": [0.0, 0.0], "a": [1.0]}, {"t_end": math.inf, "steps": 2}, {}, "grid.t_end"),
+        ("finite", {"b": [0.0, math.nan], "a": [1.0]}, {"t_end": 1.0, "steps": 2}, {}, "initial.b"),
+        ("finite", {"b": [0.0, 0.0], "a": [-math.inf]}, {"t_end": 1.0, "steps": 2}, {}, "initial.a"),
+        ("verify", {"b": [0.0, 0.0], "a": [1.0]}, {"t_end": 1.0, "steps": 2}, {"dt": math.nan}, "options.dt"),
+    ]
+    for mode, initial, grid, options, name in non_finite:
+        cfg = write_config(tmp_path / "t.json", {
+            "mode": mode,
+            "initial": initial,
+            "grid": grid,
+            "options": options,
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
+        assert f"error: {name}:" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

@@ -18,11 +18,12 @@ from todaflow import (
     moment_recurrence_residual,
     moments_from_measure,
     moser_evolve,
+    rk4_toda,
     solve_toda_finite,
     weyl_evolution_residual,
     weyl_function,
 )
-from todaflow.flow import _evolve_block
+from todaflow.flow import _evolve_block, _evolved_moments
 
 PM1 = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
 
@@ -113,6 +114,17 @@ def test_s0_is_exactly_one():
     mu = eigendecompose(j)
     for t in (0.0, 0.5, 5.0, 50.0):
         assert evolve_moments(mu, t, 3).values[0] == 1.0
+
+
+def test_stacked_moments_equal_the_one_time_call():
+    # each row of the stacked accumulator carries the bits of its own time
+    rng = np.random.default_rng(23)
+    mu = eigendecompose(random_jacobi(rng, 9))
+    times = np.concatenate((np.linspace(0.0, 2.0, 21), [50.0]))
+    stacked = _evolved_moments(mu, times, 7)
+    assert stacked.shape == (times.size, 7)
+    for i, t in enumerate(times):
+        np.testing.assert_array_equal(stacked[i], evolve_moments(mu, t, 7).values)
 
 
 def test_recurrence_residual_point_mass():
@@ -250,6 +262,17 @@ def test_solve_requires_grid_from_zero():
         solve_toda_finite(j, [0.5, 1.0])
     with pytest.raises(ValueError):
         solve_toda_finite(j, [0.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_every_grid_entry_point_rejects_non_finite_times(bad):
+    j = JacobiMatrix([0.0, 0.0], [1.0])
+    with pytest.raises(ValueError, match="finite"):
+        TodaTrajectory([0.0, bad], [[0.0, 0.0], [0.0, 0.0]], [[1.0], [1.0]], MOMENT_METHOD)
+    with pytest.raises(ValueError, match="finite"):
+        solve_toda_finite(j, [0.0, bad])
+    with pytest.raises(ValueError, match="finite"):
+        rk4_toda(j, [0.0, bad], 1e-3)
 
 
 def test_isospectrality_and_conserved_traces():

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from todaflow import (
+    eigendecompose,
+    evolve_moments,
     make_initial_data,
     solve_toda_finite,
     solve_toda_semi_infinite,
@@ -125,6 +127,10 @@ def test_roundoff_floor_stops_the_doubling():
     assert short.truncation_sizes == (8, 16, 32)
     assert not short.converged
     assert short.stop_reason == "n_max"
+    # an n_max off the doubling sequence is itself the last size tried
+    _, odd = solve_toda_semi_infinite(init, times, 3, 1e-15, 48)
+    assert odd.truncation_sizes == (8, 16, 32, 48)
+    assert odd.stop_reason == "floor_limited"
 
 
 def test_spectrum_escaping_upward_is_flagged():
@@ -147,3 +153,12 @@ def test_s0_unit_on_every_truncation():
     times = np.linspace(0.0, 1.0, 4)
     _, report = solve_toda_semi_infinite(init, times, 1, 1e-9, 32)
     np.testing.assert_allclose(report.moments[:, 0], np.ones(4), atol=1e-12)
+
+
+def test_report_moments_are_those_of_the_largest_truncation():
+    init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
+    times = np.linspace(0.0, 1.0, 6)
+    _, report = solve_toda_semi_infinite(init, times, 2, 1e-8, 64)
+    mu0 = eigendecompose(init.truncation(report.truncation_sizes[-1]))
+    for i, t in enumerate(times):
+        np.testing.assert_array_equal(report.moments[i], evolve_moments(mu0, t, 4).values)
