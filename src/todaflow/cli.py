@@ -18,6 +18,9 @@ Config document::
                  "table": "response.csv"}
     }
 
+Each object accepts only its own fields (initial: those of the shape it
+uses, plus "upper_bound" next to semi_infinite tables); any other field
+is rejected with a message naming it.
 Exit codes: 0 success, 1 config/validation failure, 2 numerical failure.
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
 values printed with 17 significant digits so a written file re-reads to
@@ -28,6 +31,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import NumericalError
-from .flow import TodaTrajectory, _evolved_moments, solve_toda_finite
+from .flow import TodaTrajectory, solve_toda_finite
 from .jacobi import JacobiMatrix, eigendecompose
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import compare_trajectories, rk4_toda
@@ -61,6 +65,15 @@ _DEFAULT_OUTPUT = {
     "table": "response.csv",
 }
 
+# option -> (type, range test, required value); the defaults live on RunConfig
+_OPTIONS = {
+    "dt": (float, lambda v: v > 0, "a number > 0"),
+    "tol": (float, lambda v: v > 0, "a number > 0"),
+    "n_max": (int, lambda v: v >= 2, "an integer >= 2"),
+    "m": (int, lambda v: v >= 1, "an integer >= 1"),
+    "k": (int, lambda v: 1 <= v <= _K_MAX, f"an integer in [1, {_K_MAX}]"),
+}
+
 
 class ConfigError(ValueError):
     """Configuration rejected; the message names the offending field."""
@@ -68,13 +81,15 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A validated run: everything main() needs, resolved to library objects."""
+    """A validated run: everything main() needs, resolved to library objects.
+
+    initial is a JacobiMatrix, or SemiInfiniteInitialData in semi_infinite mode.
+    """
 
     mode: str
     times: np.ndarray
     out_dir: Path
-    initial_matrix: Optional[JacobiMatrix] = None
-    initial_data: Optional[SemiInfiniteInitialData] = None
+    initial: JacobiMatrix | SemiInfiniteInitialData
     dt: float = 1e-4
     tol: float = 1e-8
     n_max: int = 64
@@ -88,20 +103,29 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _known_fields(obj: dict, fields, prefix: str) -> None:
+    for key in obj:
+        _require(key in fields, f"{prefix}{key}: unknown field, expected one of {sorted(fields)}")
+
+
 def _is_int(value) -> bool:
     # JSON true/false arrive as bool, which Python counts as int
     return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_number(value) -> bool:
-    # JSON NaN and Infinity arrive as non-finite floats
-    return _is_int(value) or (isinstance(value, float) and bool(np.isfinite(value)))
+    # JSON NaN and Infinity arrive as non-finite floats; an integer literal
+    # too large for a double overflows
+    try:
+        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _number_array(value, name: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{name}: need an array of numbers") from exc
     _require(arr.ndim == 1 and bool(np.all(np.isfinite(arr))), f"{name}: need an array of finite numbers")
     return arr
@@ -109,8 +133,10 @@ def _number_array(value, name: str) -> np.ndarray:
 
 def _build_matrix(initial: dict) -> JacobiMatrix:
     if "random" in initial:
+        _known_fields(initial, ("random",), "initial.")
         params = initial["random"]
         _require(isinstance(params, dict), "initial.random: must be an object")
+        _known_fields(params, ("n", "seed"), "initial.random.")
         n = params.get("n")
         seed = params.get("seed", 0)
         _require(_is_int(n) and n >= 1, "initial.random.n: need an integer >= 1")
@@ -118,6 +144,7 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
         rng = np.random.default_rng(seed)
         return JacobiMatrix(diag=rng.uniform(-2.0, 2.0, n), offdiag=rng.uniform(0.5, 2.0, n - 1))
     _require("b" in initial, "initial.b: required for explicit initial data")
+    _known_fields(initial, ("b", "a"), "initial.")
     b = _number_array(initial["b"], "initial.b")
     a = _number_array(initial.get("a", []), "initial.a")
     _require(b.size >= 1, "initial.b: need a non-empty array")
@@ -140,15 +167,14 @@ def _generator_params(params: dict, prefix: str) -> dict:
 
 def _build_generator(initial: dict) -> SemiInfiniteInitialData:
     if "generator" in initial:
+        _known_fields(initial, ("generator", "params"), "initial.")
         name, field, params = initial["generator"], "initial.generator", initial.get("params", {})
         _require(isinstance(params, dict), "initial.params: must be an object")
         params = _generator_params(params, "initial.params")
     elif "b" in initial:
+        _known_fields(initial, ("b", "a", "upper_bound"), "initial.")
         name, field = "table", "initial"
-        params = {"a": initial.get("a", []), "b": initial["b"]}
-        if "upper_bound" in initial:
-            params["upper_bound"] = initial["upper_bound"]
-        params = _generator_params(params, "initial")
+        params = _generator_params({"a": initial.get("a", []), "b": initial["b"], **initial}, "initial")
     else:
         raise ConfigError("initial: semi_infinite mode needs a generator name or explicit tables")
     try:
@@ -167,12 +193,14 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
     _require(isinstance(raw, dict), "config: top level must be an object")
+    _known_fields(raw, ("mode", "initial", "grid", "options", "output"), "")
 
     mode = mode_override or raw.get("mode")
     _require(mode in MODES, f"mode: must be one of {MODES}, got {mode!r}")
 
     grid = raw.get("grid", {})
     _require(isinstance(grid, dict), "grid: must be an object")
+    _known_fields(grid, ("t_end", "steps"), "grid.")
     t_end = grid.get("t_end")
     steps = grid.get("steps")
     _require(_is_number(t_end) and t_end > 0, "grid.t_end: need a number > 0")
@@ -181,45 +209,32 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
 
     options = raw.get("options", {})
     _require(isinstance(options, dict), "options: must be an object")
-    config = RunConfig(mode=mode, times=times, out_dir=Path(out_dir))
-
-    if "dt" in options:
-        _require(_is_number(options["dt"]) and options["dt"] > 0, "options.dt: need a number > 0")
-        config.dt = float(options["dt"])
-    if "tol" in options:
-        _require(_is_number(options["tol"]) and options["tol"] > 0, "options.tol: need a number > 0")
-        config.tol = float(options["tol"])
-    if "n_max" in options:
-        _require(_is_int(options["n_max"]) and options["n_max"] >= 2, "options.n_max: need an integer >= 2")
-        config.n_max = options["n_max"]
-    if "m" in options:
-        _require(_is_int(options["m"]) and options["m"] >= 1, "options.m: need an integer >= 1")
-        config.m = options["m"]
-    if "k" in options:
-        _require(
-            _is_int(options["k"]) and 1 <= options["k"] <= _K_MAX,
-            f"options.k: need an integer in [1, {_K_MAX}]",
-        )
-        config.k = options["k"]
+    _known_fields(options, _OPTIONS, "options.")
+    settings = {}
+    for key, (kind, in_range, need) in _OPTIONS.items():
+        if key in options:
+            value = options[key]
+            typed = _is_int(value) if kind is int else _is_number(value)
+            _require(typed and in_range(value), f"options.{key}: need {need}")
+            settings[key] = kind(value)
 
     initial = raw.get("initial")
     _require(isinstance(initial, dict), "initial: must be an object")
+    build = _build_generator if mode == "semi_infinite" else _build_matrix
+    try:
+        config = RunConfig(mode, times, Path(out_dir), build(initial), **settings)
+    except ValueError as exc:
+        raise ConfigError(str(exc) if isinstance(exc, ConfigError) else f"initial: {exc}") from exc
     if mode == "semi_infinite":
-        config.initial_data = _build_generator(initial)
         _require(config.n_max >= 2 * config.m + 2, f"options.n_max: need >= 2m+2 = {2 * config.m + 2}")
-    else:
-        try:
-            config.initial_matrix = _build_matrix(initial)
-        except ValueError as exc:
-            raise ConfigError(str(exc) if isinstance(exc, ConfigError) else f"initial: {exc}") from exc
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output: must be an object")
-    config.output = dict(_DEFAULT_OUTPUT)
+    _known_fields(output, _DEFAULT_OUTPUT, "output.")
     for key in config.output:
         if key in output:
             _require(isinstance(output[key], str) and output[key], f"output.{key}: need a non-empty path")
-            config.output[key] = output[key]
+    config.output.update(output)
     return config
 
 
@@ -245,53 +260,30 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1 : 1 + n], data[:, 1 + n :]
 
 
-def _write_report(path, payload: dict) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_report(config: RunConfig, report: dict) -> Path:
+    path = config.out_dir / config.output["report"]
+    path.write_text(json.dumps({"mode": config.mode, **report}, indent=2, sort_keys=True) + "\n")
+    return path
 
 
-def _spectrum_drift(traj: TodaTrajectory, lam0: np.ndarray) -> float:
-    return max(float(np.max(np.abs(eigendecompose(state).nodes - lam0))) for state in traj.states)
+def _write_run(config: RunConfig, traj: TodaTrajectory, report: dict) -> list[Path]:
+    csv_path = config.out_dir / config.output["trajectory"]
+    write_trajectory_csv(csv_path, traj)
+    return [csv_path, _write_report(config, report)]
 
 
-def _invariant_report(traj: TodaTrajectory, j0: JacobiMatrix) -> dict:
-    mu0 = eigendecompose(j0)
-    trace0 = float(np.sum(j0.diag))
-    trace_drift = float(np.max(np.abs(np.sum(traj.diag_array(), axis=1) - trace0)))
-    s0_drift = float(np.max(np.abs(_evolved_moments(mu0, traj.times, 1)[:, 0] - 1.0)))
+def _invariant_report(traj: TodaTrajectory) -> dict:
+    """Drift of the spectrum and the trace from those of row 0, the initial matrix."""
+    spectra = [eigendecompose(state).nodes for state in traj.states]
+    traces = np.sum(traj.diag, axis=1)
     return {
-        "eigen_drift": _spectrum_drift(traj, mu0.nodes),
-        "trace_drift": trace_drift,
-        "s0_drift": s0_drift,
+        "eigen_drift": max(float(np.max(np.abs(nodes - spectra[0]))) for nodes in spectra),
+        "trace_drift": float(np.max(np.abs(traces - traces[0]))),
     }
 
 
-def _run_finite(config: RunConfig) -> list[Path]:
-    traj = solve_toda_finite(config.initial_matrix, config.times)
-    csv_path = config.out_dir / config.output["trajectory"]
-    write_trajectory_csv(csv_path, traj)
-    report = {"mode": config.mode, "n": traj.size, **_invariant_report(traj, config.initial_matrix)}
-    if config.mode == "verify":
-        reference = rk4_toda(config.initial_matrix, config.times, config.dt)
-        report["deviation"] = compare_trajectories(traj, reference)
-        report["dt"] = config.dt
-    report_path = config.out_dir / config.output["report"]
-    _write_report(report_path, report)
-    return [csv_path, report_path]
-
-
-def _run_semi_infinite(config: RunConfig) -> list[Path]:
-    traj, report = solve_toda_semi_infinite(
-        config.initial_data, config.times, config.m, config.tol, config.n_max
-    )
-    csv_path = config.out_dir / config.output["trajectory"]
-    write_trajectory_csv(csv_path, traj)
-    report_path = config.out_dir / config.output["report"]
-    _write_report(report_path, {"mode": config.mode, **report.to_dict()})
-    return [csv_path, report_path]
-
-
 def _run_response(config: RunConfig) -> list[Path]:
-    mu = eigendecompose(config.initial_matrix)
+    mu = eigendecompose(config.initial)
     s = moments_from_measure(mu, config.k)
     r = response_from_moments(s)
     table_path = config.out_dir / config.output["table"]
@@ -300,26 +292,24 @@ def _run_response(config: RunConfig) -> list[Path]:
         lines.append(f"{k},{_format(s.values[k])},{_format(r.values[k])}")
     table_path.write_text("\n".join(lines) + "\n")
     verdict = check_moment_positivity(s)
-    report_path = config.out_dir / config.output["report"]
-    _write_report(
-        report_path,
-        {
-            "mode": config.mode,
-            "k": config.k,
-            "classification": {"kind": verdict.kind, "order": verdict.order},
-        },
-    )
-    return [table_path, report_path]
+    report = {"k": config.k, "classification": {"kind": verdict.kind, "order": verdict.order}}
+    return [table_path, _write_report(config, report)]
 
 
 def run(config: RunConfig) -> list[Path]:
     """Execute one validated run; returns the paths written."""
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    if config.mode in ("finite", "verify"):
-        return _run_finite(config)
+    if config.mode == "response":
+        return _run_response(config)
     if config.mode == "semi_infinite":
-        return _run_semi_infinite(config)
-    return _run_response(config)
+        traj, report = solve_toda_semi_infinite(config.initial, config.times, config.m, config.tol, config.n_max)
+        return _write_run(config, traj, report.to_dict())
+    traj = solve_toda_finite(config.initial, config.times)
+    report = {"n": traj.size, **_invariant_report(traj)}
+    if config.mode == "verify":
+        report["deviation"] = compare_trajectories(traj, rk4_toda(config.initial, config.times, config.dt))
+        report["dt"] = config.dt
+    return _write_run(config, traj, report)
 
 
 def _parse_args(argv):

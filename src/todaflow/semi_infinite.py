@@ -13,6 +13,7 @@ maxima escaping upward and a report flagged non-converged.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -95,6 +96,24 @@ def _table(a, b):
     return coeff
 
 
+# generator -> (its own parameters with their defaults, coefficient maker)
+_GENERATORS = {
+    "linear_b": ({"alpha": 1.0, "beta": 0.0, "gamma": 0.0}, _linear_b),
+    "constant": ({"alpha": 1.0, "gamma": 0.0}, _constant),
+    "decay": ({"alpha": 1.0, "gamma": 0.0}, _decay),
+}
+
+
+def _finite_real(name: str, value) -> float:
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteInitialData:
     """Named built-in generators for initial data.
 
@@ -103,29 +122,24 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteI
     "decay":     b_n = gamma,            a_n = alpha / n
     "table":     explicit finite arrays a, b
 
-    params may also carry "upper_bound" to declare the spectral bound.
+    Each generator takes only its own parameters, as finite real numbers;
+    any of them may also carry "upper_bound" to declare the spectral bound.
     Defaults: alpha = 1.0, beta = 0.0, gamma = 0.0.
     """
     params = dict(params or {})
     bound = params.pop("upper_bound", None)
-    alpha = float(params.pop("alpha", 1.0))
-    beta = float(params.pop("beta", 0.0))
-    gamma = float(params.pop("gamma", 0.0))
-    if name == "linear_b":
-        coeff = _linear_b(alpha, beta, gamma)
-    elif name == "constant":
-        coeff = _constant(alpha, gamma)
-    elif name == "decay":
-        coeff = _decay(alpha, gamma)
-    elif name == "table":
+    if name == "table":
         coeff = _table(params.pop("a"), params.pop("b"))
+    elif name in _GENERATORS:
+        defaults, make = _GENERATORS[name]
+        coeff = make(**{key: _finite_real(key, params.pop(key, value)) for key, value in defaults.items()})
     else:
         raise ValueError(f"unknown initial-data generator {name!r}")
     if params:
         raise ValueError(f"unused generator parameters: {sorted(params)}")
     return SemiInfiniteInitialData(
         coefficients=coeff,
-        declared_upper_bound=None if bound is None else float(bound),
+        declared_upper_bound=None if bound is None else _finite_real("upper_bound", bound),
     )
 
 

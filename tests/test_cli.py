@@ -36,7 +36,7 @@ def test_finite_mode_writes_closed_form_trajectory(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["eigen_drift"] < 1e-10
     assert report["trace_drift"] < 1e-9
-    assert report["s0_drift"] < 1e-12
+    assert "s0_drift" not in report
 
 
 def test_verify_mode_reports_oracle_deviation(tmp_path):
@@ -153,6 +153,52 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         })
         assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
         assert f"error: {name}:" in capsys.readouterr().err
+    # an integer literal too large for a double is a config error, not an overflow
+    huge = 10**400
+    explicit = {"b": [0.0, 0.0], "a": [1.0]}
+    grid = {"t_end": 1.0, "steps": 2}
+    oversized = [
+        ("finite", explicit, {"t_end": huge, "steps": 2}, {}, "grid.t_end"),
+        ("finite", explicit, grid, {"dt": huge}, "options.dt"),
+        ("finite", {"b": [0.0, huge], "a": [1.0]}, grid, {}, "initial.b"),
+        ("semi_infinite", {"generator": "constant", "params": {"alpha": huge}}, grid, {}, "initial.params.alpha"),
+        ("semi_infinite", {"b": [0.0, huge], "a": [1.0]}, grid, {}, "initial.b"),
+    ]
+    # every option is checked against its own range
+    out_of_range = [
+        ("semi_infinite", escaping, grid, {"m": 0}, "options.m"),
+        ("semi_infinite", escaping, grid, {"n_max": 1}, "options.n_max"),
+        ("response", explicit, grid, {"k": 31}, "options.k"),
+        ("semi_infinite", escaping, grid, {"tol": 0}, "options.tol"),
+        ("verify", explicit, grid, {"dt": True}, "options.dt"),
+    ]
+    for mode, initial, grid_, options, name in oversized + out_of_range:
+        cfg = write_config(tmp_path / "t.json", {
+            "mode": mode,
+            "initial": initial,
+            "grid": grid_,
+            "options": options,
+        })
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
+        assert f"error: {name}:" in capsys.readouterr().err
+    # a field the config does not define is named, not ignored
+    unknown = [
+        ({"options": {"n_mx": 16}}, "options.n_mx"),
+        ({"outptu": {"report": "r.json"}}, "outptu"),
+        ({"grid": {"t_end": 1.0, "steps": 2, "step": 3}}, "grid.step"),
+        ({"output": {"trajectroy": "t.csv"}}, "output.trajectroy"),
+        ({"initial": {"random": {"n": 3, "sead": 1}}}, "initial.random.sead"),
+        ({"initial": {"random": {"n": 3}, "a": [1.0, 1.0]}}, "initial.a"),
+        ({"initial": {"b": [0.0], "upper_bound": 1.0}}, "initial.upper_bound"),
+        ({"mode": "semi_infinite", "initial": {"generator": "constant", "b": [0.0]}}, "initial.b"),
+        ({"mode": "semi_infinite", "initial": {"b": [0.0, 0.0], "a": [1.0], "params": {}}}, "initial.params"),
+    ]
+    for extra, name in unknown:
+        payload = {"mode": "finite", "initial": explicit, "grid": grid}
+        payload.update(extra)
+        cfg = write_config(tmp_path / "t.json", payload)
+        assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
+        assert f"error: {name}: unknown field" in capsys.readouterr().err
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

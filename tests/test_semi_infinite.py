@@ -32,8 +32,19 @@ def test_generator_builtins():
 
     with pytest.raises(ValueError):
         make_initial_data("nonsense")
-    with pytest.raises(ValueError):
-        make_initial_data("constant", {"epsilon": 1.0})
+    # each generator takes only its own parameters, as finite real numbers
+    rejected = [
+        ("constant", {"epsilon": 1.0}),
+        ("constant", {"beta": -1.0}),
+        ("decay", {"beta": 3.0}),
+        ("table", {"a": [1.0], "b": [0.0, 0.0], "alpha": 5.0}),
+        ("linear_b", {"beta": 1.0, "upper_bound": float("nan")}),
+        ("linear_b", {"alpha": "0.5"}),
+        ("linear_b", {"alpha": [1]}),
+    ]
+    for name, params in rejected:
+        with pytest.raises(ValueError):
+            make_initial_data(name, params)
 
 
 @pytest.mark.parametrize("params", [{"a": [], "b": 5}, {"a": [[1.0]], "b": [[1.0, 2.0]]}])
