@@ -74,11 +74,19 @@ def _decay(alpha: float, gamma: float):
     return lambda n: (alpha / n, gamma)
 
 
-def _table(a, b):
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 1 or b.ndim != 1:
+def _finite_reals(name: str, values) -> np.ndarray:
+    # a 1-d table held to the _finite_real rule; a finite int or float array
+    # passes without a loop, anything else is checked entry by entry
+    entries = np.asarray(values)
+    if entries.ndim != 1:
         raise ValueError("table needs 1-d sequences a and b")
+    if entries.dtype.kind in "iuf" and np.all(np.isfinite(entries)):
+        return entries.astype(float)
+    return np.array([_finite_real(f"{name}[{i}]", v) for i, v in enumerate(entries.tolist())], dtype=float)
+
+
+def _table(a, b):
+    a, b = _finite_reals("a", a), _finite_reals("b", b)
     if a.size != b.size - 1 and a.size != b.size:
         raise ValueError("table needs len(a) in {len(b)-1, len(b)}")
 

@@ -18,6 +18,37 @@ def random_jacobi(rng, n):
     return JacobiMatrix(diag=rng.uniform(-2, 2, n), offdiag=rng.uniform(0.5, 2, n - 1))
 
 
+def _toda_rhs(y, n):
+    a = y[: n - 1]
+    b = y[n - 1 :]
+    da = a * (b[1:] - b[:-1])
+    asq = np.zeros(n + 1)
+    asq[1:n] = a * a
+    db = 2.0 * (asq[1:] - asq[:-1])
+    return np.concatenate((da, db))
+
+
+def reference_rk4(j0, times, dt):
+    """The allocate-per-stage RK4 loop that rk4_toda must match bit for bit."""
+    n = j0.n
+    y = np.concatenate((j0.offdiag, j0.diag))
+    diag, offdiag = [j0.diag], [j0.offdiag]
+    for width in np.diff(times):
+        for _ in range(round(width / dt)):
+            k1 = _toda_rhs(y, n)
+            k2 = _toda_rhs(y + (0.5 * dt) * k1, n)
+            k3 = _toda_rhs(y + (0.5 * dt) * k2, n)
+            k4 = _toda_rhs(y + dt * k3, n)
+            y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if np.max(np.abs(y)) > 1e8:
+                raise BlowUpError("an entry exceeded 1e+08 in magnitude; reduce dt")
+            if n > 1 and np.min(y[: n - 1]) <= 0.0:
+                raise BlowUpError("an off-diagonal entry left the positive cone; reduce dt")
+        diag.append(y[n - 1 :])
+        offdiag.append(y[: n - 1])
+    return np.array(diag), np.array(offdiag)
+
+
 def test_rk4_constant_for_1x1():
     traj = rk4_toda(JacobiMatrix([0.3], []), np.linspace(0.0, 1.0, 5), 1e-2)
     assert traj.method == DIRECT_ODE
@@ -59,6 +90,31 @@ def test_rk4_blow_up_guard():
     j = JacobiMatrix([0.0, 0.0], [100.0])
     with pytest.raises(BlowUpError):
         rk4_toda(j, [0.0, 10.0], 0.5)
+    # a first step that overflows straight to inf/NaN fails the guards too
+    with pytest.raises(BlowUpError, match="exceeded"):
+        rk4_toda(JacobiMatrix([0.0, 0.0, 0.0], [1e60, 1e60]), [0.0, 0.01], 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+def test_rk4_matches_reference_loop_bitwise(n):
+    rng = np.random.default_rng(100 + n)
+    j = random_jacobi(rng, n)
+    dt = 1e-3
+    times = np.concatenate(([0.0], np.cumsum([3 * dt, 40 * dt, dt, 17 * dt, 100 * dt])))
+    traj = rk4_toda(j, times, dt)
+    diag, offdiag = reference_rk4(j, times, dt)
+    assert traj.diag.tobytes() == diag.tobytes()
+    assert traj.offdiag.tobytes() == offdiag.tobytes()
+
+
+@pytest.mark.parametrize("a, dt", [(100.0, 0.5), (3.0, 0.5)])  # magnitude guard, positivity guard
+def test_rk4_guard_message_matches_reference_loop(a, dt):
+    j = JacobiMatrix([0.0, 0.0], [a])
+    with pytest.raises(BlowUpError) as expected:
+        reference_rk4(j, [0.0, 10.0], dt)
+    with pytest.raises(BlowUpError) as got:
+        rk4_toda(j, [0.0, 10.0], dt)
+    assert str(got.value) == str(expected.value)
 
 
 def test_rk4_conserves_trace_and_spectrum():

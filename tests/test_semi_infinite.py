@@ -41,6 +41,8 @@ def test_generator_builtins():
         ("linear_b", {"beta": 1.0, "upper_bound": float("nan")}),
         ("linear_b", {"alpha": "0.5"}),
         ("linear_b", {"alpha": [1]}),
+        ("table", {"a": ["1"], "b": ["0", "0.5"]}),
+        ("table", {"a": [float("nan")], "b": [0.0, 0.5]}),
     ]
     for name, params in rejected:
         with pytest.raises(ValueError):
