@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flow import TodaTrajectory, solve_toda_finite
-from .jacobi import JacobiMatrix, eigendecompose
+from .jacobi import JacobiMatrix, _finite_real, _real_array, eigendecompose
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_moments
@@ -118,22 +117,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_number(value) -> bool:
-    # JSON NaN and Infinity arrive as non-finite floats; an integer literal
-    # too large for a double overflows
-    try:
-        return (_is_int(value) or isinstance(value, float)) and math.isfinite(value)
-    except OverflowError:
-        return False
-
-
-def _number_array(value, name: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{name}: need an array of numbers") from exc
-    _require(arr.ndim == 1 and bool(np.all(np.isfinite(arr))), f"{name}: need an array of finite numbers")
-    return arr
+def _number_array(name: str, value) -> np.ndarray:
+    # numpy reads a JSON true inside a list of numbers as 1.0, out of sight
+    # of _real_array, so the parsed list is checked for bools first
+    bools = isinstance(value, list) and any(isinstance(v, bool) for v in value)
+    _require(not bools, f"{name}: need numbers, got true/false")
+    return _real_array(name, value, 1)
 
 
 def _build_matrix(initial: dict) -> JacobiMatrix:
@@ -152,8 +141,8 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
         return JacobiMatrix(diag=rng.uniform(-2.0, 2.0, n), offdiag=rng.uniform(0.5, 2.0, n - 1))
     _require("b" in initial, "initial.b: required for explicit initial data")
     _known_fields(initial, ("b", "a"), "initial.")
-    b = _number_array(initial["b"], "initial.b")
-    a = _number_array(initial.get("a", []), "initial.a")
+    b = _number_array("initial.b", initial["b"])
+    a = _number_array("initial.a", initial.get("a", []))
     _require(b.size >= 1, "initial.b: need a non-empty array")
     _require(a.shape == (b.size - 1,), f"initial.a: need exactly {b.size - 1} entries")
     _require(a.size == 0 or bool(np.all(a > 0.0)), "initial.a: off-diagonal entries must be strictly positive")
@@ -162,14 +151,10 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
 
 def _generator_params(params: dict, prefix: str) -> dict:
     # tables a, b are arrays; every other generator parameter is one number
-    checked = {}
-    for key, value in params.items():
-        if key in ("a", "b"):
-            checked[key] = _number_array(value, f"{prefix}.{key}")
-        else:
-            _require(_is_number(value), f"{prefix}.{key}: need a number")
-            checked[key] = value
-    return checked
+    return {
+        key: (_number_array if key in ("a", "b") else _finite_real)(f"{prefix}.{key}", value)
+        for key, value in params.items()
+    }
 
 
 def _build_generator(initial: dict) -> SemiInfiniteInitialData:
@@ -191,7 +176,10 @@ def _build_generator(initial: dict) -> SemiInfiniteInitialData:
 
 
 def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = ".") -> RunConfig:
-    """Read, validate and resolve a JSON config file."""
+    """Read, validate and resolve a JSON config file.
+
+    Raises ConfigError, whose message starts with the offending field.
+    """
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -199,6 +187,17 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
         raise ConfigError(f"config: cannot read {path} ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
+    try:
+        return _resolve(raw, mode_override, Path(out_dir))
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        # the value rules of todaflow.jacobi start their message with the
+        # field name the CLI passed them
+        raise ConfigError(str(exc)) from exc
+
+
+def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     _require(isinstance(raw, dict), "config: top level must be an object")
     _known_fields(raw, ("mode", "initial", "grid", "options", "output"), "")
 
@@ -208,11 +207,11 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
     grid = raw.get("grid", {})
     _require(isinstance(grid, dict), "grid: must be an object")
     _known_fields(grid, ("t_end", "steps"), "grid.")
-    t_end = grid.get("t_end")
+    t_end = _finite_real("grid.t_end", grid.get("t_end"))
     steps = grid.get("steps")
-    _require(_is_number(t_end) and t_end > 0, "grid.t_end: need a number > 0")
+    _require(t_end > 0, "grid.t_end: need a number > 0")
     _require(_is_int(steps) and 1 <= steps <= _MAX_STEPS, f"grid.steps: need an integer in [1, {_MAX_STEPS}]")
-    times = np.linspace(0.0, float(t_end), steps + 1)
+    times = np.linspace(0.0, t_end, steps + 1)
 
     options = raw.get("options", {})
     _require(isinstance(options, dict), "options: must be an object")
@@ -221,17 +220,15 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
     for key, (kind, in_range, need) in _OPTIONS.items():
         if key in options:
             value = options[key]
-            typed = _is_int(value) if kind is int else _is_number(value)
-            _require(typed and in_range(value), f"options.{key}: need {need}")
+            if kind is float:
+                value = _finite_real(f"options.{key}", value)
+            _require((kind is float or _is_int(value)) and in_range(value), f"options.{key}: need {need}")
             settings[key] = kind(value)
 
     initial = raw.get("initial")
     _require(isinstance(initial, dict), "initial: must be an object")
     build = _build_generator if mode == "semi_infinite" else _build_matrix
-    try:
-        config = RunConfig(mode, times, Path(out_dir), build(initial), **settings)
-    except ValueError as exc:
-        raise ConfigError(str(exc) if isinstance(exc, ConfigError) else f"initial: {exc}") from exc
+    config = RunConfig(mode, times, out_dir, build(initial), **settings)
     if mode == "semi_infinite":
         _require(config.n_max >= 2 * config.m + 2, f"options.n_max: need >= 2m+2 = {2 * config.m + 2}")
 

@@ -13,14 +13,21 @@ as a logarithm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import logsumexp
 
 from .errors import PoleProximityError
-from .jacobi import DiscreteMeasure, JacobiMatrix, _jacobi_arrays, eigendecompose, weyl_function
+from .jacobi import (
+    DiscreteMeasure,
+    JacobiMatrix,
+    _finite_real,
+    _increasing,
+    _jacobi_arrays,
+    eigendecompose,
+    weyl_function,
+)
 from .moments import MomentSequence, _moment_sums, _stieltjes
 
 __all__ = [
@@ -59,7 +66,7 @@ class TodaTrajectory:
     method: str
 
     def __post_init__(self):
-        times = _check_times(self.times)
+        times = _increasing("times", self.times)
         diag, offdiag = _jacobi_arrays(self.diag, self.offdiag, 2)
         if diag.shape[0] != times.size:
             raise ValueError(f"need one row per grid time: {times.size} times, {diag.shape[0]} rows")
@@ -88,27 +95,14 @@ class TodaTrajectory:
 
 
 def _check_time(t: float) -> float:
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError("t must be finite and >= 0")
+    t = _finite_real("t", t)
+    if t < 0.0:
+        raise ValueError("t must be >= 0")
     return t
 
 
-def _check_times(times) -> np.ndarray:
-    # a read-only copy of a 1-d, non-empty, finite, strictly increasing grid
-    times = np.array(times, dtype=float)
-    times.flags.writeable = False
-    if times.ndim != 1 or times.size < 1:
-        raise ValueError("times must be a 1-d grid with at least one point")
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    if times.size > 1 and np.min(np.diff(times)) <= 0.0:
-        raise ValueError("times must be strictly increasing")
-    return times
-
-
 def _check_grid(times) -> np.ndarray:
-    times = _check_times(times)
+    times = _increasing("times", times)
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
     return times
@@ -173,6 +167,7 @@ def moment_recurrence_residual(mu0: DiscreteMeasure, t: float, count: int, h: fl
     central differences with step h, so the residuals are O(h^2).  A
     verification probe, not a solver.
     """
+    t, h = _finite_real("t", t), _finite_real("h", h)
     if not (h > 0.0 and t >= h):
         raise ValueError("need t >= h > 0")
     if count < 2:
@@ -225,7 +220,7 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
     N = 1 instead of 0.  The convention was fixed by the closed-form N = 2
     check in the test suite.  O(h^2) in the step.
     """
-    t, h, lam = float(t), float(h), float(lam)
+    t, h, lam = _finite_real("t", t), _finite_real("h", h), _finite_real("lam", lam)
     if not (h > 0.0 and t >= h):
         raise ValueError("need t >= h > 0")
     mu0 = eigendecompose(j0)

@@ -10,6 +10,7 @@ eigenvector) sitting at each eigenvalue lambda_k.  Everything downstream
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,28 +34,66 @@ _EIGEN_SEPARATION = 1e-12
 _POLE_TOL = 1e-10
 
 
-def _readonly(values) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+def _finite_real(name: str, value) -> float:
+    """value as a float, if it is a finite real number and not a bool.
+
+    Strings, complex numbers and arrays are rejected, never converted; the
+    message starts with name, so a caller can pass the field it checks.
+    """
+    try:
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+    except OverflowError:
+        ok = False
+    if not ok:
+        raise ValueError(f"{name}: need a finite real number, got {value!r}")
+    return float(value)
+
+
+def _real_array(name: str, values, ndim: int) -> np.ndarray:
+    """Read-only float copy of an ndim-d array of finite real numbers.
+
+    Only integer and float dtypes pass: strings, bools, complex and object
+    entries are rejected, never converted.  Messages start with name.
+    """
+    try:
+        arr = np.asarray(values)
+    except ValueError as exc:
+        raise ValueError(f"{name}: need a {ndim}-d array, got a ragged nesting") from exc
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name}: need real numbers, got {arr.dtype} entries")
+    if arr.ndim != ndim:
+        raise ValueError(f"{name}: need a {ndim}-d array, got {arr.ndim}-d")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name}: entries must be finite")
+    arr = arr.astype(float)
     arr.flags.writeable = False
+    return arr
+
+
+def _increasing(name: str, values) -> np.ndarray:
+    # _real_array of a non-empty 1-d sequence that increases strictly
+    arr = _real_array(name, values, 1)
+    if arr.size < 1:
+        raise ValueError(f"{name}: need at least one entry")
+    if np.any(np.diff(arr) <= 0.0):
+        raise ValueError(f"{name}: must be strictly increasing")
     return arr
 
 
 def _jacobi_arrays(diag, offdiag, ndim: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only copies of diag (..., N) and offdiag (..., N-1), checked once.
 
-    diag must have ndim axes and N >= 1, offdiag the matching shape; every
-    entry must be finite and every off-diagonal strictly positive.
+    Both must hold finite reals, diag with ndim axes and N >= 1, offdiag
+    the matching shape with every entry strictly positive.
     ndim = 1 is one matrix, ndim = 2 a trajectory with one row per time.
     """
-    d = _readonly(diag)
-    e = _readonly(offdiag)
-    if d.ndim != ndim or d.shape[-1] < 1:
-        raise ValueError(f"diag must be a {ndim}-d array with at least one entry per row")
+    d = _real_array("diag", diag, ndim)
+    e = _real_array("offdiag", offdiag, ndim)
+    if d.shape[-1] < 1:
+        raise ValueError("diag must have at least one entry per row")
     expected = d.shape[:-1] + (d.shape[-1] - 1,)
     if e.shape != expected:
         raise ValueError(f"offdiag must have shape {expected}, got {e.shape}")
-    if not (np.all(np.isfinite(d)) and np.all(np.isfinite(e))):
-        raise ValueError("matrix entries must be finite")
     if e.size and np.min(e) <= 0.0:
         raise ValueError("offdiag entries must be strictly positive")
     return d, e
@@ -100,16 +139,10 @@ class DiscreteMeasure:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = _readonly(self.nodes)
-        weights = _readonly(self.weights)
-        if nodes.ndim != 1 or nodes.size < 1:
-            raise ValueError("nodes must be a 1-d sequence with at least one entry")
+        nodes = _increasing("nodes", self.nodes)
+        weights = _real_array("weights", self.weights, 1)
         if weights.shape != nodes.shape:
             raise ValueError("weights must match nodes in length")
-        if not (np.all(np.isfinite(nodes)) and np.all(np.isfinite(weights))):
-            raise ValueError("nodes and weights must be finite")
-        if nodes.size > 1 and np.min(np.diff(nodes)) <= 0.0:
-            raise ValueError("nodes must be strictly increasing")
         if np.min(weights) <= 0.0:
             raise ValueError("weights must be strictly positive")
         object.__setattr__(self, "nodes", nodes)
@@ -166,6 +199,7 @@ def weyl_function(j: JacobiMatrix, lam: float) -> float:
 
     Raises PoleProximityError if lam is within 1e-10 of an eigenvalue.
     """
+    lam = _finite_real("lam", lam)
     mu = eigendecompose(j)
     gap = float(np.min(np.abs(lam - mu.nodes)))
     if gap < _POLE_TOL:

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateMeasureError, PositivityError
-from .jacobi import DiscreteMeasure, JacobiMatrix, _readonly
+from .jacobi import DiscreteMeasure, JacobiMatrix, _finite_real, _real_array
 
 __all__ = [
     "MomentSequence",
@@ -58,17 +58,14 @@ class MomentSequence:
     time: float = 0.0
 
     def __post_init__(self):
-        v = _readonly(self.values)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("values must be a 1-d sequence with at least one entry")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("moments must be finite")
-        if v[0] <= 0.0:
-            raise ValueError("s_0 must be positive")
-        if not (self.time >= 0.0):
+        v = _real_array("values", self.values, 1)
+        if not (v.size and v[0] > 0.0):
+            raise ValueError("values must start with a positive s_0")
+        time = _finite_real("time", self.time)
+        if time < 0.0:
             raise ValueError("time must be >= 0")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "time", float(self.time))
+        object.__setattr__(self, "time", time)
 
     def __len__(self) -> int:
         return self.values.size
@@ -250,7 +247,7 @@ def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, diag: np.ndarray, offdiag: np
         for _ in range(2):
             coeffs = rows_basis @ (resid * w)[:, :, np.newaxis]
             resid -= (rows_basis.transpose(0, 2, 1) @ coeffs)[:, :, 0]
-        norm = np.sqrt(np.maximum(np.sum(resid * resid * w, axis=1), 0.0))
+        norm = np.sqrt(np.sum(resid * resid * w, axis=1))
         low = np.flatnonzero(norm < _DEGENERATE_NORM)
         if low.size:
             raise DegenerateMeasureError(
@@ -307,8 +304,8 @@ def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
 
 def moment_bilinear_form(s: MomentSequence, f, g) -> float:
     """<F, G> = sum_{n,m} s_{n+m} f_n g_m for monomial-basis coefficients."""
-    f = np.atleast_1d(np.asarray(f, dtype=float))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
+    f = _real_array("f", np.atleast_1d(f), 1)
+    g = _real_array("g", np.atleast_1d(g), 1)
     size = max(f.size, g.size)
     if len(s) < 2 * size - 1:
         raise ValueError(

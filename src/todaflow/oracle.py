@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlowUpError
-from .flow import DIRECT_ODE, TodaTrajectory, _check_times
-from .jacobi import JacobiMatrix
+from .flow import DIRECT_ODE, TodaTrajectory
+from .jacobi import JacobiMatrix, _finite_real, _increasing
 
 __all__ = ["rk4_toda", "compare_trajectories"]
 
@@ -38,8 +38,8 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
         guard firing means dt is too large (or a boundary convention is
         broken), not genuine dynamics.
     """
-    times = _check_times(times)
-    dt = float(dt)
+    times = _increasing("times", times)
+    dt = _finite_real("dt", dt)
     if not (dt > 0.0):
         raise ValueError("dt must be positive")
     spans = []
@@ -117,7 +117,5 @@ def compare_trajectories(first: TodaTrajectory, second: TodaTrajectory) -> float
         raise ValueError("trajectories have different matrix sizes")
     if not np.array_equal(first.times, second.times):
         raise ValueError("trajectories are sampled on different grids")
-    dev = np.max(np.abs(first.diag_array() - second.diag_array()))
-    if first.size > 1:
-        dev = max(dev, np.max(np.abs(first.offdiag_array() - second.offdiag_array())))
-    return float(dev)
+    diag_dev = np.max(np.abs(first.diag - second.diag))
+    return float(max(diag_dev, np.max(np.abs(first.offdiag - second.offdiag), initial=0.0)))

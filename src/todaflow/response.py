@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import DiscreteMeasure, _readonly
+from .jacobi import DiscreteMeasure, _real_array
 from .moments import MomentSequence
 
 __all__ = [
@@ -38,9 +38,9 @@ class ResponseVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _readonly(self.values)
-        if v.ndim != 1 or v.size < 1:
-            raise ValueError("values must be a 1-d sequence with at least one entry")
+        v = _real_array("values", self.values, 1)
+        if v.size < 1:
+            raise ValueError("values must have at least one entry")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -55,7 +55,7 @@ def chebyshev_u(k: int, lam):
     """
     if k < 0:
         raise ValueError("k must be >= 0")
-    arr = np.asarray(lam, dtype=float)
+    arr = _real_array("lam", lam, np.ndim(lam))
     scalar = arr.ndim == 0
     prev = np.zeros_like(arr)
     cur = np.ones_like(arr)

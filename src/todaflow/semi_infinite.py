@@ -13,7 +13,6 @@ maxima escaping upward and a report flagged non-converged.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .flow import MOMENT_METHOD, TodaTrajectory, _check_grid, _evolve_block, _evolved_moments
-from .jacobi import JacobiMatrix, eigendecompose
+from .jacobi import JacobiMatrix, _finite_real, _real_array, eigendecompose
 
 __all__ = [
     "SemiInfiniteInitialData",
@@ -50,16 +49,17 @@ class SemiInfiniteInitialData:
     coefficients: Callable[[int], tuple[float, float]]
     declared_upper_bound: Optional[float] = None
 
+    def __post_init__(self):
+        if self.declared_upper_bound is not None:
+            bound = _finite_real("declared_upper_bound", self.declared_upper_bound)
+            object.__setattr__(self, "declared_upper_bound", bound)
+
     def truncation(self, n: int) -> JacobiMatrix:
         """Leading n x n Jacobi block of the initial operator."""
         if n < 1:
             raise ValueError("n must be >= 1")
         pairs = [self.coefficients(k) for k in range(1, n + 1)]
-        a_all = np.array([p[0] for p in pairs], dtype=float)
-        b = np.array([p[1] for p in pairs], dtype=float)
-        if np.min(a_all) <= 0.0:
-            raise ValueError("generated a_n entries must be strictly positive")
-        return JacobiMatrix(diag=b, offdiag=a_all[: n - 1])
+        return JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[: n - 1]])
 
 
 def _linear_b(alpha: float, beta: float, gamma: float):
@@ -74,19 +74,8 @@ def _decay(alpha: float, gamma: float):
     return lambda n: (alpha / n, gamma)
 
 
-def _finite_reals(name: str, values) -> np.ndarray:
-    # a 1-d table held to the _finite_real rule; a finite int or float array
-    # passes without a loop, anything else is checked entry by entry
-    entries = np.asarray(values)
-    if entries.ndim != 1:
-        raise ValueError("table needs 1-d sequences a and b")
-    if entries.dtype.kind in "iuf" and np.all(np.isfinite(entries)):
-        return entries.astype(float)
-    return np.array([_finite_real(f"{name}[{i}]", v) for i, v in enumerate(entries.tolist())], dtype=float)
-
-
 def _table(a, b):
-    a, b = _finite_reals("a", a), _finite_reals("b", b)
+    a, b = _real_array("a", a, 1), _real_array("b", b, 1)
     if a.size != b.size - 1 and a.size != b.size:
         raise ValueError("table needs len(a) in {len(b)-1, len(b)}")
 
@@ -112,16 +101,6 @@ _GENERATORS = {
 }
 
 
-def _finite_real(name: str, value) -> float:
-    try:
-        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-    except OverflowError:
-        ok = False
-    if not ok:
-        raise ValueError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
-
-
 def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteInitialData:
     """Named built-in generators for initial data.
 
@@ -145,10 +124,7 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteI
         raise ValueError(f"unknown initial-data generator {name!r}")
     if params:
         raise ValueError(f"unused generator parameters: {sorted(params)}")
-    return SemiInfiniteInitialData(
-        coefficients=coeff,
-        declared_upper_bound=None if bound is None else _finite_real("upper_bound", bound),
-    )
+    return SemiInfiniteInitialData(coefficients=coeff, declared_upper_bound=bound)
 
 
 @dataclass(frozen=True)
@@ -227,6 +203,7 @@ def solve_toda_semi_infinite(
     eigenvalues above a declared spectral bound raise a warning.
     """
     times = _check_grid(times)
+    tol = _finite_real("tol", tol)
     if m < 1:
         raise ValueError("m must be >= 1")
     if not (tol > 0.0):
@@ -277,7 +254,7 @@ def solve_toda_semi_infinite(
     moments = _evolved_moments(mu0, times, 2 * m)
     report = StabilizationReport(
         entries=m,
-        times=times.copy(),
+        times=times,
         truncation_sizes=tuple(sizes_run),
         deviations=tuple(deviations),
         converged=stop_reason != "n_max",

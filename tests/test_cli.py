@@ -174,7 +174,15 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("semi_infinite", escaping, grid, {"tol": 0}, "options.tol"),
         ("verify", explicit, grid, {"dt": True}, "options.dt"),
     ]
-    for mode, initial, grid_, options, name in oversized + out_of_range:
+    # array entries must be JSON numbers: strings and true/false are not read as numbers
+    table = {"n_max": 4}
+    not_numbers = [
+        ("finite", {"b": ["0", "0.5"], "a": ["1"]}, grid, {}, "initial.b"),
+        ("semi_infinite", {"b": ["0", "0.5", "0", "0.5"], "a": [1.0, 1.0, 1.0]}, grid, table, "initial.b"),
+        ("finite", {"b": [True, 0.5], "a": [1.0]}, grid, {}, "initial.b"),
+        ("semi_infinite", {"b": [True, 0.5, 0.0, 0.5], "a": [1.0, 1.0, 1.0]}, grid, table, "initial.b"),
+    ]
+    for mode, initial, grid_, options, name in oversized + out_of_range + not_numbers:
         cfg = write_config(tmp_path / "t.json", {
             "mode": mode,
             "initial": initial,

@@ -1,4 +1,5 @@
-"""The README walkthroughs run: every demo script and every example config exits 0."""
+"""The README walkthroughs run: every demo script and every example config exits 0,
+under the warning filters that pyproject.toml applies to the tests."""
 
 import os
 import subprocess
@@ -10,13 +11,23 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 CONFIGS = sorted((ROOT / "demos" / "configs").glob("*.json"))
+WARNINGS_AS_ERRORS = [
+    "-Werror::RuntimeWarning",
+    "-Werror::DeprecationWarning",
+    "-Werror::PendingDeprecationWarning",
+]
 
 
 def run(args, cwd):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *WARNINGS_AS_ERRORS, *args],
+        cwd=cwd,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
     )
 
 

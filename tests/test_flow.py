@@ -343,3 +343,5 @@ def test_weyl_evolution_residual_requires_spectral_gap():
     j = JacobiMatrix([0.0, 0.0], [1.0])
     with pytest.raises(PoleProximityError):
         weyl_evolution_residual(j, 1.2, 0.5, 1e-4)
+    with pytest.raises(ValueError, match="finite"):
+        weyl_evolution_residual(j, math.nan, 1.0, 0.1)

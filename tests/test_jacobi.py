@@ -29,6 +29,16 @@ def test_matrix_construction_rejects_bad_input():
         JacobiMatrix(diag=[0.0, 0.0], offdiag=[1.0, 2.0])
     with pytest.raises(ValueError):
         JacobiMatrix(diag=[np.nan, 0.0], offdiag=[1.0])
+    # only integer and float arrays are read; nothing else is converted
+    not_real = [
+        (["0", "0.5"], ["1"]),
+        (np.array([1 + 2j, 0.0]), [1.0]),
+        ([True, False], [1.0]),
+        (np.array([0.0, 0.5], dtype=object), [1.0]),
+    ]
+    for diag, offdiag in not_real:
+        with pytest.raises(ValueError, match="real numbers"):
+            JacobiMatrix(diag=diag, offdiag=offdiag)
 
 
 def test_measure_construction_rejects_bad_input():
@@ -40,6 +50,15 @@ def test_measure_construction_rejects_bad_input():
         DiscreteMeasure(nodes=[0.0, 1.0], weights=[0.5, 0.0])
     with pytest.raises(ValueError):
         DiscreteMeasure(nodes=[0.0, 1.0], weights=[0.5, -0.5])
+    not_real = [
+        (["0", "1"], [0.5, 0.5]),
+        ([0.0, 1.0], np.array([0.5, 0.5 + 0.5j])),
+        ([False, True], [0.5, 0.5]),
+        (np.array([0.0, 1.0], dtype=object), [0.5, 0.5]),
+    ]
+    for nodes, weights in not_real:
+        with pytest.raises(ValueError, match="real numbers"):
+            DiscreteMeasure(nodes=nodes, weights=weights)
 
 
 def test_values_are_immutable():
@@ -136,3 +155,6 @@ def test_weyl_function_pole_proximity():
     j = JacobiMatrix([0.0, 0.0], [1.0])
     with pytest.raises(PoleProximityError):
         weyl_function(j, 1.0 + 1e-12)
+    # NaN is at no distance from the spectrum; it is bad input, not a pole
+    with pytest.raises(ValueError, match="finite"):
+        weyl_function(j, np.nan)

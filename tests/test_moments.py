@@ -12,6 +12,7 @@ from todaflow import (
     JacobiMatrix,
     MomentSequence,
     PositivityError,
+    ResponseVector,
     check_moment_positivity,
     eigendecompose,
     hankel_matrix,
@@ -46,6 +47,11 @@ def test_moment_sequence_rejects_bad_input():
         MomentSequence([-1.0, 0.0])
     with pytest.raises(ValueError):
         MomentSequence([1.0], time=-1.0)
+    with pytest.raises(ValueError, match="finite"):
+        MomentSequence([1.0], time=math.inf)
+    # a response vector holds its entries to the same finite-real rule
+    with pytest.raises(ValueError, match="finite"):
+        ResponseVector([math.nan])
 
 
 def test_moments_from_measure_examples():

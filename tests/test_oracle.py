@@ -83,6 +83,9 @@ def test_rk4_grid_divisibility():
         rk4_toda(j, [0.0, 0.05], 0.02)
     with pytest.raises(ValueError):
         rk4_toda(j, [0.0, 1.0], -1e-3)
+    # a step given as a string is rejected, not parsed
+    with pytest.raises(ValueError, match="finite real"):
+        rk4_toda(j, [0.0, 0.5], "0.25")
 
 
 def test_rk4_blow_up_guard():
