@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flow import TodaTrajectory, solve_toda_finite
-from .jacobi import JacobiMatrix, _finite_real, _real_array, eigendecompose
+from .jacobi import JacobiMatrix, _count, _finite_real, _jacobi_arrays, _real_array, eigendecompose
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_moments
@@ -69,13 +69,15 @@ _DEFAULT_OUTPUT = {
 _MAX_STEPS = 1_000_000
 _MAX_RANDOM_N = 16_384
 
-# option -> (type, range test, required value); the defaults live on RunConfig
+# option -> its value rule, called with the dotted field name; the
+# defaults live on RunConfig, and solve_toda_semi_infinite holds n_max
+# to 2m+2 when it runs
 _OPTIONS = {
-    "dt": (float, lambda v: v > 0, "a number > 0"),
-    "tol": (float, lambda v: v > 0, "a number > 0"),
-    "n_max": (int, lambda v: v >= 2, "an integer >= 2"),
-    "m": (int, lambda v: v >= 1, "an integer >= 1"),
-    "k": (int, lambda v: 1 <= v <= _K_MAX, f"an integer in [1, {_K_MAX}]"),
+    "dt": lambda name, v: _finite_real(name, v, positive=True),
+    "tol": lambda name, v: _finite_real(name, v, positive=True),
+    "n_max": lambda name, v: _count(name, v, 2),
+    "m": lambda name, v: _count(name, v, 1),
+    "k": lambda name, v: _count(name, v, 1, _K_MAX),
 }
 
 
@@ -112,47 +114,27 @@ def _known_fields(obj: dict, fields, prefix: str) -> None:
         _require(key in fields, f"{prefix}{key}: unknown field, expected one of {sorted(fields)}")
 
 
-def _is_int(value) -> bool:
-    # JSON true/false arrive as bool, which Python counts as int
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _number_array(name: str, value) -> np.ndarray:
-    # numpy reads a JSON true inside a list of numbers as 1.0, out of sight
-    # of _real_array, so the parsed list is checked for bools first
-    bools = isinstance(value, list) and any(isinstance(v, bool) for v in value)
-    _require(not bools, f"{name}: need numbers, got true/false")
-    return _real_array(name, value, 1)
-
-
 def _build_matrix(initial: dict) -> JacobiMatrix:
     if "random" in initial:
         _known_fields(initial, ("random",), "initial.")
         params = initial["random"]
         _require(isinstance(params, dict), "initial.random: must be an object")
         _known_fields(params, ("n", "seed"), "initial.random.")
-        n = params.get("n")
-        seed = params.get("seed", 0)
-        _require(
-            _is_int(n) and 1 <= n <= _MAX_RANDOM_N, f"initial.random.n: need an integer in [1, {_MAX_RANDOM_N}]"
-        )
-        _require(_is_int(seed) and seed >= 0, "initial.random.seed: need an integer >= 0")
-        rng = np.random.default_rng(seed)
+        n = _count("initial.random.n", params.get("n"), 1, _MAX_RANDOM_N)
+        rng = np.random.default_rng(_count("initial.random.seed", params.get("seed", 0), 0))
         return JacobiMatrix(diag=rng.uniform(-2.0, 2.0, n), offdiag=rng.uniform(0.5, 2.0, n - 1))
     _require("b" in initial, "initial.b: required for explicit initial data")
     _known_fields(initial, ("b", "a"), "initial.")
-    b = _number_array("initial.b", initial["b"])
-    a = _number_array("initial.a", initial.get("a", []))
-    _require(b.size >= 1, "initial.b: need a non-empty array")
-    _require(a.shape == (b.size - 1,), f"initial.a: need exactly {b.size - 1} entries")
-    _require(a.size == 0 or bool(np.all(a > 0.0)), "initial.a: off-diagonal entries must be strictly positive")
+    b, a = _jacobi_arrays(initial["b"], initial.get("a", []), 1, names=("initial.b", "initial.a"))
     return JacobiMatrix(diag=b, offdiag=a)
 
 
 def _generator_params(params: dict, prefix: str) -> dict:
     # tables a, b are arrays; every other generator parameter is one number
     return {
-        key: (_number_array if key in ("a", "b") else _finite_real)(f"{prefix}.{key}", value)
+        key: _real_array(f"{prefix}.{key}", value, 1)
+        if key in ("a", "b")
+        else _finite_real(f"{prefix}.{key}", value)
         for key, value in params.items()
     }
 
@@ -207,30 +189,19 @@ def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     grid = raw.get("grid", {})
     _require(isinstance(grid, dict), "grid: must be an object")
     _known_fields(grid, ("t_end", "steps"), "grid.")
-    t_end = _finite_real("grid.t_end", grid.get("t_end"))
-    steps = grid.get("steps")
-    _require(t_end > 0, "grid.t_end: need a number > 0")
-    _require(_is_int(steps) and 1 <= steps <= _MAX_STEPS, f"grid.steps: need an integer in [1, {_MAX_STEPS}]")
+    t_end = _finite_real("grid.t_end", grid.get("t_end"), positive=True)
+    steps = _count("grid.steps", grid.get("steps"), 1, _MAX_STEPS)
     times = np.linspace(0.0, t_end, steps + 1)
 
     options = raw.get("options", {})
     _require(isinstance(options, dict), "options: must be an object")
     _known_fields(options, _OPTIONS, "options.")
-    settings = {}
-    for key, (kind, in_range, need) in _OPTIONS.items():
-        if key in options:
-            value = options[key]
-            if kind is float:
-                value = _finite_real(f"options.{key}", value)
-            _require((kind is float or _is_int(value)) and in_range(value), f"options.{key}: need {need}")
-            settings[key] = kind(value)
+    settings = {key: rule(f"options.{key}", options[key]) for key, rule in _OPTIONS.items() if key in options}
 
     initial = raw.get("initial")
     _require(isinstance(initial, dict), "initial: must be an object")
     build = _build_generator if mode == "semi_infinite" else _build_matrix
     config = RunConfig(mode, times, out_dir, build(initial), **settings)
-    if mode == "semi_infinite":
-        _require(config.n_max >= 2 * config.m + 2, f"options.n_max: need >= 2m+2 = {2 * config.m + 2}")
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output: must be an object")
@@ -242,16 +213,12 @@ def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     return config
 
 
-def _format(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def write_trajectory_csv(path, traj: TodaTrajectory) -> None:
     """Write "t,b1,...,bN,a1,...,a{N-1}" rows with full 17-digit precision."""
     n = traj.size
     header = ",".join(["t"] + [f"b{i}" for i in range(1, n + 1)] + [f"a{i}" for i in range(1, n)])
     rows = np.column_stack((traj.times, traj.diag, traj.offdiag))
-    fmt = ",".join(["%.17g"] * rows.shape[1])  # the same digits as _format
+    fmt = ",".join(["%.17g"] * rows.shape[1])
     lines = [header] + [fmt % tuple(row) for row in rows.tolist()]
     Path(path).write_text("\n".join(lines) + "\n")
 
@@ -282,9 +249,8 @@ def _run_response(config: RunConfig) -> list[Path]:
     s = moments_from_measure(mu, config.k)
     r = response_from_moments(s)
     table_path = config.out_dir / config.output["table"]
-    lines = ["k,s,r"]
-    for k in range(config.k):
-        lines.append(f"{k},{_format(s.values[k])},{_format(r.values[k])}")
+    rows = zip(range(config.k), s.values.tolist(), r.values.tolist())
+    lines = ["k,s,r"] + ["%d,%.17g,%.17g" % row for row in rows]
     table_path.write_text("\n".join(lines) + "\n")
     verdict = check_moment_positivity(s)
     report = {"k": config.k, "classification": {"kind": verdict.kind, "order": verdict.order}}

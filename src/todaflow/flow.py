@@ -22,6 +22,7 @@ from .errors import PoleProximityError
 from .jacobi import (
     DiscreteMeasure,
     JacobiMatrix,
+    _count,
     _finite_real,
     _increasing,
     _jacobi_arrays,
@@ -148,8 +149,7 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
     with s_0 = 1 exactly.
     """
     t = _check_time(t)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count("count", count, 1)
     return MomentSequence(values=_evolved_moments(mu0, t, count), time=t)
 
 
@@ -170,8 +170,7 @@ def moment_recurrence_residual(mu0: DiscreteMeasure, t: float, count: int, h: fl
     t, h = _finite_real("t", t), _finite_real("h", h)
     if not (h > 0.0 and t >= h):
         raise ValueError("need t >= h > 0")
-    if count < 2:
-        raise ValueError("count must be >= 2")
+    count = _count("count", count, 2)
     dlog = (log_omega(mu0, t + h) - log_omega(mu0, t - h)) / (2.0 * h)
     s_plus, s_minus, s_mid = _evolved_moments(mu0, np.array([t + h, t - h, t]), count)
     sdot = (s_plus - s_minus) / (2.0 * h)

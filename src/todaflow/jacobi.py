@@ -34,8 +34,9 @@ _EIGEN_SEPARATION = 1e-12
 _POLE_TOL = 1e-10
 
 
-def _finite_real(name: str, value) -> float:
-    """value as a float, if it is a finite real number and not a bool.
+def _finite_real(name: str, value, *, positive: bool = False) -> float:
+    """value as a float, if it is a finite real number and not a bool,
+    and greater than 0 when positive is set.
 
     Strings, complex numbers and arrays are rejected, never converted; the
     message starts with name, so a caller can pass the field it checks.
@@ -44,16 +45,47 @@ def _finite_real(name: str, value) -> float:
         ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     except OverflowError:
         ok = False
-    if not ok:
-        raise ValueError(f"{name}: need a finite real number, got {value!r}")
+    if not (ok and (value > 0 or not positive)):
+        raise ValueError(f"{name}: need a finite real number{' > 0' if positive else ''}, got {value!r}")
     return float(value)
+
+
+def _count(name: str, value, low: int, high: int | None = None) -> int:
+    """value as an int, if it is an integer, not a bool, in [low, high].
+
+    Floats and strings are rejected, never converted; the message starts
+    with name, as those of _finite_real do.
+    """
+    if not (
+        isinstance(value, numbers.Integral)
+        and not isinstance(value, bool)
+        and low <= value
+        and (high is None or value <= high)
+    ):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise ValueError(f"{name}: need an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+# numpy reads True inside a list of numbers as 1.0
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def _hides_bool(values, ndim: int) -> bool:
+    # a bool inside the (nested) lists or tuples of an ndim-d array
+    if not isinstance(values, (list, tuple)):
+        return False
+    if ndim == 1:
+        return not _BOOL_TYPES.isdisjoint(map(type, values))
+    return any(_hides_bool(row, ndim - 1) for row in values)
 
 
 def _real_array(name: str, values, ndim: int) -> np.ndarray:
     """Read-only float copy of an ndim-d array of finite real numbers.
 
-    Only integer and float dtypes pass: strings, bools, complex and object
-    entries are rejected, never converted.  Messages start with name.
+    Only integer and float dtypes pass: strings, bools (also inside a list
+    of numbers), complex and object entries are rejected, never converted.
+    Messages start with name.
     """
     try:
         arr = np.asarray(values)
@@ -63,6 +95,8 @@ def _real_array(name: str, values, ndim: int) -> np.ndarray:
         raise ValueError(f"{name}: need real numbers, got {arr.dtype} entries")
     if arr.ndim != ndim:
         raise ValueError(f"{name}: need a {ndim}-d array, got {arr.ndim}-d")
+    if _hides_bool(values, ndim):
+        raise ValueError(f"{name}: need real numbers, got true/false entries")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: entries must be finite")
     arr = arr.astype(float)
@@ -80,22 +114,24 @@ def _increasing(name: str, values) -> np.ndarray:
     return arr
 
 
-def _jacobi_arrays(diag, offdiag, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+def _jacobi_arrays(diag, offdiag, ndim: int, names=("diag", "offdiag")) -> tuple[np.ndarray, np.ndarray]:
     """Read-only copies of diag (..., N) and offdiag (..., N-1), checked once.
 
     Both must hold finite reals, diag with ndim axes and N >= 1, offdiag
     the matching shape with every entry strictly positive.
     ndim = 1 is one matrix, ndim = 2 a trajectory with one row per time.
+    Messages start with the names of the two arrays.
     """
-    d = _real_array("diag", diag, ndim)
-    e = _real_array("offdiag", offdiag, ndim)
+    d_name, e_name = names
+    d = _real_array(d_name, diag, ndim)
+    e = _real_array(e_name, offdiag, ndim)
     if d.shape[-1] < 1:
-        raise ValueError("diag must have at least one entry per row")
+        raise ValueError(f"{d_name} must not be empty")
     expected = d.shape[:-1] + (d.shape[-1] - 1,)
     if e.shape != expected:
-        raise ValueError(f"offdiag must have shape {expected}, got {e.shape}")
+        raise ValueError(f"{e_name} must have shape {expected}, got {e.shape}")
     if e.size and np.min(e) <= 0.0:
-        raise ValueError("offdiag entries must be strictly positive")
+        raise ValueError(f"{e_name} entries must be strictly positive")
     return d, e
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateMeasureError, PositivityError
-from .jacobi import DiscreteMeasure, JacobiMatrix, _finite_real, _real_array
+from .jacobi import DiscreteMeasure, JacobiMatrix, _count, _finite_real, _real_array
 
 __all__ = [
     "MomentSequence",
@@ -112,15 +112,13 @@ def moments_from_measure(mu: DiscreteMeasure, count: int, *, time: float = 0.0) 
 
     Raises OverflowError if any term exceeds the floating-point range.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count("count", count, 1)
     return MomentSequence(values=_moment_sums(mu.nodes, mu.weights, count), time=time)
 
 
 def hankel_matrix(s: MomentSequence, size: int) -> np.ndarray:
     """Dense size x size Hankel matrix with entries s_{i+j} (0-based)."""
-    if size < 1:
-        raise ValueError("size must be >= 1")
+    size = _count("size", size, 1)
     if len(s) < 2 * size - 1:
         raise ValueError(
             f"need {2 * size - 1} moments for a {size}x{size} Hankel matrix, have {len(s)}"
@@ -195,8 +193,7 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
         If an intermediate norm drops below 1e-12 before n coefficients
         are produced (mu is numerically supported on fewer than n points).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count("n", n, 1)
     if mu.nodes.size < n:
         raise ValueError(f"measure has {mu.nodes.size} nodes, fewer than n={n}")
     diag, offdiag = _stieltjes(mu.nodes, mu.weights[np.newaxis], n)
@@ -229,6 +226,9 @@ def _stieltjes(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarr
     return diag, offdiag
 
 
+# an overflow ends as inf/NaN in a center or a norm, which the check after
+# the loop turns into OverflowError; NaN never reads as degenerate
+@np.errstate(over="ignore", invalid="ignore")
 def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
     n = diag.shape[1]
     basis = np.empty((n,) + w.shape)
@@ -259,6 +259,9 @@ def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, diag: np.ndarray, offdiag: np
         q_prev = q
         q = resid / beta
         basis[k + 1] = q
+    # written so that NaN fails it
+    if not (np.abs(diag).max() < np.inf and np.max(offdiag, initial=0.0) < np.inf):
+        raise OverflowError("a recurrence center or norm left the double-precision range")
 
 
 def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
@@ -277,8 +280,7 @@ def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
     Raises PositivityError on a nonpositive pivot; warns if the Hankel
     condition estimate exceeds 1e12.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    n = _count("n", n, 1)
     if len(s) < 2 * n:
         raise ValueError(
             f"need 2n={2 * n} moments (the last diagonal entry requires s_{2 * n - 1}), have {len(s)}"

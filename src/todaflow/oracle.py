@@ -39,9 +39,7 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
         broken), not genuine dynamics.
     """
     times = _increasing("times", times)
-    dt = _finite_real("dt", dt)
-    if not (dt > 0.0):
-        raise ValueError("dt must be positive")
+    dt = _finite_real("dt", dt, positive=True)
     spans = []
     for width in np.diff(times):
         steps = round(width / dt)

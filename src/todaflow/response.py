@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import DiscreteMeasure, _real_array
+from .jacobi import DiscreteMeasure, _count, _real_array
 from .moments import MomentSequence
 
 __all__ = [
@@ -53,8 +53,7 @@ def chebyshev_u(k: int, lam):
     T_0 = 0, T_1 = 1, T_{j+1} = lam * T_j - T_{j-1}.  Accepts a scalar or
     an ndarray of evaluation points.
     """
-    if k < 0:
-        raise ValueError("k must be >= 0")
+    k = _count("k", k, 0)
     arr = _real_array("lam", lam, np.ndim(lam))
     scalar = arr.ndim == 0
     prev = np.zeros_like(arr)
@@ -79,10 +78,7 @@ def lambda_matrix(size: int) -> np.ndarray:
     lower-triangular checkerboard support.  Entries are computed in exact
     integer arithmetic; size is capped at 30.
     """
-    if size < 1:
-        raise ValueError("size must be >= 1")
-    if size > _K_MAX:
-        raise ValueError(f"size must be <= {_K_MAX}")
+    size = _count("size", size, 1, _K_MAX)
     out = np.zeros((size, size), dtype=np.int64)
     for i in range(size):
         for j in range(i % 2, i + 1, 2):
@@ -104,8 +100,7 @@ def response_from_measure(mu: DiscreteMeasure, count: int) -> ResponseVector:
     One forward-recurrence sweep over the nodes; each entry is accumulated
     by compensated summation, mirroring moments_from_measure.
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    count = _count("count", count, 1)
     prev = np.zeros_like(mu.nodes)
     cur = np.ones_like(mu.nodes)
     vals = np.empty(count)

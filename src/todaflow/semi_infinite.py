@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .flow import MOMENT_METHOD, TodaTrajectory, _check_grid, _evolve_block, _evolved_moments
-from .jacobi import JacobiMatrix, _finite_real, _real_array, eigendecompose
+from .jacobi import JacobiMatrix, _count, _finite_real, _real_array, eigendecompose
 
 __all__ = [
     "SemiInfiniteInitialData",
@@ -56,8 +56,7 @@ class SemiInfiniteInitialData:
 
     def truncation(self, n: int) -> JacobiMatrix:
         """Leading n x n Jacobi block of the initial operator."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
+        n = _count("n", n, 1)
         pairs = [self.coefficients(k) for k in range(1, n + 1)]
         return JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[: n - 1]])
 
@@ -203,13 +202,9 @@ def solve_toda_semi_infinite(
     eigenvalues above a declared spectral bound raise a warning.
     """
     times = _check_grid(times)
-    tol = _finite_real("tol", tol)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if not (tol > 0.0):
-        raise ValueError("tol must be positive")
-    if n_max < 2 * m + 2:
-        raise ValueError(f"n_max must be >= 2m+2 = {2 * m + 2}")
+    tol = _finite_real("tol", tol, positive=True)
+    m = _count("m", m, 1)
+    n_max = _count("n_max", n_max, 2 * m + 2)
 
     sizes_run: list[int] = []
     deviations: list[float] = []

@@ -93,6 +93,14 @@ def test_malformed_offdiag_exits_1(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
     assert "initial.a" in err and "positive" in err
+    # the shape rule of JacobiMatrix, under the config's own field name
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "finite",
+        "initial": {"b": [0.0, 0.0], "a": [1.0, 2.0]},
+        "grid": {"t_end": 1.0, "steps": 10},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "error: initial.a must have shape (1,)" in capsys.readouterr().err
 
 
 def test_validation_failures_exit_1(tmp_path, capsys):
@@ -220,6 +228,14 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     })
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    # an overflow inside the reconstruction is numerical, not bad input
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "finite",
+        "initial": {"b": [1e155, -1e155, 5e154], "a": [1e155, 3e154]},
+        "grid": {"t_end": 1e-170, "steps": 1},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "numerical failure: OverflowError" in capsys.readouterr().err
 
 
 def test_mode_override_flag(tmp_path):

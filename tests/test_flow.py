@@ -86,6 +86,9 @@ def test_evolve_moments_identity_at_t0():
         moments_from_measure(mu, 5).values,
         atol=1e-14,
     )
+    for bad in (5.0, True, "5"):
+        with pytest.raises(ValueError, match="^count:"):
+            evolve_moments(mu, 0.0, bad)
 
 
 def test_evolve_moments_two_node_closed_form():
@@ -150,6 +153,9 @@ def test_recurrence_residual_preconditions():
         moment_recurrence_residual(PM1, 1e-5, 4, 1e-4)
     with pytest.raises(ValueError):
         moment_recurrence_residual(PM1, 0.5, 1, 1e-4)
+    for bad in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="^count:"):
+            moment_recurrence_residual(PM1, 0.5, bad, 1e-4)
 
 
 def test_solve_constant_for_1x1():
@@ -249,6 +255,8 @@ def test_trajectory_holds_readonly_arrays():
         ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.0]], MOMENT_METHOD, "strictly positive"),
         ([[0.0, np.nan], [0.5, 0.5]], [[1.0], [0.8]], MOMENT_METHOD, "finite"),
         ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.8]], "euler", "unknown method"),
+        ([[0.0, 1.0], [0.5, True]], [[1.0], [0.8]], MOMENT_METHOD, "diag: need real numbers"),
+        ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [True]], MOMENT_METHOD, "offdiag: need real numbers"),
     ],
 )
 def test_trajectory_rejects_malformed_arrays(diag, offdiag, method, reason):

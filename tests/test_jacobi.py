@@ -35,6 +35,9 @@ def test_matrix_construction_rejects_bad_input():
         (np.array([1 + 2j, 0.0]), [1.0]),
         ([True, False], [1.0]),
         (np.array([0.0, 0.5], dtype=object), [1.0]),
+        # numpy reads a bool among numbers as 1.0
+        ([True, 0.5], [1.0]),
+        ([np.True_, 0.5], (1.0,)),
     ]
     for diag, offdiag in not_real:
         with pytest.raises(ValueError, match="real numbers"):
@@ -55,6 +58,7 @@ def test_measure_construction_rejects_bad_input():
         ([0.0, 1.0], np.array([0.5, 0.5 + 0.5j])),
         ([False, True], [0.5, 0.5]),
         (np.array([0.0, 1.0], dtype=object), [0.5, 0.5]),
+        ([0, 1], [True, 0.5]),
     ]
     for nodes, weights in not_real:
         with pytest.raises(ValueError, match="real numbers"):

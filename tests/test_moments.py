@@ -20,6 +20,7 @@ from todaflow import (
     jacobi_from_moments,
     moment_bilinear_form,
     moments_from_measure,
+    solve_toda_finite,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -61,12 +62,20 @@ def test_moments_from_measure_examples():
     np.testing.assert_allclose(s.values, [1.0, 3.0, 9.0], rtol=1e-15)
     s = moments_from_measure(DiscreteMeasure([-SQRT2, 0.0, SQRT2], [0.25, 0.5, 0.25]), 5)
     np.testing.assert_allclose(s.values, [1.0, 0.0, 1.0, 0.0, 2.0], atol=1e-15)
+    # a count is an integer: floats, bools and strings are not read as one
+    for bad in (2.0, True, "3"):
+        with pytest.raises(ValueError, match="^count:"):
+            moments_from_measure(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), bad)
 
 
 def test_moments_overflow_guard():
     mu = DiscreteMeasure([1e200], [1.0])
     with pytest.raises(OverflowError):
         moments_from_measure(mu, 3)
+    # the reconstruction kernel reports an overflow, not the trajectory's input rule
+    j = JacobiMatrix([1e155, -1e155, 5e154], [1e155, 3e154])
+    with pytest.raises(OverflowError, match="double-precision range"):
+        solve_toda_finite(j, [0.0, 1e-170])
 
 
 def test_hankel_matrix_examples():
@@ -79,6 +88,9 @@ def test_hankel_matrix_examples():
     np.testing.assert_array_equal(h, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
     with pytest.raises(ValueError):
         hankel_matrix(MomentSequence([1.0, 0.0, 1.0]), 3)
+    for bad in (1.5, True, "2"):
+        with pytest.raises(ValueError, match="^size:"):
+            hankel_matrix(MomentSequence([1.0, 0.0, 1.0]), bad)
 
 
 def test_positivity_classification_examples():
@@ -133,6 +145,9 @@ def test_jacobi_from_measure_errors():
     mu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
     with pytest.raises(ValueError):
         jacobi_from_measure(mu, 3)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="^n:"):
+            jacobi_from_measure(mu, bad)
     # nearly coincident nodes: numerically supported on fewer points
     tight = DiscreteMeasure([0.0, 1e-14, 1.0], [0.3, 0.3, 0.4])
     with pytest.raises(
@@ -193,6 +208,9 @@ def test_jacobi_from_moments_examples():
 def test_jacobi_from_moments_needs_2n_entries():
     with pytest.raises(ValueError):
         jacobi_from_moments(MomentSequence([1.0, 0.0, 1.0]), 2)
+    for bad in (1.0, True, "1"):
+        with pytest.raises(ValueError, match="^n:"):
+            jacobi_from_moments(MomentSequence([1.0, 0.0, 1.0]), bad)
 
 
 def test_jacobi_from_moments_positivity_failure():

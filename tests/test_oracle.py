@@ -86,6 +86,9 @@ def test_rk4_grid_divisibility():
     # a step given as a string is rejected, not parsed
     with pytest.raises(ValueError, match="finite real"):
         rk4_toda(j, [0.0, 0.5], "0.25")
+    # numpy would read this grid as [0.0, 1.0]
+    with pytest.raises(ValueError, match="^times: need real numbers"):
+        rk4_toda(j, [0, True], 0.5)
 
 
 def test_rk4_blow_up_guard():

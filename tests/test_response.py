@@ -57,6 +57,9 @@ def test_chebyshev_initial_values_and_low_orders():
     assert chebyshev_u(3, lam) == lam * lam - 1.0
     with pytest.raises(ValueError):
         chebyshev_u(-1, lam)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="^k:"):
+            chebyshev_u(bad, lam)
 
 
 def test_chebyshev_matches_closed_form():
@@ -103,6 +106,9 @@ def test_lambda_matrix_structure():
         lambda_matrix(31)
     with pytest.raises(ValueError):
         lambda_matrix(0)
+    for bad in (4.0, True, "4"):
+        with pytest.raises(ValueError, match="^size:"):
+            lambda_matrix(bad)
 
 
 def test_point_mass_response():
@@ -113,6 +119,9 @@ def test_point_mass_response():
     np.testing.assert_array_equal(r.values, [1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0])
     s = moments_from_measure(DiscreteMeasure([0.0], [1.0]), 7)
     np.testing.assert_array_equal(response_from_moments(s).values, r.values)
+    for bad in (3.0, True, "3"):
+        with pytest.raises(ValueError, match="^count:"):
+            response_from_measure(DiscreteMeasure([0.0], [1.0]), bad)
 
 
 def test_symmetric_two_point_response():

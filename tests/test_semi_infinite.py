@@ -31,6 +31,9 @@ def test_generator_builtins():
     np.testing.assert_array_equal(block.offdiag, [1.0, 2.0])
     with pytest.raises(ValueError):
         init.truncation(4)
+    for bad in (2.0, True, "2"):
+        with pytest.raises(ValueError, match="^n:"):
+            init.truncation(bad)
 
     with pytest.raises(ValueError):
         make_initial_data("nonsense")
@@ -77,6 +80,13 @@ def test_preconditions():
         solve_toda_semi_infinite(init, times, 2, 1e-8, 5)
     with pytest.raises(ValueError):
         solve_toda_semi_infinite(init, [0.5, 1.0], 2, 1e-8, 64)
+    # sizes are integers: an infinite n_max would leave the doubling unbounded
+    for m, n_max, name in [
+        (2.0, 64, "m"), (True, 64, "m"), ("2", 64, "m"),
+        (2, 64.0, "n_max"), (2, True, "n_max"), (2, "64", "n_max"), (1, math.inf, "n_max"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name}:"):
+            solve_toda_semi_infinite(init, times, m, 1e-8, n_max)
 
 
 def test_initial_entries_are_exact():
