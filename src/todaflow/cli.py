@@ -44,7 +44,7 @@ from .jacobi import JacobiMatrix, _count, _finite_real, _jacobi_arrays, _real_ar
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_moments
-from .semi_infinite import SemiInfiniteInitialData, make_initial_data, solve_toda_semi_infinite
+from .semi_infinite import SemiInfiniteInitialData, _truncation_sizes, make_initial_data, solve_toda_semi_infinite
 
 __all__ = [
     "ConfigError",
@@ -70,8 +70,8 @@ _MAX_STEPS = 1_000_000
 _MAX_RANDOM_N = 16_384
 
 # option -> its value rule, called with the dotted field name; the
-# defaults live on RunConfig, and solve_toda_semi_infinite holds n_max
-# to 2m+2 when it runs
+# defaults live on RunConfig, and semi_infinite mode then holds n_max to
+# 2m+2 by the rule solve_toda_semi_infinite uses
 _OPTIONS = {
     "dt": lambda name, v: _finite_real(name, v, positive=True),
     "tol": lambda name, v: _finite_real(name, v, positive=True),
@@ -167,8 +167,9 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
         raw = json.loads(path.read_text())
     except OSError as exc:
         raise ConfigError(f"config: cannot read {path} ({exc})") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config: {path} is not valid JSON ({exc})") from exc
+    except ValueError as exc:
+        # a JSONDecodeError, or an integer literal too long for int()
+        raise ConfigError(f"config: cannot parse {path} as JSON ({exc})") from exc
     try:
         return _resolve(raw, mode_override, Path(out_dir))
     except ConfigError:
@@ -202,6 +203,8 @@ def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     _require(isinstance(initial, dict), "initial: must be an object")
     build = _build_generator if mode == "semi_infinite" else _build_matrix
     config = RunConfig(mode, times, out_dir, build(initial), **settings)
+    if mode == "semi_infinite":
+        _truncation_sizes(config.m, config.n_max, "options.")
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output: must be an object")

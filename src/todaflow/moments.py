@@ -101,7 +101,7 @@ def _moment_sums(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarr
     """Compensated sums of nodes**k * weights, k < count: (count,) for one
     weight row (N,), (rows, count) for a (rows, N) stack over the nodes."""
     terms = _power_terms(nodes, weights, count)
-    sums = [math.fsum(row) for row in terms.reshape(-1, nodes.size)]
+    sums = [math.fsum(row) for row in terms.reshape(-1, nodes.size).tolist()]
     return np.array(sums).reshape(terms.shape[:-1])
 
 

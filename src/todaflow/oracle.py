@@ -49,59 +49,57 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
             )
         spans.append(steps)
 
-    n = j0.n
-    y = np.concatenate((j0.offdiag, j0.diag))
+    n, m = j0.n, 2 * j0.n
     diag = np.empty((times.size, n))
     offdiag = np.empty((times.size, n - 1))
     diag[0], offdiag[0] = j0.diag, j0.offdiag
-    # Every buffer and slice view is made once; each stage writes through
+    # An evaluation buffer is [a (n-1), pad, b (n) | 0, a^2 (n-1), 0]: one
+    # subtract over its b | 0, a^2, 0 window writes [db, junk, d(a^2)] into
+    # k, so k holds bdot / 2.  The factor 2 sits in the b half of the
+    # per-entry steps (a power of two, so exact), and their 0 keeps the pad
+    # at 0.  Every buffer and view is made once; each stage writes through
     # out= in the order of y + (dt/2) k1, ..., y + (dt/6)(k1 + 2(k2 + k3) + k4),
     # so the doubles match an allocate-per-stage loop bit for bit.
-    stage, acc, k1, k2, k3, k4 = np.empty((6, y.size))
-    asq = np.zeros(n + 1)
-    asq_in, asq_hi, asq_lo = asq[1:n], asq[1:], asq[:-1]
+    y, stage = np.zeros((2, 3 * n + 1))
+    y[: n - 1], y[n:m] = j0.offdiag, j0.diag
+    acc, k1, k2, k3, k4 = np.empty((5, m))
+    half, full, sixth = (
+        np.concatenate((np.full(n - 1, h), [0.0], np.full(n, 2.0 * h))) for h in (0.5 * dt, dt, dt / 6.0)
+    )
 
-    def state(v):
-        return v[: n - 1], v[n - 1 : -1], v[n:]  # a, b[:-1], b[1:]
+    def views(v, k):
+        return v[: n - 1], v[m + 1 : -1], v[n + 1 :], v[n:-1], k, k[: n - 1]
 
-    def deriv(v):
-        return v[: n - 1], v[n - 1 :]  # da, db
+    def rhs(a, asq, hi, lo, k, k_a):
+        np.multiply(a, a, out=asq)
+        np.subtract(hi, lo, out=k)
+        np.multiply(a, k_a, out=k_a)
 
-    def rhs(src, dst):
-        a, b_lo, b_hi = src
-        da, db = dst
-        np.subtract(b_hi, b_lo, out=da)
-        np.multiply(a, da, out=da)
-        np.multiply(a, a, out=asq_in)
-        np.subtract(asq_hi, asq_lo, out=db)
-        np.multiply(2.0, db, out=db)
-
-    y_v, stage_v = state(y), state(stage)
-    k1_v, k2_v, k3_v, k4_v = map(deriv, (k1, k2, k3, k4))
-    y_a, y_b = y[: n - 1], y[n - 1 :]
-    half, sixth = 0.5 * dt, dt / 6.0
+    at_y, at_k2, at_k3, at_k4 = views(y, k1), views(stage, k2), views(stage, k3), views(stage, k4)
+    y_s, y_a, y_b, stage_s = y[:m], y[: n - 1], y[n:m], stage[:m]
     # an overflow ends as inf/NaN in y, which the guards below turn into BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
         for i, steps in enumerate(spans, start=1):
             for _ in range(steps):
-                rhs(y_v, k1_v)
-                np.add(y, np.multiply(half, k1, out=stage), out=stage)
-                rhs(stage_v, k2_v)
-                np.add(y, np.multiply(half, k2, out=stage), out=stage)
-                rhs(stage_v, k3_v)
-                np.add(y, np.multiply(dt, k3, out=stage), out=stage)
-                rhs(stage_v, k4_v)
+                rhs(*at_y)
+                np.add(y_s, np.multiply(half, k1, out=stage_s), out=stage_s)
+                rhs(*at_k2)
+                np.add(y_s, np.multiply(half, k2, out=stage_s), out=stage_s)
+                rhs(*at_k3)
+                np.add(y_s, np.multiply(full, k3, out=stage_s), out=stage_s)
+                rhs(*at_k4)
                 np.add(k2, k3, out=acc)
-                np.multiply(2.0, acc, out=acc)
+                np.add(acc, acc, out=acc)  # 2 acc exactly, without a scalar operand
                 np.add(k1, acc, out=acc)
                 np.add(acc, k4, out=acc)
-                np.add(y, np.multiply(sixth, acc, out=acc), out=y)
-                # written so that NaN fails both comparisons
-                if not (np.abs(y, out=acc).max() <= _BLOWUP_LIMIT):
+                np.add(y_s, np.multiply(sixth, acc, out=acc), out=y_s)
+                # written so that NaN fails both comparisons; the ufunc
+                # reductions skip the dispatch of np.max / np.min
+                if not (np.maximum.reduce(np.abs(y_s, out=acc)) <= _BLOWUP_LIMIT):
                     raise BlowUpError(
                         f"an entry exceeded {_BLOWUP_LIMIT:g} in magnitude; reduce dt"
                     )
-                if n > 1 and not (y_a.min() > 0.0):
+                if n > 1 and not (np.minimum.reduce(y_a) > 0.0):
                     raise BlowUpError(
                         "an off-diagonal entry left the positive cone; reduce dt"
                     )

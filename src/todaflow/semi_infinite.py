@@ -178,6 +178,13 @@ def _inf_norm(j: JacobiMatrix) -> float:
     return float(np.max(rows))
 
 
+def _truncation_sizes(m, n_max, prefix: str = "") -> tuple[int, int]:
+    """(m, n_max) as ints, if m >= 1 and n_max >= 2m+2; prefix goes
+    before both names in the message."""
+    m = _count(f"{prefix}m", m, 1)
+    return m, _count(f"{prefix}n_max", n_max, 2 * m + 2)
+
+
 def solve_toda_semi_infinite(
     init: SemiInfiniteInitialData,
     times,
@@ -203,8 +210,7 @@ def solve_toda_semi_infinite(
     """
     times = _check_grid(times)
     tol = _finite_real("tol", tol, positive=True)
-    m = _count("m", m, 1)
-    n_max = _count("n_max", n_max, 2 * m + 2)
+    m, n_max = _truncation_sizes(m, n_max)
 
     sizes_run: list[int] = []
     deviations: list[float] = []

@@ -120,6 +120,12 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     not_json = tmp_path / "nj.json"
     not_json.write_text("{broken")
     assert main(["--config", str(not_json), "--out", str(tmp_path)]) == 1
+    # an integer literal past Python's 4300-digit int() limit fails as a config error
+    too_long = tmp_path / "tl.json"
+    too_long.write_text('{"mode": "finite", "initial": {"b": [0.0]}, "grid": {"t_end": 1.0, "steps": %s}}' % ("1" * 5000))
+    capsys.readouterr()
+    assert main(["--config", str(too_long), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: config: cannot parse {too_long} as JSON")
     # mistyped fields are rejected with a message naming the field, not a TypeError
     mistyped = [
         ("finite", {"random": {"n": 3, "seed": "x"}}, "initial.random.seed"),
@@ -217,6 +223,19 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         cfg = write_config(tmp_path / "t.json", payload)
         assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
         assert f"error: {name}: unknown field" in capsys.readouterr().err
+
+
+def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"generator": "constant", "params": {"alpha": 1.0}},
+        "grid": {"t_end": 1.0, "steps": 2},
+        "options": {"m": 2, "n_max": 4},
+    })
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: options.n_max: need an integer >= 6, got 4\n"
+    assert not out.exists()
 
 
 def test_numerical_failure_exits_2(tmp_path, capsys):

@@ -101,16 +101,23 @@ def test_rk4_blow_up_guard():
         rk4_toda(JacobiMatrix([0.0, 0.0, 0.0], [1e60, 1e60]), [0.0, 0.01], 1e-3)
 
 
-@pytest.mark.parametrize("n", [1, 2, 8, 32, 64])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
 def test_rk4_matches_reference_loop_bitwise(n):
-    rng = np.random.default_rng(100 + n)
-    j = random_jacobi(rng, n)
-    dt = 1e-3
-    times = np.concatenate(([0.0], np.cumsum([3 * dt, 40 * dt, dt, 17 * dt, 100 * dt])))
-    traj = rk4_toda(j, times, dt)
-    diag, offdiag = reference_rk4(j, times, dt)
-    assert traj.diag.tobytes() == diag.tobytes()
-    assert traj.offdiag.tobytes() == offdiag.tobytes()
+    grids = [
+        # uneven spans, one of a single step
+        (np.concatenate(([0.0], np.cumsum([3e-3, 40e-3, 1e-3, 17e-3, 100e-3]))), 1e-3),
+        # a coarse step over a long grid
+        (np.linspace(0.0, 5.0, 11), 0.05),
+        # the grid and step of a verify run: 10 spans of 100 steps
+        (np.linspace(0.0, 1.0, 11), 1e-3),
+    ]
+    for seed in (100 + n, 200 + n, 300 + n):
+        j = random_jacobi(np.random.default_rng(seed), n)
+        for times, dt in grids:
+            traj = rk4_toda(j, times, dt)
+            diag, offdiag = reference_rk4(j, times, dt)
+            assert traj.diag.tobytes() == diag.tobytes(), (seed, dt)
+            assert traj.offdiag.tobytes() == offdiag.tobytes(), (seed, dt)
 
 
 @pytest.mark.parametrize("a, dt", [(100.0, 0.5), (3.0, 0.5)])  # magnitude guard, positivity guard
@@ -120,6 +127,19 @@ def test_rk4_guard_message_matches_reference_loop(a, dt):
         reference_rk4(j, [0.0, 10.0], dt)
     with pytest.raises(BlowUpError) as got:
         rk4_toda(j, [0.0, 10.0], dt)
+    assert str(got.value) == str(expected.value)
+
+
+def test_rk4_guards_every_step_of_a_span():
+    # positivity fails on step 2, inside the second span, and an entry
+    # exceeds 1e8 from step 3 on: a check at the span end (t = 0.9) would
+    # raise the magnitude message instead
+    j = JacobiMatrix([0.0, 0.0, 1.0], [5.0, 5.0])
+    times = [0.0, 0.3, 0.9]
+    with pytest.raises(BlowUpError) as expected:
+        reference_rk4(j, times, 0.3)
+    with pytest.raises(BlowUpError, match="positive cone") as got:
+        rk4_toda(j, times, 0.3)
     assert str(got.value) == str(expected.value)
 
 
