@@ -21,7 +21,7 @@ Config document::
 Each object accepts only its own fields (initial: those of the shape it
 uses, plus "upper_bound" next to semi_infinite tables); any other field
 is rejected with a message naming it.
-Exit codes: 0 success, 1 config/validation failure, 2 numerical failure.
+Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure.
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
 values printed with 17 significant digits so a written file re-reads to
 the exact same doubles.
@@ -42,7 +42,7 @@ from .errors import NumericalError
 from .flow import TodaTrajectory, solve_toda_finite
 from .jacobi import JacobiMatrix, _count, _finite_real, _jacobi_arrays, _real_array, eigendecompose
 from .moments import check_moment_positivity, moments_from_measure
-from .oracle import compare_trajectories, rk4_toda
+from .oracle import _grid_steps, compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_moments
 from .semi_infinite import SemiInfiniteInitialData, _truncation_sizes, make_initial_data, solve_toda_semi_infinite
 
@@ -69,9 +69,9 @@ _DEFAULT_OUTPUT = {
 _MAX_STEPS = 1_000_000
 _MAX_RANDOM_N = 16_384
 
-# option -> its value rule, called with the dotted field name; the
-# defaults live on RunConfig, and semi_infinite mode then holds n_max to
-# 2m+2 by the rule solve_toda_semi_infinite uses
+# option -> its value rule, called with the dotted field name; the defaults
+# live on RunConfig.  semi_infinite mode then holds n_max to 2m+2 and verify
+# mode dt to the grid, by the rules solve_toda_semi_infinite and rk4_toda use
 _OPTIONS = {
     "dt": lambda name, v: _finite_real(name, v, positive=True),
     "tol": lambda name, v: _finite_real(name, v, positive=True),
@@ -205,14 +205,17 @@ def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     config = RunConfig(mode, times, out_dir, build(initial), **settings)
     if mode == "semi_infinite":
         _truncation_sizes(config.m, config.n_max, "options.")
+    if mode == "verify":
+        _grid_steps(times, config.dt, "options.dt")
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output: must be an object")
     _known_fields(output, _DEFAULT_OUTPUT, "output.")
-    for key in config.output:
-        if key in output:
-            _require(isinstance(output[key], str) and output[key], f"output.{key}: need a non-empty path")
+    for key, path in output.items():
+        _require(isinstance(path, str) and path, f"output.{key}: need a non-empty path")
     config.output.update(output)
+    first, second = ("table", "report") if mode == "response" else ("trajectory", "report")
+    _require(Path(config.output[first]) != Path(config.output[second]), f"output.{second}: same path as output.{first}")
     return config
 
 
@@ -300,6 +303,10 @@ def main(argv=None) -> int:
     except (NumericalError, OverflowError, FloatingPointError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # run's mkdir and writes; load_config turns a failed read into a ConfigError
+        print(f"error: output: cannot write {exc.filename or args.out} ({exc.strerror or exc})", file=sys.stderr)
+        return 1
     if not args.quiet:
         for path in artifacts:
             print(path)

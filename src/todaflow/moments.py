@@ -182,10 +182,10 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     measures -- and read the three-term recurrence off the sequence.
     Diagonal entries are the recurrence centers, off-diagonal entries the
     (positive) norms.  When mu has exactly n nodes this inverts
-    eigendecompose.  Vectors are reorthogonalized twice per step, which
-    keeps the round trip at roundoff level for desk-scale n.  This is the
-    one-row call of the batched kernel that solve_toda_finite runs over
-    all grid times at once.
+    eigendecompose.  Each step projects onto the whole basis twice, in the
+    unit vectors q sqrt(w), which keeps the round trip at roundoff level
+    for desk-scale n.  This is the one-row call of the batched kernel that
+    solve_toda_finite runs over all grid times at once.
 
     Raises
     ------
@@ -193,14 +193,13 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
         If an intermediate norm drops below 1e-12 before n coefficients
         are produced (mu is numerically supported on fewer than n points).
     """
-    n = _count("n", n, 1)
-    if mu.nodes.size < n:
-        raise ValueError(f"measure has {mu.nodes.size} nodes, fewer than n={n}")
+    # at most one coefficient pair per node
+    n = _count("n", n, 1, mu.nodes.size)
     diag, offdiag = _stieltjes(mu.nodes, mu.weights[np.newaxis], n)
     return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
 
 
-# Cap on the (n, rows, nodes) basis that one sweep of _stieltjes holds; a
+# Cap on the (rows, n, nodes) basis that one sweep of _stieltjes holds; a
 # longer stack of weight rows is reconstructed in chunks of rows.  Each
 # row's arithmetic is the same whatever rows share its chunk.
 _BASIS_BYTES = 1 << 24
@@ -213,8 +212,8 @@ def _stieltjes(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarr
     returns (rows, n) diagonals and (rows, n-1) off-diagonals, row i being
     the Jacobi block of the measure (nodes, weights[i]).  The recurrence
     of jacobi_from_measure runs over all rows at once, so its loop is over
-    the n steps only.  The basis is stored as (n, rows, N): step k reads
-    the leading slice basis[:k+1], whose layout does not depend on n, so
+    the n steps only.  The basis is stored as (rows, n, N): step k reads
+    each row's slice basis[i, :k+1], laid out the same whatever n is, so
     a leading block is bitwise the prefix of a larger reconstruction.
     """
     rows_per_chunk = max(1, _BASIS_BYTES // (n * nodes.size * weights.itemsize))
@@ -226,39 +225,37 @@ def _stieltjes(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarr
     return diag, offdiag
 
 
-# an overflow ends as inf/NaN in a center or a norm, which the check after
-# the loop turns into OverflowError; NaN never reads as degenerate
-@np.errstate(over="ignore", invalid="ignore")
+# Lanczos on diag(x) in the unit vectors u = q sqrt(w), from sqrt(w / sum w): each
+# step projects x u_k twice onto the whole basis u_0..u_k, the center being the sum
+# of the two u_k coefficients and the remainder's norm the next off-diagonal.  A
+# small norm is reported only while every norm so far is finite (an infinite one
+# divides the next vector to 0); otherwise, as for NaN, the check at the end raises.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
     n = diag.shape[1]
-    basis = np.empty((n,) + w.shape)
-    basis[0] = 1.0 / np.sqrt(np.sum(w, axis=1, keepdims=True))
-    q = basis[0]
-    q_prev = np.zeros_like(q)
-    beta = np.zeros((w.shape[0], 1))
+    basis = np.empty((w.shape[0], n, x.size))
+    np.sqrt(w / np.sum(w, axis=1, keepdims=True), out=basis[:, 0])
+    v = np.empty(w.shape)
+    # (rows, N, 1) and (rows, 1, N) views: one matrix product per row
+    column, row = v[:, :, np.newaxis], v[:, np.newaxis, :]
     for k in range(n):
-        xq = x * q
-        diag[:, k] = np.sum(xq * q * w, axis=1)
+        span = basis[:, : k + 1]
+        span_t = span.transpose(0, 2, 1)
+        np.multiply(x, basis[:, k], out=v)
+        first = span @ column
+        column -= span_t @ first
+        second = span @ column
+        np.add(first[:, k, 0], second[:, k, 0], out=diag[:, k])
         if k == n - 1:
             break
-        resid = xq - diag[:, k, np.newaxis] * q - beta * q_prev
-        # one (k+1, N) matrix per row: project out the basis twice
-        rows_basis = basis[: k + 1].transpose(1, 0, 2)
-        for _ in range(2):
-            coeffs = rows_basis @ (resid * w)[:, :, np.newaxis]
-            resid -= (rows_basis.transpose(0, 2, 1) @ coeffs)[:, :, 0]
-        norm = np.sqrt(np.sum(resid * resid * w, axis=1))
-        low = np.flatnonzero(norm < _DEGENERATE_NORM)
-        if low.size:
+        column -= span_t @ second
+        norm = np.sqrt((row @ column)[:, 0, 0], out=offdiag[:, k])
+        if np.fmin.reduce(norm) < _DEGENERATE_NORM and np.max(offdiag[:, : k + 1]) < np.inf:
             raise DegenerateMeasureError(
-                f"orthogonalization norm {norm[low[0]]:.3e} below 1e-12 at step {k + 1}; "
+                f"orthogonalization norm {norm[norm < _DEGENERATE_NORM][0]:.3e} below 1e-12 at step {k + 1}; "
                 f"measure is numerically supported on fewer than {n} points"
             )
-        offdiag[:, k] = norm
-        beta = norm[:, np.newaxis]
-        q_prev = q
-        q = resid / beta
-        basis[k + 1] = q
+        np.divide(v, norm[:, np.newaxis], out=basis[:, k + 1])
     # written so that NaN fails it
     if not (np.abs(diag).max() < np.inf and np.max(offdiag, initial=0.0) < np.inf):
         raise OverflowError("a recurrence center or norm left the double-precision range")
@@ -313,8 +310,4 @@ def moment_bilinear_form(s: MomentSequence, f, g) -> float:
         raise ValueError(
             f"need {2 * size - 1} moments for degree-{size - 1} polynomials, have {len(s)}"
         )
-    fp = np.zeros(size)
-    fp[: f.size] = f
-    gp = np.zeros(size)
-    gp[: g.size] = g
-    return float(fp @ hankel_matrix(s, size) @ gp)
+    return float(f @ hankel_matrix(s, size)[: f.size, : g.size] @ g)

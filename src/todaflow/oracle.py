@@ -24,6 +24,17 @@ _BLOWUP_LIMIT = 1e8
 _GRID_DIVISION_TOL = 1e-12
 
 
+def _grid_steps(times: np.ndarray, dt: float, name: str = "dt") -> list[int]:
+    # steps of dt per grid spacing, if dt divides each within 1e-12
+    spans = []
+    for width in np.diff(times).tolist():
+        steps = round(width / dt)
+        if steps < 1 or abs(steps * dt - width) > _GRID_DIVISION_TOL:
+            raise ValueError(f"{name}: {dt!r} does not divide the grid spacing {width!r} within 1e-12")
+        spans.append(steps)
+    return spans
+
+
 def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
     """Classical 4th-order Runge-Kutta on the lattice unknowns.
 
@@ -40,14 +51,6 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
     """
     times = _increasing("times", times)
     dt = _finite_real("dt", dt, positive=True)
-    spans = []
-    for width in np.diff(times):
-        steps = round(width / dt)
-        if steps < 1 or abs(steps * dt - width) > _GRID_DIVISION_TOL:
-            raise ValueError(
-                f"dt={dt!r} does not divide the grid spacing {width!r} within 1e-12"
-            )
-        spans.append(steps)
 
     n, m = j0.n, 2 * j0.n
     diag = np.empty((times.size, n))
@@ -79,7 +82,7 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
     y_s, y_a, y_b, stage_s = y[:m], y[: n - 1], y[n:m], stage[:m]
     # an overflow ends as inf/NaN in y, which the guards below turn into BlowUpError
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, steps in enumerate(spans, start=1):
+        for i, steps in enumerate(_grid_steps(times, dt), start=1):
             for _ in range(steps):
                 rhs(*at_y)
                 np.add(y_s, np.multiply(half, k1, out=stage_s), out=stage_s)

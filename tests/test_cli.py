@@ -238,6 +238,56 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_dt_is_checked_before_the_run(tmp_path, capsys):
+    # the default dt 1e-4 does not divide the spacing 1/3
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "verify",
+        "initial": {"b": [0.0, 0.0], "a": [1.0]},
+        "grid": {"t_end": 1.0, "steps": 3},
+    })
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: options.dt: 0.0001 does not divide the grid spacing 0.3333333333333333 within 1e-12\n"
+    )
+    assert not out.exists()
+
+
+def test_outputs_that_share_a_path_are_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    cases = [
+        ("finite", {"trajectory": "x", "report": "x"}, "output.report: same path as output.trajectory"),
+        ("verify", {"trajectory": "./report.json"}, "output.report: same path as output.trajectory"),
+        ("response", {"table": "x", "report": "x"}, "output.report: same path as output.table"),
+    ]
+    for mode, output, message in cases:
+        cfg = finite_config(tmp_path, mode=mode, output=output)
+        assert main(["--config", cfg, "--out", str(out)]) == 1, output
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+    # response mode writes no trajectory, so its path may be anything
+    cfg = finite_config(tmp_path, mode="response", output={"trajectory": "report.json"})
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+
+
+def test_output_write_failures_exit_1(tmp_path, capsys):
+    cfg = finite_config(tmp_path)
+    a_file = tmp_path / "a_file"
+    a_file.write_text("")
+    assert main(["--config", cfg, "--out", str(a_file)]) == 1
+    assert capsys.readouterr().err == f"error: output: cannot write {a_file} (File exists)\n"
+
+    cfg = finite_config(tmp_path, output={"trajectory": "sub/x.csv"})
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output: cannot write {out / 'sub' / 'x.csv'} (No such file or directory)\n"
+
+    cfg = finite_config(tmp_path)
+    (out / "report.json").mkdir()
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: output: cannot write {out / 'report.json'} (Is a directory)\n"
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {
         "mode": "verify",

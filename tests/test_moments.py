@@ -22,6 +22,8 @@ from todaflow import (
     moments_from_measure,
     solve_toda_finite,
 )
+from todaflow.flow import _evolved_weights
+from todaflow.moments import _stieltjes
 
 SQRT2 = np.sqrt(2.0)
 
@@ -143,7 +145,7 @@ def test_inverse_spectral_round_trip():
 
 def test_jacobi_from_measure_errors():
     mu = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^n: need an integer in \[1, 2\], got 3$"):
         jacobi_from_measure(mu, 3)
     for bad in (2.0, True, "2"):
         with pytest.raises(ValueError, match="^n:"):
@@ -182,8 +184,9 @@ def lanczos_reference(mu, n):
 
 
 def test_jacobi_from_measure_matches_the_compensated_loop():
-    # only the order of summation changed, so agreement is to roundoff,
-    # amplified by at most the recurrence's conditioning at these sizes
+    # the kernel runs in unit-vector coordinates and sums in another
+    # order, so agreement is to roundoff, amplified by at most the
+    # recurrence's conditioning at these sizes
     tol = 1e4 * np.finfo(float).eps
     rng = np.random.default_rng(20)
     for _ in range(40):
@@ -193,6 +196,21 @@ def test_jacobi_from_measure_matches_the_compensated_loop():
         diag, offdiag = lanczos_reference(mu, n)
         np.testing.assert_allclose(got.diag, diag, rtol=0, atol=tol)
         np.testing.assert_allclose(got.offdiag, offdiag, rtol=0, atol=tol)
+    # stacks of evolved weights, full and leading blocks: the random
+    # lattices up to N = 16 and constant-data truncations at N = 32 and
+    # 64, whose weights are accurate at those sizes
+    lattices = [random_jacobi(rng, int(rng.integers(2, 17))) for _ in range(6)]
+    lattices += [JacobiMatrix(np.full(size, rng.uniform(-1, 1)), np.full(size - 1, rng.uniform(0.5, 1.5)))
+                 for size in (32, 64)]
+    for j in lattices:
+        mu = eigendecompose(j)
+        weights = _evolved_weights(mu, np.sort(rng.uniform(0.0, 2.0, 5)))
+        for n in (j.n, max(1, j.n // 3)):
+            diag, offdiag = _stieltjes(mu.nodes, weights, n)
+            for row, w in enumerate(weights):
+                ref_diag, ref_offdiag = lanczos_reference(DiscreteMeasure(mu.nodes, w), n)
+                np.testing.assert_allclose(diag[row], ref_diag, rtol=0, atol=tol)
+                np.testing.assert_allclose(offdiag[row], ref_offdiag, rtol=0, atol=tol)
 
 
 def test_jacobi_from_moments_examples():

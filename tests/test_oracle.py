@@ -79,7 +79,7 @@ def test_rk4_is_fourth_order():
 
 def test_rk4_grid_divisibility():
     j = JacobiMatrix([0.0, 0.0], [1.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dt: 0.02 does not divide the grid spacing 0.05 within 1e-12$"):
         rk4_toda(j, [0.0, 0.05], 0.02)
     with pytest.raises(ValueError):
         rk4_toda(j, [0.0, 1.0], -1e-3)
