@@ -30,7 +30,9 @@ the exact same doubles.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -65,7 +67,8 @@ _DEFAULT_OUTPUT = {
 }
 
 # Upper bounds on the sizes a config may ask for: a larger grid or random
-# matrix would only fail later, in an allocation that names no field.
+# matrix would only fail later, in an allocation that names no field, and
+# more RK4 steps in verify mode would run for hours without a message.
 _MAX_STEPS = 1_000_000
 _MAX_RANDOM_N = 16_384
 
@@ -206,7 +209,11 @@ def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     if mode == "semi_infinite":
         _truncation_sizes(config.m, config.n_max, "options.")
     if mode == "verify":
-        _grid_steps(times, config.dt, "options.dt")
+        oracle_steps = sum(_grid_steps(times, config.dt, "options.dt"))
+        _require(
+            oracle_steps <= _MAX_STEPS,
+            f"options.dt: {config.dt!r} makes {oracle_steps} RK4 steps over the grid, more than {_MAX_STEPS}",
+        )
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output: must be an object")
@@ -214,9 +221,14 @@ def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     for key, path in output.items():
         _require(isinstance(path, str) and path, f"output.{key}: need a non-empty path")
     config.output.update(output)
-    first, second = ("table", "report") if mode == "response" else ("trajectory", "report")
+    first, second = _outputs(mode)
     _require(Path(config.output[first]) != Path(config.output[second]), f"output.{second}: same path as output.{first}")
     return config
+
+
+def _outputs(mode: str) -> tuple[str, str]:
+    # the output fields a mode writes, in the order it writes them
+    return ("table", "report") if mode == "response" else ("trajectory", "report")
 
 
 def write_trajectory_csv(path, traj: TodaTrajectory) -> None:
@@ -263,9 +275,25 @@ def _run_response(config: RunConfig) -> list[Path]:
     return [table_path, _write_report(config, report)]
 
 
+def _check_targets(config: RunConfig) -> None:
+    # every file of the run is checked before the first is written, so a
+    # target that cannot take a file fails the run without leaving part of it
+    for key in _outputs(config.mode):
+        path = config.out_dir / config.output[key]
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        if not path.parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
+
+
 def run(config: RunConfig) -> list[Path]:
-    """Execute one validated run; returns the paths written."""
+    """Execute one validated run; returns the paths written.
+
+    Every output path is checked before anything is computed or written,
+    so a run that fails on its outputs writes none of them.
+    """
     config.out_dir.mkdir(parents=True, exist_ok=True)
+    _check_targets(config)
     if config.mode == "response":
         return _run_response(config)
     if config.mode == "semi_infinite":

@@ -20,8 +20,9 @@ class NumericalError(RuntimeError):
 
 
 class EigenConvergenceError(NumericalError):
-    """Tridiagonal eigen-iteration did not converge, or the computed
-    spectrum is not numerically simple."""
+    """Tridiagonal eigen-iteration did not converge, the computed
+    spectrum is not numerically simple, or a spectral weight is beyond
+    even its logarithm's reach."""
 
 
 class PoleProximityError(NumericalError):

@@ -5,10 +5,10 @@ explicit exponential reweighting, normalized back to unit mass; the
 lattice coefficients at time t are then recovered from the evolved
 measure.  The evolved measures of a whole grid share their nodes, so
 their weights form one (times, N) stack that a single batched
-reconstruction turns into every grid row at once.  All
-exponentials are evaluated with the top node shifted out, so large
-lambda * t never overflows, and the normalizer Omega is only ever held
-as a logarithm.
+reconstruction turns into every grid row at once.  The reweighting
+runs on log weights, log w + 2 lambda t less its maximum over the
+nodes, so large lambda * t never overflows, and the normalizer Omega is
+only ever held as a logarithm.
 """
 
 from __future__ import annotations
@@ -112,31 +112,35 @@ def _check_grid(times) -> np.ndarray:
 def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
     """Evolve spectral weights: w_k(t) proportional to w_k(0) e^{2 lam_k t}.
 
-    Nodes are unchanged; the weights are renormalized to unit mass.
-    Exponents are shifted by the top node before exponentiation, so any
-    finite t >= 0 is safe; weights that underflow are clamped to the
-    smallest positive normal and the result renormalized.
+    Nodes are unchanged; the weights are renormalized to unit mass.  The
+    reweighting runs on the log weights, log w_k + 2 lam_k t less its
+    maximum, so any finite t >= 0 is safe and no weight is changed to
+    keep it in range: one below the double-precision range keeps its
+    value in log_weights and reads 0 in weights.
     """
-    return DiscreteMeasure(nodes=mu0.nodes, weights=_evolved_weights(mu0, _check_time(t)))
+    tilt = _tilted_log_weights(mu0, _check_time(t))
+    return DiscreteMeasure._from_log(mu0.nodes, tilt - np.log(np.sum(np.exp(tilt))))
 
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
     """log of Omega(t) = integral e^{2 lambda t} dmu0, via log-sum-exp."""
     t = _check_time(t)
-    return float(logsumexp(2.0 * t * mu0.nodes, b=mu0.weights))
+    return float(logsumexp(mu0.log_weights + 2.0 * t * mu0.nodes))
 
 
-def _shifted_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
-    # w_k e^{2 lam_k t} with the top node shifted out of the exponent: a
-    # row per time for an array of times, one row for a scalar
-    return mu0.weights * np.exp(2.0 * (mu0.nodes - mu0.nodes[-1]) * np.asarray(times)[..., np.newaxis])
+def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
+    # log w_k + 2 lam_k t less its maximum over k: a row per time for an
+    # array of times, one row for a scalar
+    tilt = np.multiply.outer(2.0 * np.asarray(times), mu0.nodes)
+    tilt += mu0.log_weights
+    tilt -= tilt.max(axis=-1, keepdims=True)
+    return tilt
 
 
 def _evolved_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
-    # Moser weights at each time: underflow clamped to the smallest
-    # normal, every row renormalized to unit mass
-    w = np.maximum(_shifted_weights(mu0, times), np.finfo(float).tiny)
-    return w / np.sum(w, axis=-1, keepdims=True)
+    # Moser weights at each time, each row scaled so that its largest is 1
+    tilt = _tilted_log_weights(mu0, times)
+    return np.exp(tilt, out=tilt)
 
 
 def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence:
@@ -156,7 +160,7 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
 def _evolved_moments(mu0: DiscreteMeasure, times, count: int) -> np.ndarray:
     # s_0..s_{count-1} of the evolved measure, a row per time for an array
     # of times; each row is divided by its own s_0, so s_0 = 1 exactly
-    sums = _moment_sums(mu0.nodes, _shifted_weights(mu0, times), count)
+    sums = _moment_sums(mu0.nodes, _evolved_weights(mu0, times), count)
     return sums / sums[..., :1]
 
 

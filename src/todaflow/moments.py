@@ -191,11 +191,13 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     ------
     DegenerateMeasureError
         If an intermediate norm drops below 1e-12 before n coefficients
-        are produced (mu is numerically supported on fewer than n points).
+        are produced (mu is numerically supported on fewer than n points,
+        as when weights below the double-precision range read 0).
     """
     # at most one coefficient pair per node
     n = _count("n", n, 1, mu.nodes.size)
-    diag, offdiag = _stieltjes(mu.nodes, mu.weights[np.newaxis], n)
+    # the kernel normalizes each row, so the weights go in scaled to a largest of 1
+    diag, offdiag = _stieltjes(mu.nodes, np.exp(mu.log_weights - np.max(mu.log_weights))[np.newaxis], n)
     return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
 
 
@@ -208,9 +210,11 @@ _BASIS_BYTES = 1 << 24
 def _stieltjes(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients of every weight row over the shared nodes.
 
-    weights is a (rows, N) stack of positive weight rows on the N nodes;
-    returns (rows, n) diagonals and (rows, n-1) off-diagonals, row i being
-    the Jacobi block of the measure (nodes, weights[i]).  The recurrence
+    weights is a (rows, N) stack of nonnegative weight rows on the N
+    nodes, each scaled as the caller likes (every row is normalized to
+    unit mass first); returns (rows, n) diagonals and (rows, n-1)
+    off-diagonals, row i being the Jacobi block of the measure
+    (nodes, weights[i]).  A weight that reads 0 removes its node.  The recurrence
     of jacobi_from_measure runs over all rows at once, so its loop is over
     the n steps only.  The basis is stored as (rows, n, N): step k reads
     each row's slice basis[i, :k+1], laid out the same whatever n is, so

@@ -288,6 +288,50 @@ def test_output_write_failures_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: output: cannot write {out / 'report.json'} (Is a directory)\n"
 
 
+def test_verify_oracle_step_count_is_bounded(tmp_path, capsys):
+    # dt 1e-9 divides the one spacing of 1000, in 1e12 RK4 steps
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "verify",
+        "initial": {"b": [0.0, 0.0], "a": [1.0]},
+        "grid": {"t_end": 1000, "steps": 1},
+        "options": {"dt": 1e-9},
+    })
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: options.dt: 1e-09 makes 1000000000000 RK4 steps")
+    assert not out.exists()
+
+
+def test_a_failed_output_leaves_no_partial_run(tmp_path, capsys):
+    cases = [
+        ("finite", {}, "trajectory.csv"),
+        ("verify", {"report": "sub/report.json"}, "trajectory.csv"),
+        ("response", {}, "response.csv"),
+    ]
+    for mode, output, first in cases:
+        out = tmp_path / mode
+        out.mkdir()
+        if not output:
+            (out / "report.json").mkdir()
+        cfg = finite_config(tmp_path, mode=mode, output=output)
+        assert main(["--config", cfg, "--out", str(out)]) == 1, mode
+        assert capsys.readouterr().err.startswith("error: output: cannot write")
+        assert not (out / first).exists(), mode
+
+
+def test_verify_on_random_n64_matches_rk4(tmp_path):
+    # every random N = 64 lattice came back wrong while the weights were
+    # accurate only in absolute terms
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "verify",
+        "initial": {"random": {"n": 64, "seed": 3}},
+        "grid": {"t_end": 1.0, "steps": 10},
+        "options": {"dt": 1e-3},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["deviation"] <= 1e-6
+
+
 def test_numerical_failure_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", {
         "mode": "verify",

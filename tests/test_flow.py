@@ -8,11 +8,14 @@ import todaflow.moments
 from todaflow import (
     DegenerateMeasureError,
     DiscreteMeasure,
+    EigenConvergenceError,
     JacobiMatrix,
     MOMENT_METHOD,
     PoleProximityError,
     TodaTrajectory,
+    compare_trajectories,
     eigendecompose,
+    jacobi_from_measure,
     evolve_moments,
     log_omega,
     moment_recurrence_residual,
@@ -233,6 +236,56 @@ def test_large_time_reconstruction_still_raises():
     j = random_jacobi(rng, 8)
     with pytest.raises(DegenerateMeasureError, match="numerically supported on fewer than 8 points"):
         solve_toda_finite(j, [0.0, 0.5, 50.0])
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_random_lattices_match_rk4(n):
+    # the CLI random distribution on 11 times in [0, 1]: with weights from
+    # LAPACK dstev, accurate only in absolute terms, 4 of these 20 lattices
+    # at N = 32 and all 20 at N = 64 came back wrong without raising
+    times = np.linspace(0.0, 1.0, 11)
+    for seed in range(20):
+        j = random_jacobi(np.random.default_rng(seed), n)
+        deviation = compare_trajectories(solve_toda_finite(j, times), rk4_toda(j, times, 1e-3))
+        assert deviation <= 1e-6, (seed, deviation)
+
+
+def test_round_trip_at_n64_is_at_roundoff():
+    # was 1.2 to 3.2 off with dstev weights
+    for seed in range(20):
+        j = random_jacobi(np.random.default_rng(seed), 64)
+        back = jacobi_from_measure(eigendecompose(j), 64)
+        error = max(np.max(np.abs(back.diag - j.diag)), np.max(np.abs(back.offdiag - j.offdiag)))
+        assert error <= 1e-10, (seed, error)
+
+
+def wilkinson(n):
+    # W+ of odd size n: b_i = |m - i| about the middle row m, a = 1; its
+    # top eigenvalues pair up, with gaps 4.0e-8 at n = 15 and 7.1e-14 at 21
+    m = (n - 1) // 2
+    return JacobiMatrix(np.abs(m - np.arange(n)).astype(float), np.ones(n - 1))
+
+
+def test_close_pairs_below_the_separation_check_still_raise():
+    # at n = 21 a weight's error grows like eps / gap, and the lattice came
+    # out 0.02 off with the check bypassed, accurate weights or not
+    with pytest.raises(EigenConvergenceError, match="relative separation 1e-12"):
+        eigendecompose(wilkinson(21))
+
+
+def test_close_pairs_above_the_separation_check_match_rk4():
+    times = np.linspace(0.0, 1.0, 11)
+    j = wilkinson(15)
+    assert compare_trajectories(solve_toda_finite(j, times), rk4_toda(j, times, 1e-3)) <= 1e-6
+
+
+def test_moser_keeps_weights_below_the_double_range():
+    # a weight of e^-1000 next to one of 1/2: no clamp changes it
+    mu = eigendecompose(JacobiMatrix([0.0, 0.0], [1.0]))
+    tilted = moser_evolve(mu, 250.0)
+    np.testing.assert_allclose(tilted.log_weights, [-1000.0, 0.0], rtol=0, atol=1e-12)
+    assert tilted.weights.tolist() == [0.0, 1.0]
+    np.testing.assert_allclose(moser_evolve(tilted, 0.0).log_weights, tilted.log_weights, rtol=0, atol=1e-12)
 
 
 def test_trajectory_holds_readonly_arrays():

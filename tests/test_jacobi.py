@@ -1,5 +1,7 @@
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from todaflow import (
     DiscreteMeasure,
@@ -10,6 +12,7 @@ from todaflow import (
     eigendecompose,
     weyl_function,
 )
+from todaflow.jacobi import _twisted_log_weights
 
 SQRT2 = np.sqrt(2.0)
 
@@ -132,6 +135,79 @@ def test_eigen_collision_is_reported_as_breakdown():
     # the 1e-12 simplicity threshold
     with pytest.raises(EigenConvergenceError):
         eigendecompose(JacobiMatrix(diag=[0.0, 0.0], offdiag=[1e-300]))
+
+
+def mpmath_log_weights(j, digits):
+    # log squared first components of the eigenvectors, by mpmath at the
+    # given precision, in increasing order of the eigenvalues
+    with mpmath.workdps(digits):
+        values, vectors = mpmath.eigsy(mpmath.matrix(j.to_dense().tolist()))
+        order = sorted(range(j.n), key=lambda k: values[k])
+        return np.array([float(2 * mpmath.log(abs(vectors[0, k]))) for k in order])
+
+
+def test_log_weights_match_mpmath():
+    # 60-digit eigenvectors of random N = 32 lattices; the twisted pass is
+    # checked on every node, not only on those MRRR sets to 0
+    for seed in (0, 1):
+        j = random_jacobi(np.random.default_rng(seed), 32)
+        exact = mpmath_log_weights(j, 60)
+        mu = eigendecompose(j)
+        assert np.max(np.abs(mu.log_weights - exact)) <= 1e-10
+        twisted = _twisted_log_weights(j.diag, j.offdiag, mu.nodes)
+        assert np.max(np.abs(twisted - exact)) <= 1e-10
+
+
+def test_weights_below_the_double_range_match_mpmath():
+    # a coupling of 1e-170 splits the lattice in two: the weights of the
+    # lower block reach e^-800, and a_5^2 underflows in the pivots
+    j = random_jacobi(np.random.default_rng(1), 12)
+    j = JacobiMatrix(j.diag, np.where(np.arange(11) == 5, 1e-170, j.offdiag))
+    exact = mpmath_log_weights(j, 400)
+    assert np.min(exact) < -745.0
+    assert np.max(np.abs(eigendecompose(j).log_weights - exact)) <= 1e-10
+
+
+def test_power_of_two_scaling_is_exact():
+    # LAPACK's MRRR fails on this lattice times 2^48; eigendecompose
+    # scales both to the same matrix
+    j = random_jacobi(np.random.default_rng(3), 256)
+    mu = eigendecompose(j)
+    for k in (48, 200):
+        big = eigendecompose(JacobiMatrix(j.diag * 2.0**k, j.offdiag * 2.0**k))
+        np.testing.assert_array_equal(big.nodes, mu.nodes * 2.0**k)
+        np.testing.assert_array_equal(big.log_weights, mu.log_weights)
+
+
+def test_twisted_pass_agrees_with_the_mrrr_components():
+    # at random N = 256 MRRR sets over a hundred first components to 0;
+    # the pass must agree with every one it kept, and so must the weights
+    # eigendecompose makes of both
+    j = random_jacobi(np.random.default_rng(3), 256)
+    lam, vec = eigh_tridiagonal(j.diag, j.offdiag, lapack_driver="stemr")
+    first = np.abs(vec[0])
+    kept = first > 0.0
+    assert np.count_nonzero(~kept) > 100
+    twisted = _twisted_log_weights(j.diag, j.offdiag, lam)
+    np.testing.assert_allclose(twisted[kept], 2.0 * np.log(first[kept]), rtol=0, atol=1e-10)
+    np.testing.assert_allclose(eigendecompose(j).log_weights, twisted, rtol=0, atol=1e-10)
+
+
+def test_twisted_pass_through_zero_pivots():
+    # b = 0, a = 1 at lam = 0: every other pivot is exactly 0 and the next
+    # one -inf; the eigenvectors are (1, 0, -1) / sqrt 2 and
+    # (1, 0, -1, 0, 1) / sqrt 3
+    for n, weight in ((3, 1.0 / 2.0), (5, 1.0 / 3.0)):
+        log_w = _twisted_log_weights(np.zeros(n), np.ones(n - 1), np.zeros(1))
+        assert abs(log_w[0] - np.log(weight)) < 1e-15
+
+
+def test_measure_holds_log_weights():
+    mu = DiscreteMeasure([-1.0, 1.0], [0.25, 0.75])
+    np.testing.assert_array_equal(mu.log_weights, np.log([0.25, 0.75]))
+    np.testing.assert_array_equal(mu.weights, np.exp(mu.log_weights))
+    assert not mu.log_weights.flags.writeable
+    assert not mu.weights.flags.writeable
 
 
 def test_weyl_function_examples():

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from todaflow import (
+    NumericalError,
     eigendecompose,
     evolve_moments,
+    jacobi_from_measure,
     make_initial_data,
     solve_toda_finite,
     solve_toda_semi_infinite,
@@ -164,9 +166,9 @@ def test_roundoff_floor_stops_the_doubling():
 def test_spectrum_escaping_upward_is_flagged():
     # b_n = +n has no upper spectral bound, so eigenvalue maxima grow with
     # the truncation and pass the declared bound.  The flow still exists
-    # (accurate spectral weights give b_1(3) = 20.8878708832), but in double
-    # precision the window moves by 4.8 between N = 16 and 32 at t = 3 and
-    # N = 128 raises, so the solve must not report convergence by n_max = 32
+    # (b_1(3) = 20.8878708832), but the window moves by 4.8 between N = 16
+    # and 32 at t = 3, with accurate weights too, and settles only from
+    # N = 64 on, so the solve must not report convergence by n_max = 32
     init = make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0, "upper_bound": 2.0})
     times = np.linspace(0.0, 3.0, 4)
     with pytest.warns(UserWarning, match="upper bound"):
@@ -175,6 +177,26 @@ def test_spectrum_escaping_upward_is_flagged():
     maxima = list(report.spectral_maxima)
     assert all(b > a for a, b in zip(maxima, maxima[1:]))
     assert maxima[-1] > 2.0
+
+
+def test_unbounded_above_data_converges():
+    # b_n = +n, a_n = 1: the paper's semi-infinite flow for data without an
+    # upper spectral bound; the leading entry settles from N = 64 on
+    init = make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0})
+    traj, report = solve_toda_semi_infinite(init, np.arange(4.0), 1, 1e-8, 512)
+    assert report.converged
+    assert abs(traj.diag[-1, 0] - 20.8878708832) <= 1e-9
+
+
+def test_underflowed_weights_raise_instead_of_rebuilding():
+    # the N = 128 truncation of b_n = +n has weights down to 1e-430, which
+    # keep their value as logs but read 0 as doubles: its full block cannot
+    # be rebuilt, and that must raise, never return NaN or a wrong block
+    mu = eigendecompose(make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0}).truncation(128))
+    assert np.all(np.isfinite(mu.log_weights))
+    assert np.min(mu.log_weights) < -900.0
+    with pytest.raises(NumericalError):
+        jacobi_from_measure(mu, 128)
 
 
 def test_s0_unit_on_every_truncation():
