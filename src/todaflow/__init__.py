@@ -8,7 +8,8 @@ spectral reconstruction per time -- no ODE integration.  A fixed-step
 RK4 integrator of the lattice equations is included as an independent
 cross-check, a Chebyshev dictionary links moments to boundary-control
 response vectors, and a truncation-and-stabilize driver extends the
-method to semi-infinite initial data bounded above in spectrum.
+method to semi-infinite initial data, spectrum bounded or not, and
+reports whether the leading entries stopped moving.
 """
 
 from . import errors, flow, jacobi, moments, oracle, response, semi_infinite

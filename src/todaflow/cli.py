@@ -7,8 +7,7 @@ Config document::
       "initial": {"b": [...], "a": [...]}                      # explicit arrays
                  | {"random": {"n": 5, "seed": 7}}             # b ~ U[-2,2], a ~ U[0.5,2]
                  | {"generator": "linear_b",                   # semi_infinite only
-                    "params": {"alpha": 1.0, "beta": -1.0, "gamma": 0.0,
-                               "upper_bound": 1.0}},
+                    "params": {"alpha": 1.0, "beta": -1.0, "gamma": 0.0}},
       "grid": {"t_end": 1.0, "steps": 10},                     # t_start is always 0
       "options": {"dt": 1e-4,                                  # verify: oracle step
                   "tol": 1e-8, "n_max": 64, "m": 2,            # semi_infinite
@@ -19,8 +18,7 @@ Config document::
     }
 
 Each object accepts only its own fields (initial: those of the shape it
-uses, plus "upper_bound" next to semi_infinite tables); any other field
-is rejected with a message naming it.
+uses); any other field is rejected with a message naming it.
 Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure.
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
 values printed with 17 significant digits so a written file re-reads to
@@ -149,9 +147,9 @@ def _build_generator(initial: dict) -> SemiInfiniteInitialData:
         _require(isinstance(params, dict), "initial.params: must be an object")
         params = _generator_params(params, "initial.params")
     elif "b" in initial:
-        _known_fields(initial, ("b", "a", "upper_bound"), "initial.")
+        _known_fields(initial, ("b", "a"), "initial.")
         name, field = "table", "initial"
-        params = _generator_params({"a": initial.get("a", []), "b": initial["b"], **initial}, "initial")
+        params = _generator_params({"a": initial.get("a", []), "b": initial["b"]}, "initial")
     else:
         raise ConfigError("initial: semi_infinite mode needs a generator name or explicit tables")
     try:

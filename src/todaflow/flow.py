@@ -51,7 +51,7 @@ DIRECT_ODE = "direct_ode"
 _SPECTRAL_GAP = 0.5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TodaTrajectory:
     """A time grid with the lattice coefficients at every grid point.
 

@@ -135,7 +135,7 @@ def _jacobi_arrays(diag, offdiag, ndim: int, names=("diag", "offdiag")) -> tuple
     return d, e
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JacobiMatrix:
     """Symmetric tridiagonal matrix: diag holds b_1..b_N, offdiag a_1..a_{N-1}.
 
@@ -163,7 +163,7 @@ class JacobiMatrix:
         return m
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class DiscreteMeasure:
     """Finitely many point masses: weight weights[k] > 0 at node nodes[k].
 
@@ -232,18 +232,20 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
     Raises
     ------
     EigenConvergenceError
-        If the iteration fails, if two computed eigenvalues coincide to
-        relative separation 1e-12 (the error of a weight grows like
-        eps / gap, so closer pairs are beyond double precision), or if a
-        log weight is not finite.
+        If the iteration fails, if two computed eigenvalues lie closer
+        than 1e-12 times the largest |eigenvalue| (the error of a weight
+        grows like eps / gap, so closer pairs are beyond double
+        precision), or if a log weight is not finite.
+    OverflowError
+        If an eigenvalue is beyond the double range.
     """
     if j.n == 1:
         return DiscreteMeasure._from_log(j.diag, np.zeros(1))
     # MRRR runs on J divided by a power of two that brings every entry to
     # at most 1, which is exact: at random N = 256 it fails (LAPACK info
     # 22) on J scaled by 2^48, not on J itself
-    unit = math.ldexp(1.0, math.frexp(max(np.max(np.abs(j.diag)), np.max(j.offdiag)))[1])
-    d, e = j.diag / unit, j.offdiag / unit
+    exponent = math.frexp(max(np.max(np.abs(j.diag)), np.max(j.offdiag)))[1]
+    d, e = np.ldexp(j.diag, -exponent), np.ldexp(j.offdiag, -exponent)
     # dstemr reads, and overwrites, an off-diagonal of length N; range 0
     # asks for every eigenpair, with the documented workspace as the default
     _, lam, vec, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
@@ -256,14 +258,17 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
         log_weights[lost] = _twisted_log_weights(d, e, lam[lost])
     if not np.all(np.isfinite(log_weights)):
         raise EigenConvergenceError("a log weight is not finite: the entries are beyond double precision")
-    lam *= unit
-    gaps = np.diff(lam)
-    scale = np.maximum(1.0, np.maximum(np.abs(lam[:-1]), np.abs(lam[1:])))
-    if np.min(gaps - _EIGEN_SEPARATION * scale) < 0.0:
+    # the test runs on the scaled J, whose largest |eigenvalue| top lies in
+    # [1/2, 3), so it reads the same at every power-of-two scale of J
+    top = max(-lam[0], lam[-1])
+    if np.min(np.diff(lam)) < _EIGEN_SEPARATION * top:
         raise EigenConvergenceError(
             "computed eigenvalues collide below relative separation 1e-12; "
             "a Jacobi matrix has simple spectrum, so this signals breakdown"
         )
+    if math.frexp(top)[1] + exponent > np.finfo(float).maxexp:
+        raise OverflowError("an eigenvalue is beyond the double range")
+    lam = np.ldexp(lam, exponent)
     return DiscreteMeasure._from_log(lam, log_weights)
 
 

@@ -50,7 +50,7 @@ _DEGENERATE_NORM = 1e-12
 _CONDITION_WARN = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MomentSequence:
     """Moments s_0..s_{K-1}, tagged with the flow time they belong to."""
 

@@ -31,7 +31,7 @@ __all__ = [
 _K_MAX = 30
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResponseVector:
     """Response entries r_0..r_{K-1}; r_0 always equals s_0 since T_1 = 1."""
 

@@ -167,7 +167,7 @@ def test_criterion_7_response_dictionary():
 
 def test_criterion_8_semi_infinite_unbounded_data():
     start = time.perf_counter()
-    init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0, "upper_bound": 1.0})
+    init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
     # the stated truncations, measured directly
     windows = {}
     spectral_tops = {}

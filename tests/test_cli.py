@@ -238,6 +238,23 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_upper_bound_is_not_a_semi_infinite_field(tmp_path, capsys):
+    out = tmp_path / "out"
+    for initial in (
+        {"b": [0.0, 0.0, 0.0, 0.0], "a": [1.0, 1.0, 1.0], "upper_bound": 1.0},
+        {"generator": "linear_b", "params": {"beta": -1.0, "upper_bound": 1.0}},
+    ):
+        cfg = write_config(tmp_path / "c.json", {
+            "mode": "semi_infinite",
+            "initial": initial,
+            "grid": {"t_end": 1.0, "steps": 2},
+            "options": {"n_max": 4},
+        })
+        assert main(["--config", cfg, "--out", str(out)]) == 1
+        assert "upper_bound" in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_verify_dt_is_checked_before_the_run(tmp_path, capsys):
     # the default dt 1e-4 does not divide the spacing 1/3
     out = tmp_path / "out"
@@ -361,7 +378,7 @@ def test_mode_override_flag(tmp_path):
 def test_semi_infinite_mode(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "mode": "semi_infinite",
-        "initial": {"generator": "linear_b", "params": {"beta": -1.0, "alpha": 1.0, "upper_bound": 1.0}},
+        "initial": {"generator": "linear_b", "params": {"beta": -1.0, "alpha": 1.0}},
         "grid": {"t_end": 1.0, "steps": 5},
         "options": {"tol": 1e-8, "n_max": 64, "m": 2},
     })

@@ -4,12 +4,18 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from todaflow import (
+    MOMENT_METHOD,
     DiscreteMeasure,
     EigenConvergenceError,
     JacobiMatrix,
+    MomentSequence,
     PoleProximityError,
+    ResponseVector,
+    TodaTrajectory,
     b1_from_measure,
     eigendecompose,
+    make_initial_data,
+    solve_toda_semi_infinite,
     weyl_function,
 )
 from todaflow.jacobi import _twisted_log_weights
@@ -132,9 +138,25 @@ def test_measure_moments_match_matrix_powers():
 
 def test_eigen_collision_is_reported_as_breakdown():
     # offdiag 1e-300 is positive, but the eigenvalue gap 2e-300 is far below
-    # the 1e-12 simplicity threshold
+    # the 1e-12 simplicity threshold against ||J|| = 1
     with pytest.raises(EigenConvergenceError):
-        eigendecompose(JacobiMatrix(diag=[0.0, 0.0], offdiag=[1e-300]))
+        eigendecompose(JacobiMatrix(diag=[1.0, 1.0], offdiag=[1e-300]))
+
+
+def test_separation_is_relative_at_every_scale():
+    # [[0, 1], [1, 0]] * 1e-300: a gap of 2 ||J||, at any scale
+    mu = eigendecompose(JacobiMatrix(diag=[0.0, 0.0], offdiag=[1e-300]))
+    np.testing.assert_allclose(mu.nodes, [-1e-300, 1e-300], rtol=1e-15)
+    np.testing.assert_allclose(mu.weights, [0.5, 0.5], rtol=1e-15)
+
+
+def test_eigenvalues_near_the_double_range():
+    mu = eigendecompose(JacobiMatrix(diag=[1e308, -1e308], offdiag=[1e308]))
+    np.testing.assert_allclose(mu.nodes, [-SQRT2 * 1e308, SQRT2 * 1e308], rtol=1e-15)
+    np.testing.assert_allclose(mu.weights, [(2 - SQRT2) / 4, (2 + SQRT2) / 4], rtol=1e-14)
+    # 1.7e308 + 1e308 is beyond it
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        eigendecompose(JacobiMatrix(diag=[1.7e308, 1.7e308], offdiag=[1e308]))
 
 
 def mpmath_log_weights(j, digits):
@@ -170,10 +192,10 @@ def test_weights_below_the_double_range_match_mpmath():
 
 def test_power_of_two_scaling_is_exact():
     # LAPACK's MRRR fails on this lattice times 2^48; eigendecompose
-    # scales both to the same matrix
+    # scales all three to the same matrix
     j = random_jacobi(np.random.default_rng(3), 256)
     mu = eigendecompose(j)
-    for k in (48, 200):
+    for k in (48, 200, -200):
         big = eigendecompose(JacobiMatrix(j.diag * 2.0**k, j.offdiag * 2.0**k))
         np.testing.assert_array_equal(big.nodes, mu.nodes * 2.0**k)
         np.testing.assert_array_equal(big.log_weights, mu.log_weights)
@@ -238,3 +260,24 @@ def test_weyl_function_pole_proximity():
     # NaN is at no distance from the spectrum; it is bad input, not a pole
     with pytest.raises(ValueError, match="finite"):
         weyl_function(j, np.nan)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: JacobiMatrix([0.0, 1.0], [1.0]),
+        lambda: DiscreteMeasure([0.0, 1.0], [0.5, 0.5]),
+        lambda: TodaTrajectory([0.0, 1.0], [[0.0, 1.0]] * 2, [[1.0]] * 2, MOMENT_METHOD),
+        lambda: MomentSequence([1.0, 0.0, 1.0]),
+        lambda: ResponseVector([1.0, 0.0]),
+        lambda: solve_toda_semi_infinite(make_initial_data("constant"), [0.0, 1.0], 1, 1e-8, 8)[1],
+    ],
+    ids=["JacobiMatrix", "DiscreteMeasure", "TodaTrajectory", "MomentSequence", "ResponseVector",
+         "StabilizationReport"],
+)
+def test_equality_is_identity(make):
+    # the fields hold numpy arrays, which a field-by-field == cannot compare
+    first, second = make(), make()
+    assert first == first
+    assert first != second
+    assert hash(first) == hash(first)

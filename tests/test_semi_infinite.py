@@ -5,6 +5,7 @@ import pytest
 
 from todaflow import (
     NumericalError,
+    SemiInfiniteInitialData,
     eigendecompose,
     evolve_moments,
     jacobi_from_measure,
@@ -27,8 +28,7 @@ def test_generator_builtins():
     init = make_initial_data("decay", {"alpha": 2.0})
     assert init.coefficients(4) == (0.5, 0.0)
 
-    init = make_initial_data("table", {"a": [1.0, 2.0], "b": [0.0, 1.0, 2.0], "upper_bound": 5.0})
-    assert init.declared_upper_bound == 5.0
+    init = make_initial_data("table", {"a": [1.0, 2.0], "b": [0.0, 1.0, 2.0]})
     block = init.truncation(3)
     np.testing.assert_array_equal(block.offdiag, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -46,6 +46,7 @@ def test_generator_builtins():
         ("decay", {"beta": 3.0}),
         ("table", {"a": [1.0], "b": [0.0, 0.0], "alpha": 5.0}),
         ("linear_b", {"beta": 1.0, "upper_bound": float("nan")}),
+        ("linear_b", {"upper_bound": 1.0}),
         ("linear_b", {"alpha": "0.5"}),
         ("linear_b", {"alpha": [1]}),
         ("table", {"a": ["1"], "b": ["0", "0.5"]}),
@@ -102,7 +103,7 @@ def test_initial_entries_are_exact():
 
 def test_unbounded_below_data_stabilizes():
     # b_n = -n, a_n = 1: spectrum bounded above by 1, the method's domain
-    init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0, "upper_bound": 1.0})
+    init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
     times = np.linspace(0.0, 1.0, 6)
     traj, report = solve_toda_semi_infinite(init, times, 2, 1e-8, 64)
     assert report.converged
@@ -165,14 +166,13 @@ def test_roundoff_floor_stops_the_doubling():
 
 def test_spectrum_escaping_upward_is_flagged():
     # b_n = +n has no upper spectral bound, so eigenvalue maxima grow with
-    # the truncation and pass the declared bound.  The flow still exists
-    # (b_1(3) = 20.8878708832), but the window moves by 4.8 between N = 16
-    # and 32 at t = 3, with accurate weights too, and settles only from
-    # N = 64 on, so the solve must not report convergence by n_max = 32
-    init = make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0, "upper_bound": 2.0})
+    # the truncation.  The flow still exists (b_1(3) = 20.8878708832), but
+    # the window moves by 4.8 between N = 16 and 32 at t = 3, with accurate
+    # weights too, and settles only from N = 64 on, so the solve must not
+    # report convergence by n_max = 32
+    init = make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0})
     times = np.linspace(0.0, 3.0, 4)
-    with pytest.warns(UserWarning, match="upper bound"):
-        traj, report = solve_toda_semi_infinite(init, times, 1, 1e-8, 32)
+    traj, report = solve_toda_semi_infinite(init, times, 1, 1e-8, 32)
     assert not report.converged
     maxima = list(report.spectral_maxima)
     assert all(b > a for a, b in zip(maxima, maxima[1:]))
@@ -213,3 +213,57 @@ def test_report_moments_are_those_of_the_largest_truncation():
     mu0 = eigendecompose(init.truncation(report.truncation_sizes[-1]))
     for i, t in enumerate(times):
         np.testing.assert_array_equal(report.moments[i], evolve_moments(mu0, t, 4).values)
+
+
+# Exact semi-infinite flows for data without an upper spectral bound: each
+# tilts its orthogonality measure by e^{2 lam t}.  family -> (the initial
+# (a_n, b_n), the flow (b_n(t), a_n(t)) on arrays of n and t).
+EXACT_FLOWS = {
+    # Charlier, c = 1: the Poisson(1) measure on -N
+    "charlier": (
+        lambda n: (math.sqrt(n), -float(n)),
+        lambda n, t: (-(n - 1 + np.exp(-2 * t)), np.sqrt(n) * np.exp(-t)),
+    ),
+    # Laguerre, alpha = 1/2, reflected to (-inf, 0]
+    "laguerre": (
+        lambda n: (math.sqrt(n * (n + 0.5)), 0.5 - 2 * n),
+        lambda n, t: ((0.5 - 2 * n) / (1 + 2 * t), np.sqrt(n * (n + 0.5)) / (1 + 2 * t)),
+    ),
+    # Hermite: the Gaussian measure, whose support is all of R
+    "hermite": (
+        lambda n: (math.sqrt(n / 2), 0.0),
+        lambda n, t: (t, np.sqrt(n / 2)),
+    ),
+    # Meixner-Pollaczek, a_n = n, b_n = 0: the flow blows up at t = pi/4
+    "meixner_pollaczek": (
+        lambda n: (float(n), 0.0),
+        lambda n, t: ((2 * n - 1) * np.tan(2 * t), n / np.cos(2 * t)),
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "family, t_end, steps, m",
+    [(family, 1.0, 10, m) for family in ("charlier", "laguerre", "hermite") for m in (3, 10)]
+    + [("meixner_pollaczek", 0.7, 7, m) for m in (3, 10)]
+    + [("laguerre", 5.0, 1, m) for m in (3, 10)]
+    + [("charlier", 20.0, 1, m) for m in (3, 10)],
+)
+def test_unbounded_data_matches_exact_flow(family, t_end, steps, m):
+    initial, flow = EXACT_FLOWS[family]
+    times = np.linspace(0.0, t_end, steps + 1)
+    traj, report = solve_toda_semi_infinite(SemiInfiniteInitialData(initial), times, m, 1e-14, 1024)
+    assert report.converged
+    b, a = (np.broadcast_to(x, (times.size, m)) for x in flow(np.arange(1, m + 1), times[:, np.newaxis]))
+    exact = np.hstack([b, a[:, :-1]])
+    error = np.max(np.abs(np.hstack([traj.diag, traj.offdiag]) - exact))
+    assert error <= 1e-12 * np.max(np.abs(exact))
+
+
+def test_no_solution_past_blow_up_is_not_converged():
+    # a_n = n, b_n = 0 at t = 0.8 > pi/4: b_1 of the truncation grows with
+    # its size N (about 2N), so no two sizes agree
+    initial, _ = EXACT_FLOWS["meixner_pollaczek"]
+    _, report = solve_toda_semi_infinite(SemiInfiniteInitialData(initial), [0.0, 0.8], 1, 1e-14, 256)
+    assert report.converged is False
+    assert report.stop_reason == "n_max"
