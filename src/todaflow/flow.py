@@ -13,6 +13,7 @@ only ever held as a logarithm.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,8 +131,11 @@ def log_omega(mu0: DiscreteMeasure, t: float) -> float:
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
     # log w_k + 2 lam_k t less its maximum over k: a row per time for an
-    # array of times, one row for a scalar
-    tilt = np.multiply.outer(2.0 * np.asarray(times), mu0.nodes)
+    # array of times (all >= 0), one row for a scalar
+    times = np.asarray(times)
+    if not math.isfinite(2.0 * float(times.max()) * max(-float(mu0.nodes[0]), float(mu0.nodes[-1]))):
+        raise OverflowError("2 lambda t is beyond the double range")
+    tilt = np.multiply.outer(2.0 * times, mu0.nodes)
     tilt += mu0.log_weights
     tilt -= tilt.max(axis=-1, keepdims=True)
     return tilt

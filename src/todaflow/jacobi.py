@@ -224,8 +224,9 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
     components are accurate relative to their own size; the log weights
     are read off them.  A first component that MRRR sets to exactly 0
     (it drops those outside a vector's numerical support, over a hundred
-    of them at random N = 256) is recomputed by the twisted
-    factorization of J - lam I in logs, so weights far below the
+    of them at random N = 256) is recomputed in logs from MRRR's own
+    vector: its largest component times the ratios that the top-down
+    pivots of J - lam I give above that row.  So weights far below the
     double-precision range keep their relative accuracy.  At random
     N = 32, mpmath agrees to about 1e-12 in log w.
 
@@ -255,7 +256,7 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
         log_weights = 2.0 * np.log(np.abs(vec[0]))
     lost = log_weights == -np.inf
     if lost.any():
-        log_weights[lost] = _twisted_log_weights(d, e, lam[lost])
+        log_weights[lost] = _twisted_log_weights(d, e, lam[lost], vec[:, lost])
     if not np.all(np.isfinite(log_weights)):
         raise EigenConvergenceError("a log weight is not finite: the entries are beyond double precision")
     # the test runs on the scaled J, whose largest |eigenvalue| top lies in
@@ -273,51 +274,38 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _twisted_log_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """log of the squared first component of the unit eigenvector at each lam.
+def _twisted_log_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """log of the squared first component of each unit eigenvector vec[:, k] at lam[k].
 
-    For each eigenvalue the pivots of J - lam I = L D+ L^T (top down) and
-    = U D- U^T (bottom up) meet at the twist index r, where
-    |D+_r + D-_r - (b_r - lam)| is least; the eigenvector with z_r = 1
-    then has z_i / z_{i+1} = -a_i / D+_i above r and
-    z_{i+1} / z_i = -a_i / D-_{i+1} below it, all taken in logs.  The two
-    recurrences run stacked, over every lam at once: N steps of two ufunc
-    calls.  A zero pivot sends the next one to -inf and the one after it
-    back to a finite value (IEEE); the two pivots' product is then -a_i^2,
-    which stands in for their two logs, and the component between them is
-    0.  (Parlett and Dhillon, Linear Algebra Appl. 267 (1997) 247.)
+    The twist index r is the row of vec[:, k]'s largest component.  Above
+    it the eigenvector has z_i / z_{i+1} = -a_i / D+_i, where D+ are the
+    pivots of J - lam I = L D+ L^T, top down, so
+    log|z_1| = log|vec[r, k]| + sum_{i<r} (log a_i - log|D+_i|), and vec's
+    unit norm carries over.  The recurrence runs over every lam at once,
+    down to the deepest twist: a step of two ufunc calls per row.  A zero
+    pivot sends the next one to -inf and the one after it back to a
+    finite value (IEEE); the two pivots' product is then -a_i^2, which
+    stands in for their two logs.  (Parlett and Dhillon, Linear Algebra
+    Appl. 267 (1997) 247.)  The anchor must be the largest component: a
+    smaller one may carry no correct digits.
     """
-    n = d.size
-
-    def both_ends(v):
-        # v top down beside v bottom up: row i of both is i steps from its
-        # own end, so one loop serves the two recurrences
-        return np.stack((v, v[::-1]), axis=1)
-
-    piv = both_ends(d[:, np.newaxis] - lam)
-    asq = both_ends(e * e)[:, :, np.newaxis]
-    # log a_i apart from a_i^2, which may underflow
-    log_a = both_ends(np.log(e))[:, :, np.newaxis]
-    step = np.empty(piv.shape[1:])
-    for i in range(1, n):
+    twist = np.argmax(np.abs(vec), axis=0)
+    rows = twist.max() + 1
+    piv = d[:rows, np.newaxis] - lam
+    a = e[: rows - 1, np.newaxis]
+    asq = a * a
+    step = np.empty(lam.shape)
+    for i in range(1, rows):
         np.divide(asq[i - 1], piv[i - 1], out=step)
         np.subtract(piv[i], step, out=piv[i])
+    # log a_i apart from a_i^2, which may underflow
+    log_a = np.log(a)
     blown = np.isinf(piv)
-    log_piv = np.log(np.abs(piv))
-    log_piv[:-1][blown[1:]] = np.broadcast_to(2.0 * log_a, blown[1:].shape)[blown[1:]]
-    log_piv[blown] = 0.0
-    # log|z_end / z_i|, summed inward from each end
-    ratio = np.zeros(piv.shape)
-    np.cumsum(log_a - log_piv[:-1], axis=0, out=ratio[1:])
-    down, up = ratio[:, 0], ratio[::-1, 1]
-    gamma = np.abs(piv[:, 0] + piv[::-1, 1] - (d[:, np.newaxis] - lam))
-    twist = np.argmin(np.where(np.isnan(gamma), np.inf, gamma), axis=0)
-    above = np.arange(n)[:, np.newaxis] <= twist
-    cols = np.arange(lam.size)
-    log_z = np.where(above, down[twist, cols] - down, up[twist, cols] - up)
-    log_z[np.where(above, blown[:, 0], blown[::-1, 1])] = -np.inf
-    top = np.max(log_z, axis=0)
-    return 2.0 * (log_z[0] - top) - np.log(np.sum(np.exp(2.0 * (log_z - top)), axis=0))
+    log_piv = np.where(blown[1:], 2.0 * log_a, np.log(np.abs(piv[:-1])))
+    log_piv[blown[:-1]] = 0.0
+    above = np.arange(rows - 1)[:, np.newaxis] < twist
+    log_ratio = np.sum(np.where(above, log_a - log_piv, 0.0), axis=0)
+    return 2.0 * (np.log(np.abs(vec[twist, np.arange(lam.size)])) + log_ratio)
 
 
 def weyl_function(j: JacobiMatrix, lam: float) -> float:

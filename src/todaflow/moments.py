@@ -142,7 +142,8 @@ def check_moment_positivity(s: MomentSequence) -> MomentClassification:
     """
     t_max = (len(s) + 1) // 2
     h = hankel_matrix(s, t_max)
-    thresh = _ZERO_PIVOT_REL * float(np.linalg.norm(h))
+    # math.hypot scales its arguments, so ||S|| of huge moments stays finite
+    thresh = _ZERO_PIVOT_REL * math.hypot(*h.flat)
     r, support, pivot = _hankel_cholesky(h, thresh)
     if support == t_max:
         return MomentClassification(kind=POSITIVE_DEFINITE, order=t_max)

@@ -96,13 +96,17 @@ def response_from_measure(mu: DiscreteMeasure, count: int) -> ResponseVector:
 
     One forward-recurrence sweep over the nodes; each entry is accumulated
     by compensated summation, mirroring moments_from_measure.
+
+    Raises OverflowError if any term exceeds the floating-point range.
     """
     count = _count("count", count, 1)
     prev = np.zeros_like(mu.nodes)
     cur = np.ones_like(mu.nodes)
-    vals = np.empty(count)
-    vals[0] = math.fsum(cur * mu.weights)
-    for k in range(1, count):
-        prev, cur = cur, mu.nodes * cur - prev
-        vals[k] = math.fsum(cur * mu.weights)
-    return ResponseVector(values=vals)
+    terms = [cur * mu.weights]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(1, count):
+            prev, cur = cur, mu.nodes * cur - prev
+            terms.append(cur * mu.weights)
+    if not np.all(np.isfinite(terms)):
+        raise OverflowError(f"T_k(node) * weight left the double-precision range at some k <= {count}")
+    return ResponseVector(values=[math.fsum(row) for row in terms])

@@ -69,6 +69,14 @@ def test_moser_mass_stays_one_under_extreme_spread():
     assert np.all(out.weights > 0.0)
 
 
+def test_moser_raises_when_2_lambda_t_overflows():
+    # 2 * 1e308 is beyond the double range; the weights would read NaN
+    with pytest.raises(OverflowError, match="2 lambda t"):
+        moser_evolve(PM1, 1e308)
+    with pytest.raises(OverflowError, match="2 lambda t"):
+        evolve_moments(DiscreteMeasure([0.0, 1e200], [0.5, 0.5]), 1e200, 3)
+
+
 def test_moser_semigroup():
     for t1, t2 in [(0.3, 0.9), (1.0, 2.5)]:
         two_step = moser_evolve(moser_evolve(PM1, t1), t2)

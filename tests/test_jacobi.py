@@ -176,7 +176,8 @@ def test_log_weights_match_mpmath():
         exact = mpmath_log_weights(j, 60)
         mu = eigendecompose(j)
         assert np.max(np.abs(mu.log_weights - exact)) <= 1e-10
-        twisted = _twisted_log_weights(j.diag, j.offdiag, mu.nodes)
+        lam, vec = eigh_tridiagonal(j.diag, j.offdiag, lapack_driver="stemr")
+        twisted = _twisted_log_weights(j.diag, j.offdiag, lam, vec)
         assert np.max(np.abs(twisted - exact)) <= 1e-10
 
 
@@ -210,18 +211,31 @@ def test_twisted_pass_agrees_with_the_mrrr_components():
     first = np.abs(vec[0])
     kept = first > 0.0
     assert np.count_nonzero(~kept) > 100
-    twisted = _twisted_log_weights(j.diag, j.offdiag, lam)
+    twisted = _twisted_log_weights(j.diag, j.offdiag, lam, vec)
     np.testing.assert_allclose(twisted[kept], 2.0 * np.log(first[kept]), rtol=0, atol=1e-10)
     np.testing.assert_allclose(eigendecompose(j).log_weights, twisted, rtol=0, atol=1e-10)
 
 
 def test_twisted_pass_through_zero_pivots():
-    # b = 0, a = 1 at lam = 0: every other pivot is exactly 0 and the next
-    # one -inf; the eigenvectors are (1, 0, -1) / sqrt 2 and
-    # (1, 0, -1, 0, 1) / sqrt 3
-    for n, weight in ((3, 1.0 / 2.0), (5, 1.0 / 3.0)):
-        log_w = _twisted_log_weights(np.zeros(n), np.ones(n - 1), np.zeros(1))
+    # b = 0 at lam = 0: every other pivot is exactly 0 and the next one
+    # -inf, above the twist at the last row; a = (2, 1) has the
+    # eigenvector (1, 0, -2) / sqrt 5, a = (2, 1, 1, 1/2) one along
+    # (1, 0, -2, 0, 4), of squared norm 21
+    for offdiag, vector, weight in (
+        ([2.0, 1.0], [1.0, 0.0, -2.0], 1.0 / 5.0),
+        ([2.0, 1.0, 1.0, 0.5], [1.0, 0.0, -2.0, 0.0, 4.0], 1.0 / 21.0),
+    ):
+        vec = np.array(vector)[:, np.newaxis] / np.linalg.norm(vector)
+        log_w = _twisted_log_weights(np.zeros(vec.shape[0]), np.array(offdiag), np.zeros(1), vec)
         assert abs(log_w[0] - np.log(weight)) < 1e-15
+
+
+def test_log_weight_of_a_lowest_node_far_below_the_double_range():
+    # random N = 1024: MRRR sets the lowest node's first component to 0;
+    # the reference is mpmath bisection and a twisted vector, the same at
+    # 60 and 100 digits
+    mu = eigendecompose(random_jacobi(np.random.default_rng(0), 1024))
+    assert abs(mu.log_weights[0] - -1947.5618453889479) <= 1e-9
 
 
 def test_measure_holds_log_weights():

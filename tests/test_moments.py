@@ -108,6 +108,13 @@ def test_positivity_classification_examples():
     assert c.kind == INVALID
 
 
+def test_positivity_of_moments_whose_squares_overflow():
+    # ||S|| of these moments is 1.4e160, though the sum of their squares
+    # is beyond the double range
+    c = check_moment_positivity(MomentSequence([1e160, 0.0, 1e160]))
+    assert (c.kind, c.order) == (POSITIVE_DEFINITE, 2)
+
+
 def test_positivity_rejects_rank_inconsistent_tail():
     # zero pivot with nonzero continuation: no measure has these moments
     c = check_moment_positivity(MomentSequence([1.0, 0.0, 0.0, 0.0, 1.0]))

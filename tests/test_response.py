@@ -124,6 +124,16 @@ def test_point_mass_response():
             response_from_measure(DiscreteMeasure([0.0], [1.0]), bad)
 
 
+def test_response_overflow_guard():
+    # T_3(1e200) = 1e400 - 1 is beyond the double range, as is 1e200^2 in
+    # the moments
+    mu = DiscreteMeasure([-1e200, 1e200], [0.5, 0.5])
+    with pytest.raises(OverflowError, match="double-precision range"):
+        moments_from_measure(mu, 4)
+    with pytest.raises(OverflowError, match="double-precision range"):
+        response_from_measure(mu, 4)
+
+
 def test_symmetric_two_point_response():
     r = response_from_measure(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5]), 3)
     np.testing.assert_allclose(r.values, [1.0, 0.0, 0.0], atol=1e-16)
