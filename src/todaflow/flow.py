@@ -120,30 +120,30 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
     value in log_weights and reads 0 in weights.
     """
     tilt = _tilted_log_weights(mu0, _check_time(t))
+    tilt -= tilt.max()
     return DiscreteMeasure._from_log(mu0.nodes, tilt - np.log(np.sum(np.exp(tilt))))
 
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
     """log of Omega(t) = integral e^{2 lambda t} dmu0, via log-sum-exp."""
-    t = _check_time(t)
-    return float(logsumexp(mu0.log_weights + 2.0 * t * mu0.nodes))
+    return float(logsumexp(_tilted_log_weights(mu0, _check_time(t))))
 
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
-    # log w_k + 2 lam_k t less its maximum over k: a row per time for an
-    # array of times (all >= 0), one row for a scalar
+    # log w_k + 2 lam_k t: a row per time for an array of times (all >= 0),
+    # one row for a scalar; raises where 2 lam t leaves the double range
     times = np.asarray(times)
     if not math.isfinite(2.0 * float(times.max()) * max(-float(mu0.nodes[0]), float(mu0.nodes[-1]))):
         raise OverflowError("2 lambda t is beyond the double range")
     tilt = np.multiply.outer(2.0 * times, mu0.nodes)
     tilt += mu0.log_weights
-    tilt -= tilt.max(axis=-1, keepdims=True)
     return tilt
 
 
 def _evolved_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
     # Moser weights at each time, each row scaled so that its largest is 1
     tilt = _tilted_log_weights(mu0, times)
+    tilt -= tilt.max(axis=-1, keepdims=True)
     return np.exp(tilt, out=tilt)
 
 
@@ -168,6 +168,17 @@ def _evolved_moments(mu0: DiscreteMeasure, times, count: int) -> np.ndarray:
     return sums / sums[..., :1]
 
 
+def _central_step(t, h) -> tuple[float, float]:
+    # t and h of a central difference: t >= h > 0, and t + h and t - h both
+    # differ from t, else a difference quotient would read 0
+    t, h = _finite_real("t", t), _finite_real("h", h)
+    if not (h > 0.0 and t >= h):
+        raise ValueError("need t >= h > 0")
+    if t + h == t or t - h == t:
+        raise ValueError(f"h: {h!r} is below the spacing of doubles at t = {t!r}")
+    return t, h
+
+
 def moment_recurrence_residual(mu0: DiscreteMeasure, t: float, count: int, h: float) -> np.ndarray:
     """Central-difference defect of sdot_k + (log Omega)' s_k - 2 s_{k+1}.
 
@@ -175,9 +186,7 @@ def moment_recurrence_residual(mu0: DiscreteMeasure, t: float, count: int, h: fl
     central differences with step h, so the residuals are O(h^2).  A
     verification probe, not a solver.
     """
-    t, h = _finite_real("t", t), _finite_real("h", h)
-    if not (h > 0.0 and t >= h):
-        raise ValueError("need t >= h > 0")
+    t, h = _central_step(t, h)
     count = _count("count", count, 2)
     dlog = (log_omega(mu0, t + h) - log_omega(mu0, t - h)) / (2.0 * h)
     s_plus, s_minus, s_mid = _evolved_moments(mu0, np.array([t + h, t - h, t]), count)
@@ -227,9 +236,8 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
     N = 1 instead of 0.  The convention was fixed by the closed-form N = 2
     check in the test suite.  O(h^2) in the step.
     """
-    t, h, lam = _finite_real("t", t), _finite_real("h", h), _finite_real("lam", lam)
-    if not (h > 0.0 and t >= h):
-        raise ValueError("need t >= h > 0")
+    t, h = _central_step(t, h)
+    lam = _finite_real("lam", lam)
     mu0 = eigendecompose(j0)
     gap = float(np.min(np.abs(lam - mu0.nodes)))
     if gap < _SPECTRAL_GAP:

@@ -41,8 +41,8 @@ POSITIVE_DEFINITE = "positive_definite"
 FINITE_SUPPORT = "finite_support"
 INVALID = "invalid"
 
-# Relative pivot threshold separating genuine Hankel rank deficiency from
-# roundoff at desk scale.
+# Hankel pivot threshold, relative to the pivot's own diagonal entry,
+# separating genuine rank deficiency from roundoff.
 _ZERO_PIVOT_REL = 1e-10
 
 _DEGENERATE_NORM = 1e-12
@@ -131,44 +131,47 @@ def check_moment_positivity(s: MomentSequence) -> MomentClassification:
     """Classify a moment sequence by Cholesky pivots of its Hankel matrices.
 
     Factorizes the largest Hankel matrix the sequence supports.  The i-th
-    pivot is det S_i / det S_{i-1}: all pivots positive certifies positive
-    definiteness up to the largest testable size; a pivot below
-    -1e-10 * ||S|| marks an impossible sequence.  A pivot within
-    1e-10 * ||S|| of zero marks candidate finite support of size i-1 --
-    confirmed only if the factorization residual vanishes from there on
-    (zero pivot with a nonzero residual row, or a later nonzero pivot,
-    means the matrix is indefinite and the sequence invalid, e.g.
+    pivot is det S_i / det S_{i-1}, and each is judged against its own
+    diagonal entry s_{2i}, so the test does not depend on how far the
+    moments spread in magnitude.  All pivots above 1e-10 * |s_{2i}|
+    certify positive definiteness up to the largest testable size; a pivot
+    below -1e-10 * |s_{2i}| marks an impossible sequence.  A pivot within
+    that band of zero marks candidate finite support of size i-1 --
+    confirmed only if the Schur complement vanishes from there on, each
+    entry (i, j) within 1e-10 * sqrt(|s_{2i}| |s_{2j}|) (a nonzero
+    residual means the matrix is indefinite and the sequence invalid, e.g.
     [1, 0, 0, 0, 1]).
     """
     t_max = (len(s) + 1) // 2
     h = hankel_matrix(s, t_max)
-    # math.hypot scales its arguments, so ||S|| of huge moments stays finite
-    thresh = _ZERO_PIVOT_REL * math.hypot(*h.flat)
-    r, support, pivot = _hankel_cholesky(h, thresh)
+    r, support, pivot = _hankel_cholesky(h, _ZERO_PIVOT_REL)
     if support == t_max:
         return MomentClassification(kind=POSITIVE_DEFINITE, order=t_max)
-    if pivot < -thresh:
+    if pivot < -_ZERO_PIVOT_REL * abs(h[support, support]):
         return MomentClassification(kind=INVALID, order=support + 1)
     # a zero pivot: finite support of that size only if the Schur
-    # complement of the factored block vanishes from there on
+    # complement of the factored block vanishes from there on; square
+    # roots taken apart keep the products of huge moments finite
+    scale = np.sqrt(np.abs(np.diagonal(h)))
     for i in range(support, t_max):
-        if np.max(np.abs(h[i, i:] - r[:i, i] @ r[:i, i:])) > thresh:
+        residual = np.abs(h[i, i:] - r[:i, i] @ r[:i, i:])
+        if np.any(residual > _ZERO_PIVOT_REL * scale[i] * scale[i:]):
             return MomentClassification(kind=INVALID, order=i + 1)
     return MomentClassification(kind=FINITE_SUPPORT, order=support)
 
 
-def _hankel_cholesky(h: np.ndarray, floor: float) -> tuple[np.ndarray, int, float | None]:
-    """Rows of the upper-triangular R with R^T R = h until a pivot is <= floor.
+def _hankel_cholesky(h: np.ndarray, rel: float) -> tuple[np.ndarray, int, float | None]:
+    """Rows of the upper-triangular R with R^T R = h until pivot i is <= rel * |h[i, i]|.
 
     h is square or bordered (more columns than rows).  Returns (r, i, pivot):
     r holds rows 0..i-1 of R above zero rows, i is the first row whose
-    pivot is <= floor and pivot is that pivot; i = h.shape[0] and pivot =
-    None when every pivot exceeds floor.
+    pivot is at or below that floor and pivot is that pivot; i = h.shape[0]
+    and pivot = None when every pivot exceeds its floor.
     """
     r = np.zeros(h.shape)
     for i in range(h.shape[0]):
         pivot = h[i, i] - float(r[:i, i] @ r[:i, i])
-        if pivot <= floor:
+        if pivot <= rel * abs(h[i, i]):
             return r, i, pivot
         r[i, i] = math.sqrt(pivot)
         r[i, i + 1 :] = (h[i, i + 1 :] - r[:i, i] @ r[:i, i + 1 :]) / r[i, i]

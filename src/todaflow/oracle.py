@@ -35,11 +35,26 @@ def _grid_steps(times: np.ndarray, dt: float, name: str = "dt") -> list[int]:
     return spans
 
 
+def _broken_guard(top: np.ndarray, low: np.ndarray, n: int) -> str | None:
+    # the message of the first guard that entries within [low, top] break,
+    # or None; written so that NaN fails every comparison
+    if not (np.maximum.reduce(top) <= _BLOWUP_LIMIT and np.minimum.reduce(low) >= -_BLOWUP_LIMIT):
+        return f"an entry exceeded {_BLOWUP_LIMIT:g} in magnitude; reduce dt"
+    if n > 1 and not (np.minimum.reduce(low[: n - 1]) > 0.0):
+        return "an off-diagonal entry left the positive cone; reduce dt"
+    return None
+
+
 def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
     """Classical 4th-order Runge-Kutta on the lattice unknowns.
 
     The grid must be increasing and dt must divide every grid spacing
     within 1e-12; states are sampled exactly at the grid times.
+
+    The guards below hold at every step.  They are checked once per grid
+    span, on the running extrema of its steps; a span that breaks them is
+    replayed from its start state with a check after each step, so the
+    error names the first failing step, as a per-step check would.
 
     Raises
     ------
@@ -60,52 +75,63 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
     # subtract over its b | 0, a^2, 0 window writes [db, junk, d(a^2)] into
     # k, so k holds bdot / 2.  The factor 2 sits in the b half of the
     # per-entry steps (a power of two, so exact), and their 0 keeps the pad
-    # at 0.  Every buffer and view is made once; each stage writes through
-    # out= in the order of y + (dt/2) k1, ..., y + (dt/6)(k1 + 2(k2 + k3) + k4),
+    # at 0.  Every buffer and view is made once; each stage writes into its
+    # buffer in the order of y + (dt/2) k1, ..., y + (dt/6)(k1 + 2(k2 + k3) + k4),
     # so the doubles match an allocate-per-stage loop bit for bit.
     y, stage = np.zeros((2, 3 * n + 1))
     y[: n - 1], y[n:m] = j0.offdiag, j0.diag
-    acc, k1, k2, k3, k4 = np.empty((5, m))
+    acc, k1, k2, k3, k4, start, top, low = np.empty((8, m))
     half, full, sixth = (
         np.concatenate((np.full(n - 1, h), [0.0], np.full(n, 2.0 * h))) for h in (0.5 * dt, dt, dt / 6.0)
     )
+    y_s, y_a, y_b, y_sq, y_hi, y_lo = y[:m], y[: n - 1], y[n:m], y[m + 1 : -1], y[n + 1 :], y[n:-1]
+    s_s, s_a, s_sq, s_hi, s_lo = stage[:m], stage[: n - 1], stage[m + 1 : -1], stage[n + 1 :], stage[n:-1]
+    k1_a, k2_a, k3_a, k4_a = k1[: n - 1], k2[: n - 1], k3[: n - 1], k4[: n - 1]
+    # bound ufuncs with a positional out, which dispatches faster than out=;
+    # maximum and minimum take out= (a third positional is deprecated there)
+    mul, add, sub = np.multiply, np.add, np.subtract
 
-    def views(v, k):
-        return v[: n - 1], v[m + 1 : -1], v[n + 1 :], v[n:-1], k, k[: n - 1]
+    def step():
+        mul(y_a, y_a, y_sq)
+        sub(y_hi, y_lo, k1)
+        mul(y_a, k1_a, k1_a)
+        add(y_s, mul(half, k1, s_s), s_s)
+        mul(s_a, s_a, s_sq)
+        sub(s_hi, s_lo, k2)
+        mul(s_a, k2_a, k2_a)
+        add(y_s, mul(half, k2, s_s), s_s)
+        mul(s_a, s_a, s_sq)
+        sub(s_hi, s_lo, k3)
+        mul(s_a, k3_a, k3_a)
+        add(y_s, mul(full, k3, s_s), s_s)
+        mul(s_a, s_a, s_sq)
+        sub(s_hi, s_lo, k4)
+        mul(s_a, k4_a, k4_a)
+        add(k2, k3, acc)
+        add(acc, acc, acc)  # 2 acc exactly, without a scalar operand
+        add(k1, acc, acc)
+        add(acc, k4, acc)
+        add(y_s, mul(sixth, acc, acc), y_s)
 
-    def rhs(a, asq, hi, lo, k, k_a):
-        np.multiply(a, a, out=asq)
-        np.subtract(hi, lo, out=k)
-        np.multiply(a, k_a, out=k_a)
-
-    at_y, at_k2, at_k3, at_k4 = views(y, k1), views(stage, k2), views(stage, k3), views(stage, k4)
-    y_s, y_a, y_b, stage_s = y[:m], y[: n - 1], y[n:m], stage[:m]
-    # an overflow ends as inf/NaN in y, which the guards below turn into BlowUpError
+    maximum, minimum = np.maximum, np.minimum
+    # an overflow ends as inf/NaN in y; NaN carries through the extrema
     with np.errstate(over="ignore", invalid="ignore"):
         for i, steps in enumerate(_grid_steps(times, dt), start=1):
+            start[:] = y_s
+            top.fill(-np.inf)
+            low.fill(np.inf)
             for _ in range(steps):
-                rhs(*at_y)
-                np.add(y_s, np.multiply(half, k1, out=stage_s), out=stage_s)
-                rhs(*at_k2)
-                np.add(y_s, np.multiply(half, k2, out=stage_s), out=stage_s)
-                rhs(*at_k3)
-                np.add(y_s, np.multiply(full, k3, out=stage_s), out=stage_s)
-                rhs(*at_k4)
-                np.add(k2, k3, out=acc)
-                np.add(acc, acc, out=acc)  # 2 acc exactly, without a scalar operand
-                np.add(k1, acc, out=acc)
-                np.add(acc, k4, out=acc)
-                np.add(y_s, np.multiply(sixth, acc, out=acc), out=y_s)
-                # written so that NaN fails both comparisons; the ufunc
-                # reductions skip the dispatch of np.max / np.min
-                if not (np.maximum.reduce(np.abs(y_s, out=acc)) <= _BLOWUP_LIMIT):
-                    raise BlowUpError(
-                        f"an entry exceeded {_BLOWUP_LIMIT:g} in magnitude; reduce dt"
-                    )
-                if n > 1 and not (np.minimum.reduce(y_a) > 0.0):
-                    raise BlowUpError(
-                        "an off-diagonal entry left the positive cone; reduce dt"
-                    )
+                step()
+                maximum(top, y_s, out=top)
+                minimum(low, y_s, out=low)
+            if _broken_guard(top, low, n) is not None:
+                # the replay forms the same doubles, so some step breaks a guard
+                y_s[:] = start
+                for _ in range(steps):
+                    step()
+                    message = _broken_guard(y_s, y_s, n)
+                    if message is not None:
+                        raise BlowUpError(message)
             diag[i], offdiag[i] = y_b, y_a
     return TodaTrajectory(times=times, diag=diag, offdiag=offdiag, method=DIRECT_ODE)
 

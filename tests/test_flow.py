@@ -75,6 +75,8 @@ def test_moser_raises_when_2_lambda_t_overflows():
         moser_evolve(PM1, 1e308)
     with pytest.raises(OverflowError, match="2 lambda t"):
         evolve_moments(DiscreteMeasure([0.0, 1e200], [0.5, 0.5]), 1e200, 3)
+    with pytest.raises(OverflowError, match="2 lambda t"):
+        log_omega(PM1, 1e308)
 
 
 def test_moser_semigroup():
@@ -164,6 +166,12 @@ def test_recurrence_residual_preconditions():
         moment_recurrence_residual(PM1, 1e-5, 4, 1e-4)
     with pytest.raises(ValueError):
         moment_recurrence_residual(PM1, 0.5, 1, 1e-4)
+    # t + h and t - h both round to t: every difference would read 0
+    with pytest.raises(ValueError, match="^h: 1.0 is below the spacing of doubles"):
+        moment_recurrence_residual(PM1, 1e307, 3, 1.0)
+    # only t + h rounds to t
+    with pytest.raises(ValueError, match="^h:"):
+        moment_recurrence_residual(PM1, 1.0, 3, 1e-16)
     for bad in (4.0, True, "4"):
         with pytest.raises(ValueError, match="^count:"):
             moment_recurrence_residual(PM1, 0.5, bad, 1e-4)
@@ -414,3 +422,11 @@ def test_weyl_evolution_residual_requires_spectral_gap():
         weyl_evolution_residual(j, 1.2, 0.5, 1e-4)
     with pytest.raises(ValueError, match="finite"):
         weyl_evolution_residual(j, math.nan, 1.0, 0.1)
+
+
+def test_weyl_evolution_residual_rejects_a_step_below_double_spacing():
+    # t + h rounds to t, so the central difference would be half a
+    # one-sided one (a defect of 1.8e-2 where h = 1e-4 gives 4e-10)
+    j = JacobiMatrix([0.0, 0.0], [1.0])
+    with pytest.raises(ValueError, match="^h: 1e-16 is below the spacing of doubles"):
+        weyl_evolution_residual(j, 3.0, 1.0, 1e-16)

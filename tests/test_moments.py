@@ -109,15 +109,27 @@ def test_positivity_classification_examples():
 
 
 def test_positivity_of_moments_whose_squares_overflow():
-    # ||S|| of these moments is 1.4e160, though the sum of their squares
-    # is beyond the double range
+    # the squares and products of these moments are beyond the double range
     c = check_moment_positivity(MomentSequence([1e160, 0.0, 1e160]))
     assert (c.kind, c.order) == (POSITIVE_DEFINITE, 2)
+
+
+@pytest.mark.parametrize("b, order", [([3.2, 3.3], 2), ([32.0, 33.0], 2), ([3.2e10, 3.3e10], 1)])
+def test_positivity_of_two_point_measures_with_spread_moments(b, order):
+    # s_0 = 1 lies far below 1e-10 ||S|| of these 30 moments, so a
+    # threshold on ||S|| read it as a zero pivot; the smaller weight of the
+    # last measure is about 1e-18, so one point is the honest answer there
+    s = moments_from_measure(eigendecompose(JacobiMatrix(b, [1.0])), 30)
+    c = check_moment_positivity(s)
+    assert (c.kind, c.order) == (FINITE_SUPPORT, order)
 
 
 def test_positivity_rejects_rank_inconsistent_tail():
     # zero pivot with nonzero continuation: no measure has these moments
     c = check_moment_positivity(MomentSequence([1.0, 0.0, 0.0, 0.0, 1.0]))
+    assert c.kind == INVALID
+    # the same at a scale where s_0 s_4 is beyond the double range
+    c = check_moment_positivity(MomentSequence([1e160, 0.0, 0.0, 0.0, 1e160]))
     assert c.kind == INVALID
 
 

@@ -28,8 +28,11 @@ def _toda_rhs(y, n):
     return np.concatenate((da, db))
 
 
-def reference_rk4(j0, times, dt):
-    """The allocate-per-stage RK4 loop that rk4_toda must match bit for bit."""
+def reference_rk4(j0, times, dt, guards=True):
+    """The allocate-per-stage RK4 loop that rk4_toda must match bit for bit.
+
+    With guards=False it checks no step and returns whatever the steps give.
+    """
     n = j0.n
     y = np.concatenate((j0.offdiag, j0.diag))
     diag, offdiag = [j0.diag], [j0.offdiag]
@@ -40,6 +43,8 @@ def reference_rk4(j0, times, dt):
             k3 = _toda_rhs(y + (0.5 * dt) * k2, n)
             k4 = _toda_rhs(y + dt * k3, n)
             y = y + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
+            if not guards:
+                continue
             if np.max(np.abs(y)) > 1e8:
                 raise BlowUpError("an entry exceeded 1e+08 in magnitude; reduce dt")
             if n > 1 and np.min(y[: n - 1]) <= 0.0:
@@ -99,6 +104,9 @@ def test_rk4_blow_up_guard():
     # a first step that overflows straight to inf/NaN fails the guards too
     with pytest.raises(BlowUpError, match="exceeded"):
         rk4_toda(JacobiMatrix([0.0, 0.0, 0.0], [1e60, 1e60]), [0.0, 0.01], 1e-3)
+    # every entry positive and finite, the diagonal above 1e8 from step 1 on
+    with pytest.raises(BlowUpError, match="exceeded"):
+        rk4_toda(JacobiMatrix([2e8, 2e8], [1.0]), [0.0, 1.0], 0.1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8, 32, 64])
@@ -140,6 +148,44 @@ def test_rk4_guards_every_step_of_a_span():
         reference_rk4(j, times, 0.3)
     with pytest.raises(BlowUpError, match="positive cone") as got:
         rk4_toda(j, times, 0.3)
+    assert str(got.value) == str(expected.value)
+
+
+def test_rk4_guards_a_transient_inside_a_span():
+    # the off-diagonal leaves the positive cone on step 1 and is back inside
+    # by step 2, the span's end: the end state passes both guards
+    j = JacobiMatrix([0.0, -1.1, -0.7], [2.0, 1.7])
+    times, dt = [0.0, 1.66], 0.83
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag, offdiag = reference_rk4(j, times, dt, guards=False)
+    assert np.max(np.abs(diag[-1])) <= 1e8 and np.min(offdiag[-1]) > 0.0
+    with pytest.raises(BlowUpError) as expected:
+        reference_rk4(j, times, dt)
+    with pytest.raises(BlowUpError, match="positive cone") as got:
+        rk4_toda(j, times, dt)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "b, a, dt, first, match",
+    [([2.0, 0.8], [1.7], 0.6, 32, "exceeded"), ([0.3, 0.6, 1.2], [1.3, 1.3], 1.02, 4, "positive cone")],
+)
+def test_rk4_replays_a_long_span_to_its_first_failing_step(b, a, dt, first, match):
+    # one span of 100 steps that ends in inf/NaN; step `first` is the
+    # first to break a guard, and every step before it passes them all
+    j = JacobiMatrix(b, a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag, offdiag = reference_rk4(j, np.arange(101) * dt, dt, guards=False)
+    states = np.hstack((offdiag, diag))
+    passing = (np.max(np.abs(states), axis=1) <= 1e8) & (np.min(offdiag, axis=1) > 0.0)
+    assert passing[:first].all() and not passing[first] and not np.isfinite(states[-1]).all()
+    traj = rk4_toda(j, [0.0, (first - 1) * dt], dt)
+    assert traj.diag.tobytes() == diag[[0, first - 1]].tobytes()
+    assert traj.offdiag.tobytes() == offdiag[[0, first - 1]].tobytes()
+    with pytest.raises(BlowUpError) as expected:
+        reference_rk4(j, [0.0, 100 * dt], dt)
+    with pytest.raises(BlowUpError, match=match) as got:
+        rk4_toda(j, [0.0, 100 * dt], dt)
     assert str(got.value) == str(expected.value)
 
 

@@ -262,8 +262,18 @@ def test_unbounded_data_matches_exact_flow(family, t_end, steps, m):
 
 def test_no_solution_past_blow_up_is_not_converged():
     # a_n = n, b_n = 0 at t = 0.8 > pi/4: b_1 of the truncation grows with
-    # its size N (about 2N), so no two sizes agree
+    # its size N (about 2N), so no two sizes agree.  At t = 0.7 the same
+    # data settle.  Both runs start from the same a_n, so the Carleman sums
+    # sum 1/a_n cannot tell them apart; the b_1 history can.
     initial, _ = EXACT_FLOWS["meixner_pollaczek"]
-    _, report = solve_toda_semi_infinite(SemiInfiniteInitialData(initial), [0.0, 0.8], 1, 1e-14, 256)
+    data = SemiInfiniteInitialData(initial)
+    _, report = solve_toda_semi_infinite(data, [0.0, 0.8], 1, 1e-14, 256)
     assert report.converged is False
     assert report.stop_reason == "n_max"
+    b1 = np.array([h[-1, 0] for h in report.diag_history])
+    assert np.all(b1[1:] >= 2.0 * b1[:-1])
+    _, report = solve_toda_semi_infinite(data, [0.0, 0.7], 1, 1e-14, 256)
+    assert report.converged
+    b1 = np.array([h[-1, 0] for h in report.diag_history])
+    moves = np.abs(np.diff(b1))
+    assert np.all(moves[1:] < moves[:-1]) and moves[-1] <= 1e-12 * abs(b1[-1])
