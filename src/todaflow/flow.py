@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import PoleProximityError
 from .jacobi import (
@@ -74,9 +73,21 @@ class TodaTrajectory:
             raise ValueError(f"need one row per grid time: {times.size} times, {diag.shape[0]} rows")
         if self.method not in (MOMENT_METHOD, DIRECT_ODE):
             raise ValueError(f"unknown method tag {self.method!r}")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "offdiag", offdiag)
+        self._assign(times, diag, offdiag, self.method)
+
+    @classmethod
+    def _from_arrays(cls, times: np.ndarray, diag: np.ndarray, offdiag: np.ndarray, method: str) -> TodaTrajectory:
+        # the unchecked constructor of the solvers: the caller guarantees what
+        # __post_init__ checks and hands over arrays that nothing else writes to
+        trajectory = object.__new__(cls)
+        trajectory._assign(times, diag, offdiag, method)
+        return trajectory
+
+    def _assign(self, times: np.ndarray, diag: np.ndarray, offdiag: np.ndarray, method: str) -> None:
+        for name, value in (("times", times), ("diag", diag), ("offdiag", offdiag)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "method", method)
 
     @property
     def size(self) -> int:
@@ -126,7 +137,9 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
     """log of Omega(t) = integral e^{2 lambda t} dmu0, via log-sum-exp."""
-    return float(logsumexp(_tilted_log_weights(mu0, _check_time(t))))
+    tilt = _tilted_log_weights(mu0, _check_time(t))
+    top = tilt.max()
+    return float(top + np.log(np.sum(np.exp(tilt - top))))
 
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
@@ -204,7 +217,7 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
     """
     times = _check_grid(times)
     diag, offdiag = _evolve_block(j0, eigendecompose(j0), times, j0.n)
-    return TodaTrajectory(times=times, diag=diag, offdiag=offdiag, method=MOMENT_METHOD)
+    return TodaTrajectory._from_arrays(times, diag, offdiag, MOMENT_METHOD)
 
 
 def _evolve_block(j0: JacobiMatrix, mu0: DiscreteMeasure, times: np.ndarray, size: int):

@@ -186,10 +186,11 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     measures -- and read the three-term recurrence off the sequence.
     Diagonal entries are the recurrence centers, off-diagonal entries the
     (positive) norms.  When mu has exactly n nodes this inverts
-    eigendecompose.  Each step projects onto the whole basis twice, in the
-    unit vectors q sqrt(w), which keeps the round trip at roundoff level
-    for desk-scale n.  This is the one-row call of the batched kernel that
-    solve_toda_finite runs over all grid times at once.
+    eigendecompose.  Each step runs the three-term recurrence and then one
+    projection onto the whole basis, in the unit vectors q sqrt(w), which
+    keeps the round trip at roundoff level for desk-scale n.  This is the
+    one-row call of the batched kernel that solve_toda_finite runs over all
+    grid times at once.
 
     Raises
     ------
@@ -233,31 +234,37 @@ def _stieltjes(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarr
     return diag, offdiag
 
 
-# Lanczos on diag(x) in the unit vectors u = q sqrt(w), from sqrt(w / sum w): each
-# step projects x u_k twice onto the whole basis u_0..u_k, the center being the sum
-# of the two u_k coefficients and the remainder's norm the next off-diagonal.  A
-# small norm is reported only while every norm so far is finite (an infinite one
-# divides the next vector to 0); otherwise, as for NaN, the check at the end raises.
+# Lanczos on diag(x) in the unit vectors u = q sqrt(w), from sqrt(w / sum w), with
+# complete reorthogonalization.  Each step takes x u_k less its three-term part
+# alpha u_k + a_{k-1} u_{k-1}, the only components it has in exact arithmetic, and
+# then projects the remainder once onto the whole basis u_0..u_k: the recurrence is
+# the first of the two projections that suffice (Parlett, The Symmetric Eigenvalue
+# Problem, 1998, sec. 6.9).  The center is alpha plus the second u_k coefficient
+# and the final remainder's norm the next off-diagonal.  A small norm is reported
+# only while every norm so far is finite (an infinite one divides the next vector
+# to 0); otherwise, as for NaN, the check at the end raises.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
     n = diag.shape[1]
     basis = np.empty((w.shape[0], n, x.size))
     np.sqrt(w / np.sum(w, axis=1, keepdims=True), out=basis[:, 0])
-    v = np.empty(w.shape)
-    # (rows, N, 1) and (rows, 1, N) views: one matrix product per row
-    column, row = v[:, :, np.newaxis], v[:, np.newaxis, :]
+    v, term = np.empty((2,) + w.shape)
+    # a (rows, N, 1) view: one matrix-vector product per row
+    column = v[:, :, np.newaxis]
     for k in range(n):
         span = basis[:, : k + 1]
-        span_t = span.transpose(0, 2, 1)
-        np.multiply(x, basis[:, k], out=v)
-        first = span @ column
-        column -= span_t @ first
-        second = span @ column
-        np.add(first[:, k, 0], second[:, k, 0], out=diag[:, k])
+        u = basis[:, k]
+        np.multiply(x, u, out=v)
+        alpha = np.vecdot(u, v)
+        v -= np.multiply(alpha[:, np.newaxis], u, out=term)
+        if k:
+            v -= np.multiply(offdiag[:, k - 1, np.newaxis], basis[:, k - 1], out=term)
+        c = span @ column
+        np.add(alpha, c[:, k, 0], out=diag[:, k])
         if k == n - 1:
             break
-        column -= span_t @ second
-        norm = np.sqrt((row @ column)[:, 0, 0], out=offdiag[:, k])
+        column -= span.transpose(0, 2, 1) @ c
+        norm = np.sqrt(np.vecdot(v, v), out=offdiag[:, k])
         if np.fmin.reduce(norm) < _DEGENERATE_NORM and np.max(offdiag[:, : k + 1]) < np.inf:
             raise DegenerateMeasureError(
                 f"orthogonalization norm {norm[norm < _DEGENERATE_NORM][0]:.3e} below 1e-12 at step {k + 1}; "

@@ -133,7 +133,7 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
                     if message is not None:
                         raise BlowUpError(message)
             diag[i], offdiag[i] = y_b, y_a
-    return TodaTrajectory(times=times, diag=diag, offdiag=offdiag, method=DIRECT_ODE)
+    return TodaTrajectory._from_arrays(times, diag, offdiag, DIRECT_ODE)
 
 
 def compare_trajectories(first: TodaTrajectory, second: TodaTrajectory) -> float:

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,8 +25,10 @@ from todaflow import (
     moment_recurrence_residual,
     moments_from_measure,
     moser_evolve,
+    make_initial_data,
     rk4_toda,
     solve_toda_finite,
+    solve_toda_semi_infinite,
     weyl_evolution_residual,
     weyl_function,
 )
@@ -90,6 +96,15 @@ def test_log_omega_examples():
     assert abs(log_omega(PM1, 1.0) - math.log(math.cosh(2.0))) < 1e-14
     assert log_omega(PM1, 0.0) == 0.0
     assert abs(log_omega(DiscreteMeasure([3.0], [1.0]), 2.0) - 12.0) < 1e-14
+
+
+def test_import_leaves_scipy_special_unloaded():
+    # log-sum-exp is taken in numpy; scipy.special would only add import
+    # time and memory to every run
+    env = dict(os.environ, PYTHONPATH=str(Path(todaflow.moments.__file__).parents[1]))
+    code = "import sys, todaflow, todaflow.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_evolve_moments_identity_at_t0():
@@ -314,6 +329,17 @@ def test_trajectory_holds_readonly_arrays():
     copy = traj.offdiag_array()
     copy[1, 0] = -1.0
     assert traj.offdiag[1, 0] == 0.8
+
+
+def test_solver_trajectories_hold_readonly_arrays():
+    # the solvers build their trajectories unchecked, and read-only all the same
+    j = JacobiMatrix([0.0, 1.0, -0.5], [1.0, 0.5])
+    window, report = solve_toda_semi_infinite(make_initial_data("constant"), [0.0, 0.5], 1, 1e-8, 16)
+    for traj in (solve_toda_finite(j, [0.0, 0.5]), rk4_toda(j, [0.0, 0.5], 0.01), window):
+        for values in (traj.times, traj.diag, traj.offdiag):
+            assert not values.flags.writeable
+    # the window shares no memory with the report it came with
+    assert not np.shares_memory(window.diag, report.diag_history[-1])
 
 
 @pytest.mark.parametrize(

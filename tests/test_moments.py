@@ -20,6 +20,7 @@ from todaflow import (
     jacobi_from_moments,
     moment_bilinear_form,
     moments_from_measure,
+    moser_evolve,
     solve_toda_finite,
 )
 from todaflow.flow import _evolved_weights
@@ -230,6 +231,34 @@ def test_jacobi_from_measure_matches_the_compensated_loop():
                 ref_diag, ref_offdiag = lanczos_reference(DiscreteMeasure(mu.nodes, w), n)
                 np.testing.assert_allclose(diag[row], ref_diag, rtol=0, atol=tol)
                 np.testing.assert_allclose(offdiag[row], ref_offdiag, rtol=0, atol=tol)
+
+
+def test_kernel_stays_within_a_bound_set_by_the_cgs2_kernel():
+    # Large blocks, where one whole-basis pass after the three-term
+    # recurrence has to do what two passes did: error against the
+    # compensated loop in units of eps * max |entry|.  The previous kernel
+    # (two whole-basis passes) reached 9.1e3 on these cases and this one
+    # 1.3e4; plain three-term Lanczos is off by O(1) at N = 64.
+    bound = 4e4 * np.finfo(float).eps
+    times = np.array([0.0, 0.5, 1.0])
+    cases = [(random_jacobi(np.random.default_rng(seed), n), (n,)) for n in (64, 256) for seed in range(5)]
+    cases.append((JacobiMatrix(np.zeros(200), np.arange(1.0, 200.0)), (4, 64, 100)))
+    for j, sizes in cases:
+        mu = eigendecompose(j)
+        weights = _evolved_weights(mu, times)
+        for n in sizes:
+            diag, offdiag = _stieltjes(mu.nodes, weights, n)
+            for row, t in enumerate(times.tolist()):
+                ref_diag, ref_offdiag = lanczos_reference(moser_evolve(mu, t), n)
+                tol = bound * max(np.max(np.abs(ref_diag)), np.max(ref_offdiag, initial=0.0))
+                np.testing.assert_allclose(diag[row], ref_diag, rtol=0, atol=tol)
+                np.testing.assert_allclose(offdiag[row], ref_offdiag, rtol=0, atol=tol)
+    # and it runs out of support where the previous kernel did
+    rng = np.random.default_rng(0)
+    b = rng.uniform(-2, 2, 512)
+    j = JacobiMatrix(b, rng.uniform(0.5, 2, 511))
+    with pytest.raises(DegenerateMeasureError, match="at step 504;"):
+        jacobi_from_measure(eigendecompose(j), 512)
 
 
 def test_jacobi_from_moments_examples():

@@ -69,6 +69,21 @@ def test_truncation_rejects_nonpositive_a():
         init.truncation(3)
 
 
+def test_each_coefficient_is_fetched_once():
+    # a 20-entry table runs sizes 8 and 16 and runs out when 32 is needed
+    rng = np.random.default_rng(4)
+    table = make_initial_data("table", {"a": rng.uniform(0.5, 2.0, 19), "b": rng.uniform(-2.0, 2.0, 20)})
+    asked = []
+
+    def coefficients(n):
+        asked.append(n)
+        return table.coefficients(n)
+
+    with pytest.raises(ValueError, match="table initial data exhausted at n=21"):
+        solve_toda_semi_infinite(SemiInfiniteInitialData(coefficients), np.linspace(0.0, 1.0, 3), 1, 1e-14, 64)
+    assert asked == list(range(1, 22))
+
+
 def test_preconditions():
     init = make_initial_data("constant", {"alpha": 0.5})
     times = np.linspace(0.0, 1.0, 3)
