@@ -4,7 +4,7 @@ The flow never moves the spectral nodes.  The weights evolve by an
 explicit exponential reweighting, normalized back to unit mass; the
 lattice coefficients at time t are then recovered from the evolved
 measure.  The evolved measures of a whole grid share their nodes, so
-their weights form one (times, N) stack that a single batched
+their log weights form one (times, N) stack that a single batched
 reconstruction turns into every grid row at once.  The reweighting
 runs on log weights, log w + 2 lambda t less its maximum over the
 nodes, so large lambda * t never overflows, and the normalizer Omega is
@@ -143,21 +143,15 @@ def log_omega(mu0: DiscreteMeasure, t: float) -> float:
 
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
-    # log w_k + 2 lam_k t: a row per time for an array of times (all >= 0),
-    # one row for a scalar; raises where 2 lam t leaves the double range
+    # log w_k + 2 lam_k t: a row per time for an array of times (all >= 0,
+    # possibly none), one row for a scalar; raises where 2 lam t leaves the
+    # double range
     times = np.asarray(times)
-    if not math.isfinite(2.0 * float(times.max()) * max(-float(mu0.nodes[0]), float(mu0.nodes[-1]))):
+    if not math.isfinite(2.0 * float(times.max(initial=0.0)) * max(-float(mu0.nodes[0]), float(mu0.nodes[-1]))):
         raise OverflowError("2 lambda t is beyond the double range")
     tilt = np.multiply.outer(2.0 * times, mu0.nodes)
     tilt += mu0.log_weights
     return tilt
-
-
-def _evolved_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
-    # Moser weights at each time, each row scaled so that its largest is 1
-    tilt = _tilted_log_weights(mu0, times)
-    tilt -= tilt.max(axis=-1, keepdims=True)
-    return np.exp(tilt, out=tilt)
 
 
 def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence:
@@ -177,7 +171,9 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
 def _evolved_moments(mu0: DiscreteMeasure, times, count: int) -> np.ndarray:
     # s_0..s_{count-1} of the evolved measure, a row per time for an array
     # of times; each row is divided by its own s_0, so s_0 = 1 exactly
-    sums = _moment_sums(mu0.nodes, _evolved_weights(mu0, times), count)
+    tilt = _tilted_log_weights(mu0, times)
+    tilt -= tilt.max(axis=-1, keepdims=True)
+    sums = _moment_sums(mu0.nodes, np.exp(tilt, out=tilt), count)
     return sums / sums[..., :1]
 
 
@@ -236,7 +232,7 @@ def _evolve_block(j0: JacobiMatrix, mu0: DiscreteMeasure, times: np.ndarray, siz
     offdiag = np.empty((times.size, size - 1))
     diag[0] = j0.diag[:size]
     offdiag[0] = j0.offdiag[: size - 1]
-    diag[1:], offdiag[1:] = _stieltjes(mu0.nodes, _evolved_weights(mu0, times[1:]), size)
+    diag[1:], offdiag[1:] = _stieltjes(mu0.nodes, _tilted_log_weights(mu0, times[1:]), size)
     return diag, offdiag
 
 

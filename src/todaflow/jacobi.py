@@ -171,7 +171,8 @@ class DiscreteMeasure:
     logarithms, log_weights, so a mass below the double-precision range
     keeps its value (the spectral weights of the N = 128 truncation of
     b_n = n, a_n = 1 reach 1e-430); weights is derived as
-    exp(log_weights), in which such a mass reads 0.
+    exp(log_weights), in which such a mass reads 0.  jacobi_from_measure
+    takes log_weights, so such a mass still counts there.
     Total mass equals the zeroth moment; spectral measures of Jacobi
     matrices carry mass 1.
     """

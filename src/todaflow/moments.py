@@ -197,12 +197,11 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     DegenerateMeasureError
         If an intermediate norm drops below 1e-12 before n coefficients
         are produced (mu is numerically supported on fewer than n points,
-        as when weights below the double-precision range read 0).
+        as when weights below about 1e-616 of the total drop out).
     """
     # at most one coefficient pair per node
     n = _count("n", n, 1, mu.nodes.size)
-    # the kernel normalizes each row, so the weights go in scaled to a largest of 1
-    diag, offdiag = _stieltjes(mu.nodes, np.exp(mu.log_weights - np.max(mu.log_weights))[np.newaxis], n)
+    diag, offdiag = _stieltjes(mu.nodes, mu.log_weights[np.newaxis], n)
     return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
 
 
@@ -212,43 +211,46 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
 _BASIS_BYTES = 1 << 24
 
 
-def _stieltjes(nodes: np.ndarray, weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients of every weight row over the shared nodes.
 
-    weights is a (rows, N) stack of nonnegative weight rows on the N
-    nodes, each scaled as the caller likes (every row is normalized to
+    log_weights is a (rows, N) stack of finite log weight rows on the N
+    nodes, each shifted as the caller likes (every row is normalized to
     unit mass first); returns (rows, n) diagonals and (rows, n-1)
     off-diagonals, row i being the Jacobi block of the measure
-    (nodes, weights[i]).  A weight that reads 0 removes its node.  The recurrence
-    of jacobi_from_measure runs over all rows at once, so its loop is over
-    the n steps only.  The basis is stored as (rows, n, N): step k reads
-    each row's slice basis[i, :k+1], laid out the same whatever n is, so
-    a leading block is bitwise the prefix of a larger reconstruction.
+    (nodes, exp(log_weights[i])).  The recurrence of jacobi_from_measure
+    runs over all rows at once, so its loop is over the n steps only.
+    The basis is stored as (rows, n, N): step k reads each row's slice
+    basis[i, :k+1], laid out the same whatever n is, so a leading block
+    is bitwise the prefix of a larger reconstruction.
     """
-    rows_per_chunk = max(1, _BASIS_BYTES // (n * nodes.size * weights.itemsize))
-    diag = np.empty((weights.shape[0], n))
-    offdiag = np.empty((weights.shape[0], n - 1))
-    for start in range(0, weights.shape[0], rows_per_chunk):
+    rows_per_chunk = max(1, _BASIS_BYTES // (n * nodes.size * log_weights.itemsize))
+    diag = np.empty((log_weights.shape[0], n))
+    offdiag = np.empty((log_weights.shape[0], n - 1))
+    for start in range(0, log_weights.shape[0], rows_per_chunk):
         chunk = slice(start, start + rows_per_chunk)
-        _stieltjes_sweep(nodes, weights[chunk], diag[chunk], offdiag[chunk])
+        _stieltjes_sweep(nodes, log_weights[chunk], diag[chunk], offdiag[chunk])
     return diag, offdiag
 
 
-# Lanczos on diag(x) in the unit vectors u = q sqrt(w), from sqrt(w / sum w), with
-# complete reorthogonalization.  Each step takes x u_k less its three-term part
-# alpha u_k + a_{k-1} u_{k-1}, the only components it has in exact arithmetic, and
-# then projects the remainder once onto the whole basis u_0..u_k: the recurrence is
-# the first of the two projections that suffice (Parlett, The Symmetric Eigenvalue
-# Problem, 1998, sec. 6.9).  The center is alpha plus the second u_k coefficient
-# and the final remainder's norm the next off-diagonal.  A small norm is reported
+# Lanczos on diag(x) in the unit vectors u = q sqrt(w), with complete
+# reorthogonalization, from sqrt(w / sum w) formed as exp((log w - max) / 2) over its
+# norm: only that root has to be a double, and an entry that underflows drops its
+# node.  Each step takes x u_k less its three-term part alpha u_k + a_{k-1} u_{k-1},
+# the only components it has in exact arithmetic, and then projects the remainder
+# once onto the whole basis u_0..u_k: the recurrence is the first of the two
+# projections that suffice (Parlett, The Symmetric Eigenvalue Problem, 1998, sec.
+# 6.9).  The center is alpha plus the second u_k coefficient and the final
+# remainder's norm the next off-diagonal.  A small norm is reported
 # only while every norm so far is finite (an infinite one divides the next vector
 # to 0); otherwise, as for NaN, the check at the end raises.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _stieltjes_sweep(x: np.ndarray, w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
+def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
     n = diag.shape[1]
-    basis = np.empty((w.shape[0], n, x.size))
-    np.sqrt(w / np.sum(w, axis=1, keepdims=True), out=basis[:, 0])
-    v, term = np.empty((2,) + w.shape)
+    basis = np.empty((log_w.shape[0], n, x.size))
+    u = np.exp(0.5 * (log_w - np.max(log_w, axis=1, keepdims=True)), out=basis[:, 0])
+    u /= np.sqrt(np.vecdot(u, u))[:, np.newaxis]
+    v, term = np.empty((2,) + log_w.shape)
     # a (rows, N, 1) view: one matrix-vector product per row
     column = v[:, :, np.newaxis]
     for k in range(n):

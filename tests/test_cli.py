@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -416,10 +418,14 @@ def test_response_mode(tmp_path):
 
 def test_console_invocation(tmp_path):
     cfg = finite_config(tmp_path)
+    # the child does not inherit pytest's pythonpath, so it is handed src explicitly
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "todaflow.cli", "--config", cfg, "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "trajectory.csv" in proc.stdout

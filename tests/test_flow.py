@@ -216,6 +216,13 @@ def test_solve_initial_state_is_exact():
     np.testing.assert_array_equal(traj.states[0].offdiag, j.offdiag)
 
 
+def test_one_time_grid_returns_the_initial_state():
+    j = random_jacobi(np.random.default_rng(16), 6)
+    traj = solve_toda_finite(j, [0.0])
+    np.testing.assert_array_equal(traj.diag, [j.diag])
+    np.testing.assert_array_equal(traj.offdiag, [j.offdiag])
+
+
 def test_evolve_block_rows_do_not_depend_on_the_grid():
     # a row's bits do not depend on which other times share the sweep
     rng = np.random.default_rng(21)
@@ -279,6 +286,20 @@ def test_random_lattices_match_rk4(n):
         j = random_jacobi(np.random.default_rng(seed), n)
         deviation = compare_trajectories(solve_toda_finite(j, times), rk4_toda(j, times, 1e-3))
         assert deviation <= 1e-6, (seed, deviation)
+
+
+def test_random_n512_matches_rk4():
+    # weights down to 1e-463: below the double range, but not their square
+    # roots, from which the reconstruction starts (it raised at step 504
+    # when it started from the weights themselves)
+    times = np.array([0.0, 0.5, 1.0])
+    for seed in range(5):
+        j = random_jacobi(np.random.default_rng(seed), 512)
+        deviation = compare_trajectories(solve_toda_finite(j, times), rk4_toda(j, times, 1e-3))
+        assert deviation <= 1e-6, (seed, deviation)
+        back = jacobi_from_measure(eigendecompose(j), 512)
+        error = max(np.max(np.abs(back.diag - j.diag)), np.max(np.abs(back.offdiag - j.offdiag)))
+        assert error <= 1e-9, (seed, error)
 
 
 def test_round_trip_at_n64_is_at_roundoff():

@@ -23,7 +23,7 @@ from todaflow import (
     moser_evolve,
     solve_toda_finite,
 )
-from todaflow.flow import _evolved_weights
+from todaflow.flow import _tilted_log_weights
 from todaflow.moments import _stieltjes
 
 SQRT2 = np.sqrt(2.0)
@@ -224,11 +224,11 @@ def test_jacobi_from_measure_matches_the_compensated_loop():
                  for size in (32, 64)]
     for j in lattices:
         mu = eigendecompose(j)
-        weights = _evolved_weights(mu, np.sort(rng.uniform(0.0, 2.0, 5)))
+        log_weights = _tilted_log_weights(mu, np.sort(rng.uniform(0.0, 2.0, 5)))
         for n in (j.n, max(1, j.n // 3)):
-            diag, offdiag = _stieltjes(mu.nodes, weights, n)
-            for row, w in enumerate(weights):
-                ref_diag, ref_offdiag = lanczos_reference(DiscreteMeasure(mu.nodes, w), n)
+            diag, offdiag = _stieltjes(mu.nodes, log_weights, n)
+            for row, w in enumerate(log_weights):
+                ref_diag, ref_offdiag = lanczos_reference(DiscreteMeasure(mu.nodes, np.exp(w - w.max())), n)
                 np.testing.assert_allclose(diag[row], ref_diag, rtol=0, atol=tol)
                 np.testing.assert_allclose(offdiag[row], ref_offdiag, rtol=0, atol=tol)
 
@@ -245,20 +245,21 @@ def test_kernel_stays_within_a_bound_set_by_the_cgs2_kernel():
     cases.append((JacobiMatrix(np.zeros(200), np.arange(1.0, 200.0)), (4, 64, 100)))
     for j, sizes in cases:
         mu = eigendecompose(j)
-        weights = _evolved_weights(mu, times)
+        log_weights = _tilted_log_weights(mu, times)
         for n in sizes:
-            diag, offdiag = _stieltjes(mu.nodes, weights, n)
+            diag, offdiag = _stieltjes(mu.nodes, log_weights, n)
             for row, t in enumerate(times.tolist()):
                 ref_diag, ref_offdiag = lanczos_reference(moser_evolve(mu, t), n)
                 tol = bound * max(np.max(np.abs(ref_diag)), np.max(ref_offdiag, initial=0.0))
                 np.testing.assert_allclose(diag[row], ref_diag, rtol=0, atol=tol)
                 np.testing.assert_allclose(offdiag[row], ref_offdiag, rtol=0, atol=tol)
-    # and it runs out of support where the previous kernel did
+    # and it runs out of support past the reach of its log-weight start:
+    # random N = 1024 has weights down to 1e-874
     rng = np.random.default_rng(0)
-    b = rng.uniform(-2, 2, 512)
-    j = JacobiMatrix(b, rng.uniform(0.5, 2, 511))
-    with pytest.raises(DegenerateMeasureError, match="at step 504;"):
-        jacobi_from_measure(eigendecompose(j), 512)
+    b = rng.uniform(-2, 2, 1024)
+    j = JacobiMatrix(b, rng.uniform(0.5, 2, 1023))
+    with pytest.raises(DegenerateMeasureError, match="at step 1018;"):
+        jacobi_from_measure(eigendecompose(j), 1024)
 
 
 def test_jacobi_from_moments_examples():

@@ -203,15 +203,37 @@ def test_unbounded_above_data_converges():
     assert abs(traj.diag[-1, 0] - 20.8878708832) <= 1e-9
 
 
-def test_underflowed_weights_raise_instead_of_rebuilding():
+def test_one_time_grid_returns_the_leading_block():
+    init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
+    traj, report = solve_toda_semi_infinite(init, [0.0], 3, 1e-8, 64)
+    block = init.truncation(3)
+    np.testing.assert_array_equal(traj.diag, [block.diag])
+    np.testing.assert_array_equal(traj.offdiag, [block.offdiag])
+    assert report.converged
+
+
+def test_weights_below_the_double_range_rebuild():
     # the N = 128 truncation of b_n = +n has weights down to 1e-430, which
-    # keep their value as logs but read 0 as doubles: its full block cannot
-    # be rebuilt, and that must raise, never return NaN or a wrong block
-    mu = eigendecompose(make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0}).truncation(128))
-    assert np.all(np.isfinite(mu.log_weights))
+    # read 0 as doubles; the reconstruction starts from their square roots
+    # and rebuilds the block to roundoff
+    j = make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0}).truncation(128)
+    mu = eigendecompose(j)
     assert np.min(mu.log_weights) < -900.0
+    back = jacobi_from_measure(mu, 128)
+    np.testing.assert_allclose(back.diag, j.diag, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(back.offdiag, j.offdiag, rtol=1e-12, atol=0)
+
+
+def test_underflowed_weights_raise_instead_of_rebuilding():
+    # the N = 192 truncation of b_n = +n has weights down to 1e-712, which
+    # keep their value as logs but whose square roots read 0 as doubles: its
+    # full block cannot be rebuilt, and that must raise, never return NaN or
+    # a wrong block
+    mu = eigendecompose(make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0}).truncation(192))
+    assert np.all(np.isfinite(mu.log_weights))
+    assert np.min(mu.log_weights) < -1600.0
     with pytest.raises(NumericalError):
-        jacobi_from_measure(mu, 128)
+        jacobi_from_measure(mu, 192)
 
 
 def test_s0_unit_on_every_truncation():
