@@ -40,7 +40,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flow import TodaTrajectory, solve_toda_finite
-from .jacobi import JacobiMatrix, _count, _finite_real, _jacobi_arrays, _real_array, eigendecompose
+from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arrays, _real_array, eigendecompose
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import _grid_steps, compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_moments
@@ -56,7 +56,14 @@ __all__ = [
     "read_trajectory_csv",
 ]
 
-MODES = ("finite", "verify", "semi_infinite", "response")
+# mode -> the output fields it writes, in the order it writes them
+_MODE_FILES = {
+    "finite": ("trajectory", "report"),
+    "verify": ("trajectory", "report"),
+    "semi_infinite": ("trajectory", "report"),
+    "response": ("table", "report"),
+}
+MODES = tuple(_MODE_FILES)
 
 _DEFAULT_OUTPUT = {
     "trajectory": "trajectory.csv",
@@ -193,7 +200,8 @@ def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     _known_fields(grid, ("t_end", "steps"), "grid.")
     t_end = _finite_real("grid.t_end", grid.get("t_end"), positive=True)
     steps = _count("grid.steps", grid.get("steps"), 1, _MAX_STEPS)
-    times = np.linspace(0.0, t_end, steps + 1)
+    # a spacing below the smallest double gives equal times
+    times = _increasing("grid", np.linspace(0.0, t_end, steps + 1))
 
     options = raw.get("options", {})
     _require(isinstance(options, dict), "options: must be an object")
@@ -219,14 +227,9 @@ def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
     for key, path in output.items():
         _require(isinstance(path, str) and path, f"output.{key}: need a non-empty path")
     config.output.update(output)
-    first, second = _outputs(mode)
+    first, second = _MODE_FILES[mode]
     _require(Path(config.output[first]) != Path(config.output[second]), f"output.{second}: same path as output.{first}")
     return config
-
-
-def _outputs(mode: str) -> tuple[str, str]:
-    # the output fields a mode writes, in the order it writes them
-    return ("table", "report") if mode == "response" else ("trajectory", "report")
 
 
 def write_trajectory_csv(path, traj: TodaTrajectory) -> None:
@@ -248,36 +251,10 @@ def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return data[:, 0], data[:, 1 : 1 + n], data[:, 1 + n :]
 
 
-def _write_report(config: RunConfig, report: dict) -> Path:
-    path = config.out_dir / config.output["report"]
-    path.write_text(json.dumps({"mode": config.mode, **report}, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-def _write_run(config: RunConfig, traj: TodaTrajectory, report: dict) -> list[Path]:
-    csv_path = config.out_dir / config.output["trajectory"]
-    write_trajectory_csv(csv_path, traj)
-    return [csv_path, _write_report(config, report)]
-
-
-def _run_response(config: RunConfig) -> list[Path]:
-    mu = eigendecompose(config.initial)
-    s = moments_from_measure(mu, config.k)
-    r = response_from_moments(s)
-    table_path = config.out_dir / config.output["table"]
-    rows = zip(range(config.k), s.values.tolist(), r.values.tolist())
-    lines = ["k,s,r"] + ["%d,%.17g,%.17g" % row for row in rows]
-    table_path.write_text("\n".join(lines) + "\n")
-    verdict = check_moment_positivity(s)
-    report = {"k": config.k, "classification": {"kind": verdict.kind, "order": verdict.order}}
-    return [table_path, _write_report(config, report)]
-
-
-def _check_targets(config: RunConfig) -> None:
+def _check_targets(*paths: Path) -> None:
     # every file of the run is checked before the first is written, so a
     # target that cannot take a file fails the run without leaving part of it
-    for key in _outputs(config.mode):
-        path = config.out_dir / config.output[key]
+    for path in paths:
         if path.is_dir():
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         if not path.parent.is_dir():
@@ -287,23 +264,37 @@ def _check_targets(config: RunConfig) -> None:
 def run(config: RunConfig) -> list[Path]:
     """Execute one validated run; returns the paths written.
 
-    Every output path is checked before anything is computed or written,
-    so a run that fails on its outputs writes none of them.
+    Makes the output directory and checks both output paths, then
+    computes the whole run (the trajectory or the k,s,r table, and the
+    report) with nothing written, and only then writes the mode's first
+    file and the report.  So a run that fails, on its outputs or in its
+    numerics, writes none of its files.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    _check_targets(config)
+    first, report_path = (config.out_dir / config.output[key] for key in _MODE_FILES[config.mode])
+    _check_targets(first, report_path)
+    report = {"mode": config.mode}
     if config.mode == "response":
-        return _run_response(config)
-    if config.mode == "semi_infinite":
-        traj, report = solve_toda_semi_infinite(config.initial, config.times, config.m, config.tol, config.n_max)
-        return _write_run(config, traj, report.to_dict())
-    traj = solve_toda_finite(config.initial, config.times)
-    traces = np.sum(traj.diag, axis=1)
-    report = {"n": traj.size, "trace_drift": float(np.max(np.abs(traces - traces[0])))}
-    if config.mode == "verify":
-        report["deviation"] = compare_trajectories(traj, rk4_toda(config.initial, config.times, config.dt))
-        report["dt"] = config.dt
-    return _write_run(config, traj, report)
+        s = moments_from_measure(eigendecompose(config.initial), config.k)
+        verdict = check_moment_positivity(s)
+        report.update(k=config.k, classification={"kind": verdict.kind, "order": verdict.order})
+        rows = zip(range(config.k), s.values.tolist(), response_from_moments(s).values.tolist())
+        first.write_text("\n".join(["k,s,r"] + ["%d,%.17g,%.17g" % row for row in rows]) + "\n")
+    else:
+        if config.mode == "semi_infinite":
+            traj, stabilization = solve_toda_semi_infinite(
+                config.initial, config.times, config.m, config.tol, config.n_max
+            )
+            report.update(stabilization.to_dict())
+        else:
+            traj = solve_toda_finite(config.initial, config.times)
+            report["n"] = traj.size
+        if config.mode == "verify":
+            report["deviation"] = compare_trajectories(traj, rk4_toda(config.initial, config.times, config.dt))
+            report["dt"] = config.dt
+        write_trajectory_csv(first, traj)
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    return [first, report_path]
 
 
 def _parse_args(argv):

@@ -143,11 +143,13 @@ def log_omega(mu0: DiscreteMeasure, t: float) -> float:
 
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
-    # log w_k + 2 lam_k t: a row per time for an array of times (all >= 0,
-    # possibly none), one row for a scalar; raises where 2 lam t leaves the
-    # double range
+    # log w_k + 2 lam_k t: a row per time for an array of times (possibly
+    # none), one row for a scalar; raises where 2 |t| lam_k, or the spread
+    # 2 |t| (lam_N - lam_1) that subtracting the maximum reaches, leaves
+    # the double range (an inf term makes the difference inf or NaN)
     times = np.asarray(times)
-    if not math.isfinite(2.0 * float(times.max(initial=0.0)) * max(-float(mu0.nodes[0]), float(mu0.nodes[-1]))):
+    reach = 2.0 * float(np.abs(times).max(initial=0.0))
+    if not math.isfinite(reach * float(mu0.nodes[-1]) - reach * float(mu0.nodes[0])):
         raise OverflowError("2 lambda t is beyond the double range")
     tilt = np.multiply.outer(2.0 * times, mu0.nodes)
     tilt += mu0.log_weights

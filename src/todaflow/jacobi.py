@@ -327,9 +327,26 @@ def weyl_function(j: JacobiMatrix, lam: float) -> float:
     return float(math.fsum(mu.weights / (lam - mu.nodes)))
 
 
+def _weighted_sums(table: np.ndarray, weights: np.ndarray, what: str) -> np.ndarray:
+    """Compensated sums over the nodes of table[k, j] * weights[..., j].
+
+    table is (count, N); the sums are (count,) for one weight row (N,) and
+    (rows, count) for a (rows, N) stack.  Every term must be finite, else
+    OverflowError names what left the double-precision range: the moment
+    and response accumulator of the library.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = table * weights[..., np.newaxis, :]
+    if not np.all(np.isfinite(terms)):
+        raise OverflowError(f"{what} left the double-precision range")
+    sums = [math.fsum(row) for row in terms.reshape(-1, table.shape[-1]).tolist()]
+    return np.array(sums).reshape(terms.shape[:-1])
+
+
 def b1_from_measure(mu: DiscreteMeasure) -> float:
     """First diagonal entry recovered from a unit-mass spectral measure.
 
-    Equals the first moment sum_k lam_k sigma_k^2.
+    Equals the first moment sum_k lam_k sigma_k^2.  Raises OverflowError
+    if a term lam_k sigma_k^2 is beyond the double range.
     """
-    return float(math.fsum(mu.nodes * mu.weights))
+    return float(_weighted_sums(mu.nodes[np.newaxis], mu.weights, "node * weight")[0])

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateMeasureError, PositivityError
-from .jacobi import DiscreteMeasure, JacobiMatrix, _count, _finite_real, _real_array
+from .jacobi import DiscreteMeasure, JacobiMatrix, _count, _finite_real, _real_array, _weighted_sums
 
 __all__ = [
     "MomentSequence",
@@ -84,25 +84,12 @@ class MomentClassification:
     order: int
 
 
-def _power_terms(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
-    # Entry [..., k, j] holds nodes[j]**k * weights[..., j]; finite-ness of
-    # every term is the overflow guard demanded of moment accumulation.
-    with np.errstate(over="ignore"):
-        powers = np.vander(nodes, count, increasing=True).T
-        terms = powers * weights[..., np.newaxis, :]
-    if not np.all(np.isfinite(terms)):
-        raise OverflowError(
-            f"|node|^k * weight left the double-precision range before k={count}"
-        )
-    return terms
-
-
 def _moment_sums(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """Compensated sums of nodes**k * weights, k < count: (count,) for one
     weight row (N,), (rows, count) for a (rows, N) stack over the nodes."""
-    terms = _power_terms(nodes, weights, count)
-    sums = [math.fsum(row) for row in terms.reshape(-1, nodes.size).tolist()]
-    return np.array(sums).reshape(terms.shape[:-1])
+    with np.errstate(over="ignore"):
+        powers = np.vander(nodes, count, increasing=True).T
+    return _weighted_sums(powers, weights, f"|node|^k * weight for some k < {count}")
 
 
 def moments_from_measure(mu: DiscreteMeasure, count: int, *, time: float = 0.0) -> MomentSequence:

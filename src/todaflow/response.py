@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import DiscreteMeasure, _count, _real_array
+from .jacobi import DiscreteMeasure, _count, _real_array, _weighted_sums
 from .moments import MomentSequence
 
 __all__ = [
@@ -95,18 +95,17 @@ def response_from_measure(mu: DiscreteMeasure, count: int) -> ResponseVector:
     """Response entries r_{k-1} = sum_j T_k(node_j) * weight_j, k = 1..count.
 
     One forward-recurrence sweep over the nodes; each entry is accumulated
-    by compensated summation, mirroring moments_from_measure.
+    by compensated summation, as moments_from_measure's are.
 
     Raises OverflowError if any term exceeds the floating-point range.
     """
     count = _count("count", count, 1)
     prev = np.zeros_like(mu.nodes)
     cur = np.ones_like(mu.nodes)
-    terms = [cur * mu.weights]
+    table = [cur]
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(1, count):
             prev, cur = cur, mu.nodes * cur - prev
-            terms.append(cur * mu.weights)
-    if not np.all(np.isfinite(terms)):
-        raise OverflowError(f"T_k(node) * weight left the double-precision range at some k <= {count}")
-    return ResponseVector(values=[math.fsum(row) for row in terms])
+            table.append(cur)
+    what = f"T_k(node) * weight for some k <= {count}"
+    return ResponseVector(values=_weighted_sums(np.array(table), mu.weights, what))

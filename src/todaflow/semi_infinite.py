@@ -205,16 +205,13 @@ def solve_toda_semi_infinite(
     spectral_maxima: list[float] = []
     stop_reason = "n_max"
 
-    # b_1..b_n and a_1..a_{n-1} of the largest truncation so far, and a_n,
-    # which joins the next one: each coefficient is fetched once
-    b, a, a_next = np.empty(0), np.empty(0), []
+    # (a_k, b_k) for k = 1..n of the largest truncation so far: each
+    # coefficient is fetched once
+    pairs: list[tuple[float, float]] = []
     n = min(max(2 * m + 2, 8), n_max)
     while True:
-        pairs = [init.coefficients(k) for k in range(b.size + 1, n + 1)]
-        b = np.concatenate((b, _real_array("diag", [p[1] for p in pairs], 1)))
-        a = np.concatenate((a, _real_array("offdiag", a_next + [p[0] for p in pairs[:-1]], 1)))
-        a_next = [pairs[-1][0]]
-        block = JacobiMatrix(diag=b, offdiag=a)
+        pairs += [init.coefficients(k) for k in range(len(pairs) + 1, n + 1)]
+        block = JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[:-1]])
         mu0 = eigendecompose(block)
         spectral_maxima.append(float(mu0.nodes[-1]))
         diag, offdiag = _evolve_block(block, mu0, times, m + 1)

@@ -6,7 +6,10 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
+import todaflow.cli
+from todaflow import NumericalError
 from todaflow.cli import main, read_trajectory_csv
 
 
@@ -37,7 +40,7 @@ def test_finite_mode_writes_closed_form_trajectory(tmp_path):
     assert header == "t,b1,b2,a1"
     report = json.loads((tmp_path / "report.json").read_text())
     assert "eigen_drift" not in report
-    assert report["trace_drift"] < 1e-9
+    assert "trace_drift" not in report
     assert "s0_drift" not in report
 
 
@@ -198,7 +201,12 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("finite", {"b": [True, 0.5], "a": [1.0]}, grid, {}, "initial.b"),
         ("semi_infinite", {"b": [True, 0.5, 0.0, 0.5], "a": [1.0, 1.0, 1.0]}, grid, table, "initial.b"),
     ]
-    for mode, initial, grid_, options, name in oversized + out_of_range + not_numbers:
+    # a spacing below the smallest double would give equal grid times
+    too_fine = [
+        ("finite", explicit, {"t_end": 1e-320, "steps": 1000000}, {}, "grid"),
+        ("verify", explicit, {"t_end": 1e-320, "steps": 1000000}, {}, "grid"),
+    ]
+    for mode, initial, grid_, options, name in oversized + out_of_range + not_numbers + too_fine:
         cfg = write_config(tmp_path / "t.json", {
             "mode": mode,
             "initial": initial,
@@ -336,6 +344,33 @@ def test_a_failed_output_leaves_no_partial_run(tmp_path, capsys):
         assert main(["--config", cfg, "--out", str(out)]) == 1, mode
         assert capsys.readouterr().err.startswith("error: output: cannot write")
         assert not (out / first).exists(), mode
+
+
+@pytest.mark.parametrize(
+    "mode, last_step",
+    [
+        ("finite", "solve_toda_finite"),
+        ("verify", "compare_trajectories"),
+        ("semi_infinite", "solve_toda_semi_infinite"),
+        ("response", "check_moment_positivity"),
+    ],
+)
+def test_a_failed_computation_leaves_no_partial_run(tmp_path, monkeypatch, capsys, mode, last_step):
+    def fail(*args, **kwargs):
+        raise NumericalError("injected")
+
+    monkeypatch.setattr(todaflow.cli, last_step, fail)
+    initial = {"generator": "constant"} if mode == "semi_infinite" else {"b": [0.0, 0.0], "a": [1.0]}
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": mode,
+        "initial": initial,
+        "grid": {"t_end": 1.0, "steps": 2},
+        "options": {"dt": 0.5} if mode == "verify" else {},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: NumericalError: injected\n"
+    assert list(out.iterdir()) == []
 
 
 def test_verify_on_random_n64_matches_rk4(tmp_path):

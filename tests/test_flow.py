@@ -83,6 +83,12 @@ def test_moser_raises_when_2_lambda_t_overflows():
         evolve_moments(DiscreteMeasure([0.0, 1e200], [0.5, 0.5]), 1e200, 3)
     with pytest.raises(OverflowError, match="2 lambda t"):
         log_omega(PM1, 1e308)
+    # 2 t max|lambda| = 1.6e308 is in range, but the spread 2 t (1 - (-1))
+    # that subtracting the maximum reaches is not; it gave a zero weight
+    for evolve in (moser_evolve, log_omega, lambda mu, t: evolve_moments(mu, t, 3)):
+        with pytest.raises(OverflowError, match="2 lambda t"):
+            evolve(PM1, 8e307)
+    assert np.all(np.isfinite(moser_evolve(PM1, 4e307).log_weights))
 
 
 def test_moser_semigroup():

@@ -13,6 +13,7 @@ from todaflow import (
     MomentSequence,
     PositivityError,
     ResponseVector,
+    b1_from_measure,
     check_moment_positivity,
     eigendecompose,
     hankel_matrix,
@@ -75,6 +76,12 @@ def test_moments_overflow_guard():
     mu = DiscreteMeasure([1e200], [1.0])
     with pytest.raises(OverflowError):
         moments_from_measure(mu, 3)
+    # b1 is the first moment, from the same accumulator: 1e308 * 10 raises
+    # where a plain sum read inf
+    mu = DiscreteMeasure([1e308], [10.0])
+    for first_moment in (lambda: moments_from_measure(mu, 2), lambda: b1_from_measure(mu)):
+        with pytest.raises(OverflowError, match="double-precision range"):
+            first_moment()
     # the reconstruction kernel reports an overflow, not the trajectory's input rule
     j = JacobiMatrix([1e155, -1e155, 5e154], [1e155, 3e154])
     with pytest.raises(OverflowError, match="double-precision range"):
