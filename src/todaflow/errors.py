@@ -12,6 +12,7 @@ __all__ = [
     "DegenerateMeasureError",
     "PositivityError",
     "BlowUpError",
+    "OverlapError",
 ]
 
 
@@ -40,3 +41,9 @@ class PositivityError(NumericalError):
 
 class BlowUpError(NumericalError):
     """Direct ODE integration left the trusted region."""
+
+
+class OverlapError(NumericalError):
+    """The two ends of a two-ended reconstruction disagree on the rows
+    both rebuild: the spectral data do not determine the lattice in
+    double precision."""

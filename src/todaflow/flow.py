@@ -3,12 +3,17 @@
 The flow never moves the spectral nodes.  The weights evolve by an
 explicit exponential reweighting, normalized back to unit mass; the
 lattice coefficients at time t are then recovered from the evolved
-measure.  The evolved measures of a whole grid share their nodes, so
-their log weights form one (times, N) stack that a single batched
-reconstruction turns into every grid row at once.  The reweighting
-runs on log weights, log w + 2 lambda t less its maximum over the
-nodes, so large lambda * t never overflows, and the normalizer Omega is
-only ever held as a logarithm.
+measure.  A whole lattice is rebuilt from both ends of the chain: the
+first-component measure, reweighted by e^{2 lambda t}, gives the top
+N // 2 + 1 rows, and the last-component measure, reweighted by
+e^{-2 lambda t} (reversing the index order reverses time), the bottom
+ones.  Both ends rebuild the diagonal entry b_{N // 2 + 1}, and
+OverlapError is raised where they disagree.  The evolved measures of a whole grid share
+their nodes, so the log weights of both ends form one (2 (times - 1), N)
+stack that a single batched reconstruction turns into every grid row at
+once.  The reweighting runs on log weights, log w + 2 lambda t less its
+maximum over the nodes, so large lambda * t never overflows, and the
+normalizer Omega is only ever held as a logarithm.
 """
 
 from __future__ import annotations
@@ -18,15 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PoleProximityError
+from .errors import OverlapError, PoleProximityError
 from .jacobi import (
     DiscreteMeasure,
     JacobiMatrix,
     _count,
+    _eigendecompose_both_ends,
     _finite_real,
     _increasing,
     _jacobi_arrays,
-    eigendecompose,
     weyl_function,
 )
 from .moments import MomentSequence, _moment_sums, _stieltjes
@@ -49,6 +54,12 @@ DIRECT_ODE = "direct_ode"
 # The evolution law for the Weyl function requires a spectral gap; closer
 # evaluation points make the residual meaningless.
 _SPECTRAL_GAP = 0.5
+
+# Largest disagreement, relative to max |lambda|, between the two values of
+# b_p that the two ends of a reconstruction rebuild: right lattices read at
+# most 3.8e-11 up to random N = 1024, wrong ones 4.3e-2 and more (random
+# N = 1536 and 2048; seeds 0-4 of each).
+_OVERLAP_REL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,16 +155,22 @@ def log_omega(mu0: DiscreteMeasure, t: float) -> float:
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
     # log w_k + 2 lam_k t: a row per time for an array of times (possibly
-    # none), one row for a scalar; raises where 2 |t| lam_k, or the spread
-    # 2 |t| (lam_N - lam_1) that subtracting the maximum reaches, leaves
-    # the double range (an inf term makes the difference inf or NaN)
-    times = np.asarray(times)
-    reach = 2.0 * float(np.abs(times).max(initial=0.0))
-    if not math.isfinite(reach * float(mu0.nodes[-1]) - reach * float(mu0.nodes[0])):
-        raise OverflowError("2 lambda t is beyond the double range")
-    tilt = np.multiply.outer(2.0 * times, mu0.nodes)
+    # none), one row for a scalar
+    tilt = _tilts(mu0.nodes, times)
     tilt += mu0.log_weights
     return tilt
+
+
+def _tilts(nodes: np.ndarray, times, out=None) -> np.ndarray:
+    # 2 lam_k t, the outer product of 2 times and the nodes (into out if
+    # given); raises where 2 |t| lam_k, or the spread 2 |t| (lam_N - lam_1)
+    # that subtracting the maximum reaches, leaves the double range (an inf
+    # term makes the difference inf or NaN)
+    times = np.asarray(times)
+    reach = 2.0 * float(np.abs(times).max(initial=0.0))
+    if not math.isfinite(reach * float(nodes[-1]) - reach * float(nodes[0])):
+        raise OverflowError("2 lambda t is beyond the double range")
+    return np.multiply.outer(2.0 * times, nodes, out=out)
 
 
 def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence:
@@ -209,17 +226,35 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
     """Moment-method solution of the finite lattice on a time grid.
 
     Decomposes once, then reweights and reconstructs every grid time in
-    one batched sweep.  Nodes are never recomputed, so the spectrum of
-    every state equals that of j0 exactly.  At t = 0 the pipeline is the
-    identity and the initial matrix is returned as-is.
+    one batched sweep from both ends of the chain: the first-component
+    measure, tilted by e^{2 lam t}, rebuilds the top N // 2 + 1 rows and
+    the last-component measure, tilted by e^{-2 lam t}, the bottom ones.
+    Nodes are never recomputed, so the spectrum of every state equals
+    that of j0 exactly.  At t = 0 the pipeline is the identity and the
+    initial matrix is returned as-is.
+
+    Raises OverlapError when the two ends disagree on b_{N // 2 + 1},
+    which both rebuild, as they do where the spectral data no longer
+    determine the lattice in double precision (random N = 1536), and
+    DegenerateMeasureError when either end's measure runs out of support.
     """
     times = _check_grid(times)
-    diag, offdiag = _evolve_block(j0, eigendecompose(j0), times, j0.n)
+    diag, offdiag = _evolve_lattice(j0, *_eigendecompose_both_ends(j0), times)
     return TodaTrajectory._from_arrays(times, diag, offdiag, MOMENT_METHOD)
 
 
+def _initial_rows(j0: JacobiMatrix, times: np.ndarray, size: int):
+    # (n_times, size) and (n_times, size-1) arrays holding j0's own leading
+    # block in their t = 0 row
+    diag = np.empty((times.size, size))
+    offdiag = np.empty((times.size, size - 1))
+    diag[0] = j0.diag[:size]
+    offdiag[0] = j0.offdiag[: size - 1]
+    return diag, offdiag
+
+
 def _evolve_block(j0: JacobiMatrix, mu0: DiscreteMeasure, times: np.ndarray, size: int):
-    """Leading size x size block of the lattice at every grid time.
+    """Leading size x size block of the lattice at every grid time, from the front end alone.
 
     mu0 is the spectral measure of j0 and times a grid that starts at 0
     and increases strictly.  Returns (n_times, size) and (n_times, size-1)
@@ -227,14 +262,56 @@ def _evolve_block(j0: JacobiMatrix, mu0: DiscreteMeasure, times: np.ndarray, siz
     reconstructed from the reweighted measures of all later times in one
     batched sweep.  The first k Lanczos steps do the same arithmetic
     whatever the requested size, so a leading block is bitwise equal to
-    the prefix of the full reconstruction, and it needs only the moments
+    the prefix of a longer one-ended reconstruction, and to the top rows
+    of _evolve_lattice's two-ended one, and it needs only the moments
     s_0..s_{2 size-1}.
     """
-    diag = np.empty((times.size, size))
-    offdiag = np.empty((times.size, size - 1))
-    diag[0] = j0.diag[:size]
-    offdiag[0] = j0.offdiag[: size - 1]
+    diag, offdiag = _initial_rows(j0, times, size)
     diag[1:], offdiag[1:] = _stieltjes(mu0.nodes, _tilted_log_weights(mu0, times[1:]), size)
+    return diag, offdiag
+
+
+def _evolve_lattice(j0: JacobiMatrix, first: DiscreteMeasure, last: DiscreteMeasure, times: np.ndarray):
+    """The whole lattice at every grid time, rebuilt from both ends of the chain.
+
+    first and last are j0's first- and last-component spectral measures
+    on the same nodes, and times a grid that starts at 0 and increases
+    strictly; returns (n_times, N) and (n_times, N-1) arrays with j0's
+    own rows at t = 0.  Reversing the index order turns a Toda solution
+    into one that runs backward in time, so the last-component measure
+    evolves by e^{-2 lam t} and rebuilds the bottom of the chain, read
+    upward, as the first-component one, evolving by e^{2 lam t},
+    rebuilds the top (Hochstadt, Linear Algebra Appl. 8 (1974) 435).
+    Both stacks go through one batched sweep of p = N // 2 + 1 steps:
+    rows 1..p come from the front, exactly as _evolve_block's, and rows
+    p+1..N from the back, reversed.  Both ends rebuild b_p, and
+    OverlapError is raised where the two values differ by more than
+    1e-8 max |lambda|, as they do once double precision no longer
+    determines the lattice.
+    """
+    n, rows = j0.n, times.size - 1
+    p = n // 2 + 1
+    # one outer product of tilts: the front rows log w + 2 lam t above the
+    # back rows log w' - 2 lam t
+    stack = np.empty((2, rows, n))
+    _tilts(first.nodes, times[1:], out=stack[0])
+    np.subtract(last.log_weights, stack[0], out=stack[1])
+    stack[0] += first.log_weights
+    d, e = _stieltjes(first.nodes, stack.reshape(2 * rows, n), p)
+    mismatch = np.abs(d[:rows, p - 1] - d[rows:, n - p])
+    tol = _OVERLAP_REL * max(-first.nodes[0], first.nodes[-1])
+    bad = np.flatnonzero(mismatch > tol)
+    if bad.size:
+        i = bad[0]
+        raise OverlapError(
+            f"the two ends of the reconstruction disagree by {mismatch[i]:.3e} on b_{p} at "
+            f"t = {float(times[i + 1])!r} (tolerance {tol:.3e}, {_OVERLAP_REL:g} max |lambda|): the spectral "
+            f"data do not determine this N = {n} lattice in double precision"
+        )
+    diag, offdiag = _initial_rows(j0, times, n)
+    diag[1:, :p], offdiag[1:, : p - 1] = d[:rows], e[:rows]
+    diag[1:, p:] = d[rows:, : n - p][:, ::-1]
+    offdiag[1:, p - 1 :] = e[rows:, : n - p][:, ::-1]
     return diag, offdiag
 
 
@@ -249,14 +326,14 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
     """
     t, h = _central_step(t, h)
     lam = _finite_real("lam", lam)
-    mu0 = eigendecompose(j0)
-    gap = float(np.min(np.abs(lam - mu0.nodes)))
+    first, last = _eigendecompose_both_ends(j0)
+    gap = float(np.min(np.abs(lam - first.nodes)))
     if gap < _SPECTRAL_GAP:
         raise PoleProximityError(
             f"lambda={lam!r} is within {gap:.3e} of the spectrum; need separation >= {_SPECTRAL_GAP}"
         )
     grid = np.unique(np.array([0.0, t - h, t, t + h]))
-    diag, offdiag = _evolve_block(j0, mu0, grid, j0.n)
+    diag, offdiag = _evolve_lattice(j0, first, last, grid)
     state_at = {s: JacobiMatrix(diag=d, offdiag=e) for s, d, e in zip(grid.tolist(), diag, offdiag)}
     m_plus = -weyl_function(state_at[t + h], lam)
     m_minus = -weyl_function(state_at[t - h], lam)

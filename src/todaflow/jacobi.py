@@ -109,7 +109,8 @@ def _increasing(name: str, values) -> np.ndarray:
     arr = _real_array(name, values, 1)
     if arr.size < 1:
         raise ValueError(f"{name}: need at least one entry")
-    if np.any(np.diff(arr) <= 0.0):
+    # neighbours compared directly: their difference can overflow
+    if np.any(arr[1:] <= arr[:-1]):
         raise ValueError(f"{name}: must be strictly increasing")
     return arr
 
@@ -241,8 +242,26 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
     OverflowError
         If an eigenvalue is beyond the double range.
     """
+    return _spectral_measures(j, last=False)[0]
+
+
+def _eigendecompose_both_ends(j: JacobiMatrix) -> tuple[DiscreteMeasure, DiscreteMeasure]:
+    """j's first-component and last-component spectral measures, on the same nodes.
+
+    The first is eigendecompose(j), bitwise.  The second weighs node k by
+    the squared last component of the k-th eigenvector, read off the same
+    MRRR vectors; the components MRRR sets to 0 are recomputed by the
+    same twisted pass, run on the reversed chain, whose first components
+    they are.  It is the first-component measure of j with its index
+    order reversed.  Raises as eigendecompose does.
+    """
+    return _spectral_measures(j, last=True)
+
+
+def _spectral_measures(j: JacobiMatrix, last: bool) -> tuple[DiscreteMeasure, ...]:
+    # the measures of eigendecompose, first component only or both ends
     if j.n == 1:
-        return DiscreteMeasure._from_log(j.diag, np.zeros(1))
+        return (DiscreteMeasure._from_log(j.diag, np.zeros(1)),) * (1 + last)
     # MRRR runs on J divided by a power of two that brings every entry to
     # at most 1, which is exact: at random N = 256 it fails (LAPACK info
     # 22) on J scaled by 2^48, not on J itself
@@ -253,13 +272,10 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
     _, lam, vec, info = lapack.dstemr(d, np.append(e, 0.0), 0, 0.0, 0.0, 0, 0)
     if info:
         raise EigenConvergenceError(f"tridiagonal MRRR iteration failed (LAPACK dstemr info={info})")
-    with np.errstate(divide="ignore"):
-        log_weights = 2.0 * np.log(np.abs(vec[0]))
-    lost = log_weights == -np.inf
-    if lost.any():
-        log_weights[lost] = _twisted_log_weights(d, e, lam[lost], vec[:, lost])
-    if not np.all(np.isfinite(log_weights)):
-        raise EigenConvergenceError("a log weight is not finite: the entries are beyond double precision")
+    log_weights = [_first_log_weights(d, e, lam, vec)]
+    if last:
+        # the eigenvectors of the reversed chain are vec's rows reversed
+        log_weights.append(_first_log_weights(d[::-1], e[::-1], lam, vec[::-1]))
     # the test runs on the scaled J, whose largest |eigenvalue| top lies in
     # [1/2, 3), so it reads the same at every power-of-two scale of J
     top = max(-lam[0], lam[-1])
@@ -271,7 +287,19 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
     if math.frexp(top)[1] + exponent > np.finfo(float).maxexp:
         raise OverflowError("an eigenvalue is beyond the double range")
     lam = np.ldexp(lam, exponent)
-    return DiscreteMeasure._from_log(lam, log_weights)
+    return tuple(DiscreteMeasure._from_log(lam, w) for w in log_weights)
+
+
+def _first_log_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    # 2 log|vec[0, k]|, the components MRRR set to 0 recomputed in logs
+    with np.errstate(divide="ignore"):
+        log_weights = 2.0 * np.log(np.abs(vec[0]))
+    lost = log_weights == -np.inf
+    if lost.any():
+        log_weights[lost] = _twisted_log_weights(d, e, lam[lost], vec[:, lost])
+    if not np.all(np.isfinite(log_weights)):
+        raise EigenConvergenceError("a log weight is not finite: the entries are beyond double precision")
+    return log_weights
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")

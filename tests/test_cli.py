@@ -405,6 +405,20 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     assert "numerical failure: OverflowError" in capsys.readouterr().err
 
 
+def test_overlap_failure_exits_2_and_writes_nothing(tmp_path, capsys):
+    # random N = 1536 is past what double precision determines: the two
+    # ends of the reconstruction disagree, and the run stops before it writes
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "finite",
+        "initial": {"random": {"n": 1536, "seed": 0}},
+        "grid": {"t_end": 1.0, "steps": 1},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: OverlapError: the two ends")
+    assert list(out.iterdir()) == []
+
+
 def test_mode_override_flag(tmp_path):
     cfg = finite_config(tmp_path)
     assert main(["--config", cfg, "--mode", "verify", "--out", str(tmp_path), "--quiet"]) == 0

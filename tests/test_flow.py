@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -15,6 +16,7 @@ from todaflow import (
     EigenConvergenceError,
     JacobiMatrix,
     MOMENT_METHOD,
+    OverlapError,
     PoleProximityError,
     TodaTrajectory,
     compare_trajectories,
@@ -32,7 +34,8 @@ from todaflow import (
     weyl_evolution_residual,
     weyl_function,
 )
-from todaflow.flow import _evolve_block, _evolved_moments
+from todaflow.flow import _evolve_block, _evolve_lattice, _evolved_moments
+from todaflow.jacobi import _eigendecompose_both_ends
 
 PM1 = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
 
@@ -229,56 +232,105 @@ def test_one_time_grid_returns_the_initial_state():
     np.testing.assert_array_equal(traj.offdiag, [j.offdiag])
 
 
+def both_routes(j):
+    # the grid -> (diag, offdiag) maps of the one-ended route, which the
+    # semi-infinite windows take, and of the two-ended one of whole lattices
+    first, last = _eigendecompose_both_ends(j)
+    return (
+        lambda times: _evolve_block(j, first, times, j.n),
+        lambda times: _evolve_lattice(j, first, last, times),
+    )
+
+
 def test_evolve_block_rows_do_not_depend_on_the_grid():
     # a row's bits do not depend on which other times share the sweep
     rng = np.random.default_rng(21)
     j = random_jacobi(rng, 16)
-    mu0 = eigendecompose(j)
     times = np.linspace(0.0, 1.0, 101)
-    diag, offdiag = _evolve_block(j, mu0, times, j.n)
-    np.testing.assert_array_equal(diag[0], j.diag)
-    np.testing.assert_array_equal(offdiag[0], j.offdiag)
-    for i in range(1, times.size):
-        d, e = _evolve_block(j, mu0, np.array([0.0, times[i]]), j.n)
-        np.testing.assert_array_equal(d[1], diag[i])
-        np.testing.assert_array_equal(e[1], offdiag[i])
+    for evolve in both_routes(j):
+        diag, offdiag = evolve(times)
+        np.testing.assert_array_equal(diag[0], j.diag)
+        np.testing.assert_array_equal(offdiag[0], j.offdiag)
+        for i in range(1, times.size):
+            d, e = evolve(np.array([0.0, times[i]]))
+            np.testing.assert_array_equal(d[1], diag[i])
+            np.testing.assert_array_equal(e[1], offdiag[i])
 
 
 def test_evolve_block_does_not_depend_on_chunking(monkeypatch):
     rng = np.random.default_rng(22)
     j = random_jacobi(rng, 12)
-    mu0 = eigendecompose(j)
     times = np.linspace(0.0, 1.0, 41)
-    diag, offdiag = _evolve_block(j, mu0, times, j.n)
-    # a basis budget of three rows splits the 40 reconstructed rows into 14 chunks
-    monkeypatch.setattr(todaflow.moments, "_BASIS_BYTES", 3 * j.n * j.n * 8)
-    chunked = _evolve_block(j, mu0, times, j.n)
-    np.testing.assert_array_equal(chunked[0], diag)
-    np.testing.assert_array_equal(chunked[1], offdiag)
+    for evolve in both_routes(j):
+        diag, offdiag = evolve(times)
+        # a basis budget of three rows of 12 steps splits the 40 rows of the
+        # one-ended route into 14 chunks and the 80 rows of 7 steps of the
+        # two-ended route into 16
+        with monkeypatch.context() as patch:
+            patch.setattr(todaflow.moments, "_BASIS_BYTES", 3 * j.n * j.n * 8)
+            chunked = evolve(times)
+        np.testing.assert_array_equal(chunked[0], diag)
+        np.testing.assert_array_equal(chunked[1], offdiag)
 
 
 def test_evolve_block_memory_is_bounded():
-    # an unchunked (N, T, N) basis at N = 128, T = 1001 would take 131 MB
+    # an unchunked (N, T, N) basis at N = 128, T = 1001 would take 131 MB,
+    # and the two-ended (2 T, N / 2 + 1, N) one 133 MB
     j = JacobiMatrix(np.zeros(128), np.full(127, 0.5))
-    mu0 = eigendecompose(j)
     times = np.linspace(0.0, 1.0, 1001)
-    tracemalloc.start()
-    try:
-        diag, _ = _evolve_block(j, mu0, times, j.n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert diag.shape == (1001, 128)
-    # a 16.8 MB basis chunk, the (T, N) weight stack and the results
-    assert peak < 40e6
+    for evolve in both_routes(j):
+        tracemalloc.start()
+        try:
+            diag, _ = evolve(times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert diag.shape == (1001, 128)
+        # a 16.8 MB basis chunk, the weight stack and the results
+        assert peak < 40e6
+
+
+def test_two_ended_top_rows_are_the_one_ended_block():
+    # rows 1..N // 2 + 1 come from the front end's sweep, bitwise those of
+    # the one-ended leading block; the rest agree with the one-ended full
+    # reconstruction to roundoff
+    times = np.linspace(0.0, 1.0, 11)
+    for n in (1, 2, 7, 16):
+        j = random_jacobi(np.random.default_rng(n), n)
+        first, last = _eigendecompose_both_ends(j)
+        p = n // 2 + 1
+        diag, offdiag = _evolve_lattice(j, first, last, times)
+        top_diag, top_offdiag = _evolve_block(j, first, times, p)
+        np.testing.assert_array_equal(diag[:, :p], top_diag)
+        np.testing.assert_array_equal(offdiag[:, : p - 1], top_offdiag)
+        full_diag, full_offdiag = _evolve_block(j, first, times, n)
+        np.testing.assert_allclose(diag, full_diag, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(offdiag, full_offdiag, rtol=0, atol=1e-12)
+
+
+def test_overlap_check_catches_a_wrong_back_end():
+    # the check can fail: the back end tilted by +2 lam t instead of
+    # -2 lam t (log w' + 4 lam t, less the route's 2 lam t), or fed the
+    # front end's measure, rebuilds another lattice's bottom rows
+    j = random_jacobi(np.random.default_rng(24), 16)
+    first, last = _eigendecompose_both_ends(j)
+    t = 0.5
+    times = np.array([0.0, t])
+    _evolve_lattice(j, first, last, times)
+    flipped = DiscreteMeasure._from_log(last.nodes, last.log_weights + 4.0 * t * last.nodes)
+    for back in (flipped, first):
+        with pytest.raises(OverlapError, match="disagree by .* on b_9 at t = 0.5"):
+            _evolve_lattice(j, first, back, times)
 
 
 def test_large_time_reconstruction_still_raises():
     # the t = 50 weights span far more than double precision resolves;
-    # the batched sweep must stay loud about it
+    # the batched sweep must stay loud about it.  Each end runs
+    # N // 2 + 1 = 5 of the N = 8 steps, and its measure is supported on
+    # fewer points than that
     rng = np.random.default_rng(0)
     j = random_jacobi(rng, 8)
-    with pytest.raises(DegenerateMeasureError, match="numerically supported on fewer than 8 points"):
+    with pytest.raises(DegenerateMeasureError, match="numerically supported on fewer than 5 points"):
         solve_toda_finite(j, [0.0, 0.5, 50.0])
 
 
@@ -315,6 +367,72 @@ def test_round_trip_at_n64_is_at_roundoff():
         back = jacobi_from_measure(eigendecompose(j), 64)
         error = max(np.max(np.abs(back.diag - j.diag)), np.max(np.abs(back.offdiag - j.offdiag)))
         assert error <= 1e-10, (seed, error)
+
+
+def digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+# SHA-256 prefixes of the one-ended outputs as the one-ended solver gave
+# them, before the finite solver went two-ended (numpy 2.4 and the
+# OpenBLAS and LAPACK of scipy 1.17 on x86-64; another BLAS or LAPACK build
+# may round differently and must record its own)
+ONE_ENDED_DIGESTS = {
+    "eigendecompose 16": "16d6d9cb05854457",
+    "jacobi_from_measure 16": "8f88af974945d990",
+    "eigendecompose 256": "08d46e86d76cbe0b",
+    "jacobi_from_measure 256": "e7c3ed9aa23af298",
+    "eigendecompose 1024": "4aff867a68f339cc",
+    "semi_infinite linear_b": "99967e19883afc8e",
+    "semi_infinite constant": "8388c5f6167cbebd",
+}
+
+
+def test_one_ended_outputs_are_bitwise_unchanged():
+    # eigendecompose, jacobi_from_measure and the semi-infinite windows and
+    # reports never take the two-ended route
+    got = {}
+    for n in (16, 256, 1024):
+        j = random_jacobi(np.random.default_rng(0), n)
+        mu = eigendecompose(j)
+        got[f"eigendecompose {n}"] = digest(mu.nodes, mu.log_weights)
+        if n < 1024:
+            back = jacobi_from_measure(mu, n)
+            got[f"jacobi_from_measure {n}"] = digest(back.diag, back.offdiag)
+    for name, params, t_end, m, tol, n_max in (
+        ("linear_b", {"beta": -1.0, "alpha": 1.0}, 1.0, 3, 1e-10, 32),
+        ("constant", {"alpha": 1.0}, 4.0, 3, 1e-15, 256),
+    ):
+        times = np.linspace(0.0, t_end, 11)
+        window, report = solve_toda_semi_infinite(make_initial_data(name, params), times, m, tol, n_max)
+        got[f"semi_infinite {name}"] = digest(
+            window.diag, window.offdiag, *report.diag_history, *report.offdiag_history,
+            report.moments, report.deviations, report.spectral_maxima,
+        )
+    assert got == ONE_ENDED_DIGESTS
+
+
+@pytest.mark.parametrize("n", [768, 1024])
+def test_two_ended_route_reaches_n1024(n):
+    # one end alone ran out of support at random N = 768 (seed 1, step 767)
+    # and N = 1024 (steps 1005-1018); N = 512 is test_random_n512_matches_rk4
+    times = np.array([0.0, 0.5, 1.0])
+    for seed in range(5):
+        j = random_jacobi(np.random.default_rng(seed), n)
+        deviation = compare_trajectories(solve_toda_finite(j, times), rk4_toda(j, times, 1e-3))
+        assert deviation <= 1e-6, (seed, deviation)
+
+
+def test_random_n1536_raises_the_overlap_error():
+    # past the reach of double precision the two ends disagree by O(1)
+    # without any Lanczos breakdown; the lattice came out 3.1 off RK4 with
+    # the check bypassed
+    j = random_jacobi(np.random.default_rng(0), 1536)
+    with pytest.raises(OverlapError, match="N = 1536 lattice"):
+        solve_toda_finite(j, [0.0, 1.0])
 
 
 def wilkinson(n):

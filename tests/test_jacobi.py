@@ -18,7 +18,7 @@ from todaflow import (
     solve_toda_semi_infinite,
     weyl_function,
 )
-from todaflow.jacobi import _twisted_log_weights
+from todaflow.jacobi import _eigendecompose_both_ends, _twisted_log_weights
 
 SQRT2 = np.sqrt(2.0)
 
@@ -72,6 +72,18 @@ def test_measure_construction_rejects_bad_input():
     for nodes, weights in not_real:
         with pytest.raises(ValueError, match="real numbers"):
             DiscreteMeasure(nodes=nodes, weights=weights)
+
+
+def test_nodes_whose_difference_overflows_construct_without_a_warning():
+    # neighbours are compared, not subtracted: 1e308 - (-1e308) overflows,
+    # and under the suite's error::RuntimeWarning that warning would fail
+    mu = DiscreteMeasure([-1e308, 1e308], [0.5, 0.5])
+    np.testing.assert_array_equal(mu.nodes, [-1e308, 1e308])
+
+
+def test_equal_huge_nodes_are_still_rejected():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        DiscreteMeasure([1e308, 1e308], [0.5, 0.5])
 
 
 def test_values_are_immutable():
@@ -214,6 +226,24 @@ def test_twisted_pass_agrees_with_the_mrrr_components():
     twisted = _twisted_log_weights(j.diag, j.offdiag, lam, vec)
     np.testing.assert_allclose(twisted[kept], 2.0 * np.log(first[kept]), rtol=0, atol=1e-10)
     np.testing.assert_allclose(eigendecompose(j).log_weights, twisted, rtol=0, atol=1e-10)
+
+
+def test_last_component_measure_is_that_of_the_reversed_chain():
+    # random N = 256: MRRR sets over a hundred last components to 0 as
+    # well; the twisted pass on the reversed chain recomputes them, and the
+    # first-component measure is eigendecompose's, bitwise
+    j = random_jacobi(np.random.default_rng(3), 256)
+    first, last = _eigendecompose_both_ends(j)
+    mu = eigendecompose(j)
+    np.testing.assert_array_equal(first.nodes, mu.nodes)
+    np.testing.assert_array_equal(first.log_weights, mu.log_weights)
+    assert last.nodes is first.nodes
+    _, vec = eigh_tridiagonal(j.diag, j.offdiag, lapack_driver="stemr")
+    assert np.count_nonzero(vec[-1] == 0.0) > 100
+    reversed_mu = eigendecompose(JacobiMatrix(j.diag[::-1], j.offdiag[::-1]))
+    np.testing.assert_allclose(last.log_weights, reversed_mu.log_weights, rtol=0, atol=1e-10)
+    single = JacobiMatrix([0.3], [])
+    assert [m.log_weights.tolist() for m in _eigendecompose_both_ends(single)] == [[0.0], [0.0]]
 
 
 def test_twisted_pass_through_zero_pivots():
