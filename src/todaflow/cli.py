@@ -161,7 +161,7 @@ def _build_generator(initial: dict) -> SemiInfiniteInitialData:
         raise ConfigError("initial: semi_infinite mode needs a generator name or explicit tables")
     try:
         return make_initial_data(name, params)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{field}: {exc}") from exc
 
 

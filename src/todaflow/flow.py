@@ -32,6 +32,7 @@ from .jacobi import (
     _finite_real,
     _increasing,
     _jacobi_arrays,
+    eigendecompose,
     weyl_function,
 )
 from .moments import MomentSequence, _moment_sums, _stieltjes
@@ -326,18 +327,14 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
     """
     t, h = _central_step(t, h)
     lam = _finite_real("lam", lam)
-    first, last = _eigendecompose_both_ends(j0)
-    gap = float(np.min(np.abs(lam - first.nodes)))
+    gap = float(np.min(np.abs(lam - eigendecompose(j0).nodes)))
     if gap < _SPECTRAL_GAP:
         raise PoleProximityError(
             f"lambda={lam!r} is within {gap:.3e} of the spectrum; need separation >= {_SPECTRAL_GAP}"
         )
     grid = np.unique(np.array([0.0, t - h, t, t + h]))
-    diag, offdiag = _evolve_lattice(j0, first, last, grid)
-    state_at = {s: JacobiMatrix(diag=d, offdiag=e) for s, d, e in zip(grid.tolist(), diag, offdiag)}
-    m_plus = -weyl_function(state_at[t + h], lam)
-    m_minus = -weyl_function(state_at[t - h], lam)
-    m_mid = -weyl_function(state_at[t], lam)
-    b1 = state_at[t].diag[0]
+    # the states at t - h (t = h: the initial one), t and t + h
+    states = solve_toda_finite(j0, grid).states[-3:]
+    m_minus, m_mid, m_plus = (-weyl_function(state, lam) for state in states)
     dm = (m_plus - m_minus) / (2.0 * h)
-    return abs(dm - 2.0 * (1.0 - (b1 - lam) * m_mid))
+    return abs(dm - 2.0 * (1.0 - (states[1].diag[0] - lam) * m_mid))

@@ -291,15 +291,15 @@ def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
         raise ValueError(
             f"need 2n={2 * n} moments (the last diagonal entry requires s_{2 * n - 1}), have {len(s)}"
         )
-    cond = float(np.linalg.cond(hankel_matrix(s, n)))
+    h = scipy.linalg.hankel(s.values[:n], s.values[n - 1 : 2 * n])
+    cond = float(np.linalg.cond(h[:, :n]))
     if cond > _CONDITION_WARN:
         warnings.warn(
             f"Hankel matrix condition {cond:.3e} exceeds 1e12; "
             "reconstructed entries may be meaningless",
             stacklevel=2,
         )
-    v = s.values
-    r, i, pivot = _hankel_cholesky(scipy.linalg.hankel(v[:n], v[n - 1 : 2 * n]), 0.0)
+    r, i, pivot = _hankel_cholesky(h, 0.0)
     if i < n:
         raise PositivityError(
             f"Hankel pivot {i + 1} is nonpositive ({pivot:.3e}); the sequence is "
@@ -311,7 +311,8 @@ def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
 
 
 def moment_bilinear_form(s: MomentSequence, f, g) -> float:
-    """<F, G> = sum_{n,m} s_{n+m} f_n g_m for monomial-basis coefficients."""
+    """<F, G> = sum_{n,m} s_{n+m} f_n g_m for monomial-basis coefficients, one compensated
+    sum; raises OverflowError if a product s_{n+m} f_n or a term exceeds the floating-point range."""
     f = _real_array("f", np.atleast_1d(f), 1)
     g = _real_array("g", np.atleast_1d(g), 1)
     size = max(f.size, g.size)
@@ -319,4 +320,8 @@ def moment_bilinear_form(s: MomentSequence, f, g) -> float:
         raise ValueError(
             f"need {2 * size - 1} moments for degree-{size - 1} polynomials, have {len(s)}"
         )
-    return float(f @ hankel_matrix(s, size)[: f.size, : g.size] @ g)
+    if not (f.size and g.size):
+        return 0.0
+    with np.errstate(over="ignore"):
+        table = s.values[np.add.outer(np.arange(f.size), np.arange(g.size))] * f[:, np.newaxis]
+    return float(_weighted_sums(table.reshape(1, -1), np.tile(g, f.size), "s_{n+m} f_n g_m")[0])

@@ -10,6 +10,7 @@ vector; both routes are implemented and must agree.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -47,22 +48,29 @@ class ResponseVector:
         return self.values.size
 
 
+def _chebyshev_rows(lam: np.ndarray):
+    # T_0(lam), T_1(lam), ... without end, from T_{-1} = -1; an entry past the
+    # double range turns inf or NaN, silently, and stays so in every later row
+    prev, cur = -np.ones_like(lam), np.zeros_like(lam)
+    while True:
+        yield cur
+        with np.errstate(over="ignore", invalid="ignore"):
+            prev, cur = cur, lam * cur - prev
+
+
 def chebyshev_u(k: int, lam):
     """Second-kind Chebyshev value T_k(lam) by the forward recurrence.
 
     T_0 = 0, T_1 = 1, T_{j+1} = lam * T_j - T_{j-1}.  Accepts a scalar or
-    an ndarray of evaluation points.
+    an ndarray of evaluation points.  Raises OverflowError if T_k(lam) is
+    beyond the double range.
     """
     k = _count("k", k, 0)
     arr = _real_array("lam", lam, np.ndim(lam))
-    scalar = arr.ndim == 0
-    prev = np.zeros_like(arr)
-    cur = np.ones_like(arr)
-    if k == 0:
-        return float(prev) if scalar else prev
-    for _ in range(k - 1):
-        prev, cur = cur, arr * cur - prev
-    return float(cur) if scalar else cur
+    cur = next(itertools.islice(_chebyshev_rows(arr), k, None))
+    if not np.all(np.isfinite(cur)):
+        raise OverflowError(f"T_{k}(lam) left the double-precision range")
+    return float(cur) if arr.ndim == 0 else cur
 
 
 def lambda_matrix(size: int) -> np.ndarray:
@@ -87,8 +95,10 @@ def lambda_matrix(size: int) -> np.ndarray:
 
 
 def response_from_moments(s: MomentSequence) -> ResponseVector:
-    """Response vector as the integer-matrix image of the moment vector."""
-    return ResponseVector(values=lambda_matrix(len(s)).astype(float) @ s.values)
+    """Response vector as the integer-matrix image of the moment vector, each entry a
+    compensated sum; raises OverflowError if a term exceeds the floating-point range."""
+    table = lambda_matrix(len(s)).astype(float)
+    return ResponseVector(values=_weighted_sums(table, s.values, "lambda_matrix entry * s_j"))
 
 
 def response_from_measure(mu: DiscreteMeasure, count: int) -> ResponseVector:
@@ -100,12 +110,6 @@ def response_from_measure(mu: DiscreteMeasure, count: int) -> ResponseVector:
     Raises OverflowError if any term exceeds the floating-point range.
     """
     count = _count("count", count, 1)
-    prev = np.zeros_like(mu.nodes)
-    cur = np.ones_like(mu.nodes)
-    table = [cur]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(1, count):
-            prev, cur = cur, mu.nodes * cur - prev
-            table.append(cur)
+    table = np.array(list(itertools.islice(_chebyshev_rows(mu.nodes), 1, count + 1)))
     what = f"T_k(node) * weight for some k <= {count}"
-    return ResponseVector(values=_weighted_sums(np.array(table), mu.weights, what))
+    return ResponseVector(values=_weighted_sums(table, mu.weights, what))

@@ -102,6 +102,9 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteI
     """
     params = dict(params or {})
     if name == "table":
+        for key in ("a", "b"):
+            if key not in params:
+                raise ValueError(f"{key}: the table generator needs arrays a and b")
         coeff = _table(params.pop("a"), params.pop("b"))
     elif name in _GENERATORS:
         defaults, make = _GENERATORS[name]

@@ -141,6 +141,7 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("semi_infinite", {"b": 5}, "initial.b"),
         ("semi_infinite", {"generator": "constant", "params": [1]}, "initial.params"),
         ("semi_infinite", {"generator": "constant", "params": {"alpha": [1]}}, "initial.params.alpha"),
+        ("semi_infinite", {"generator": "table", "params": {"b": [1.0, 2.0]}}, "initial.generator: a"),
     ]
     capsys.readouterr()
     for mode, initial, name in mistyped:

@@ -86,6 +86,9 @@ def test_moments_overflow_guard():
     j = JacobiMatrix([1e155, -1e155, 5e154], [1e155, 3e154])
     with pytest.raises(OverflowError, match="double-precision range"):
         solve_toda_finite(j, [0.0, 1e-170])
+    # a bilinear form whose terms 1e300 * 1e10 * 1e10 are past the range
+    with pytest.raises(OverflowError):
+        moment_bilinear_form(MomentSequence([1.0, 1e300, 1e300]), [1e10, 1e10], [1e10, 1e10])
 
 
 def test_hankel_matrix_examples():
@@ -318,6 +321,7 @@ def test_bilinear_form_examples():
     assert moment_bilinear_form(s, [1.0], [1.0]) == 1.0
     assert moment_bilinear_form(s, [0.0, 1.0], [0.0, 1.0]) == 1.0
     assert moment_bilinear_form(s, [1.0], [0.0, 1.0]) == 0.0
+    assert moment_bilinear_form(s, [], []) == 0.0
     with pytest.raises(ValueError):
         moment_bilinear_form(s, [1.0, 0.0, 1.0], [1.0])
 

@@ -6,6 +6,7 @@ import pytest
 
 from todaflow import (
     DiscreteMeasure,
+    MomentSequence,
     chebyshev_u,
     lambda_matrix,
     moments_from_measure,
@@ -132,6 +133,11 @@ def test_response_overflow_guard():
         moments_from_measure(mu, 4)
     with pytest.raises(OverflowError, match="double-precision range"):
         response_from_measure(mu, 4)
+    # so do the recurrence itself and the integer-matrix route
+    with pytest.raises(OverflowError):
+        chebyshev_u(2000, 3.0)
+    with pytest.raises(OverflowError):
+        response_from_moments(MomentSequence([1.0] + [1e308] * 29))
 
 
 def test_symmetric_two_point_response():

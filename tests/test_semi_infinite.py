@@ -51,6 +51,7 @@ def test_generator_builtins():
         ("linear_b", {"alpha": [1]}),
         ("table", {"a": ["1"], "b": ["0", "0.5"]}),
         ("table", {"a": [float("nan")], "b": [0.0, 0.5]}),
+        ("table", {"b": [1.0, 2.0]}),
     ]
     for name, params in rejected:
         with pytest.raises(ValueError):
