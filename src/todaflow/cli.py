@@ -43,7 +43,7 @@ from .flow import TodaTrajectory, solve_toda_finite
 from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arrays, _real_array, eigendecompose
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import _grid_steps, compare_trajectories, rk4_toda
-from .response import _K_MAX, response_from_moments
+from .response import _K_MAX, response_from_measure
 from .semi_infinite import SemiInfiniteInitialData, _truncation_sizes, make_initial_data, solve_toda_semi_infinite
 
 __all__ = [
@@ -275,10 +275,11 @@ def run(config: RunConfig) -> list[Path]:
     _check_targets(first, report_path)
     report = {"mode": config.mode}
     if config.mode == "response":
-        s = moments_from_measure(eigendecompose(config.initial), config.k)
+        mu = eigendecompose(config.initial)
+        s = moments_from_measure(mu, config.k)
         verdict = check_moment_positivity(s)
         report.update(k=config.k, classification={"kind": verdict.kind, "order": verdict.order})
-        rows = zip(range(config.k), s.values.tolist(), response_from_moments(s).values.tolist())
+        rows = zip(range(config.k), s.values.tolist(), response_from_measure(mu, config.k).values.tolist())
         first.write_text("\n".join(["k,s,r"] + ["%d,%.17g,%.17g" % row for row in rows]) + "\n")
     else:
         if config.mode == "semi_infinite":

@@ -30,6 +30,7 @@ from .jacobi import (
     _count,
     _eigendecompose_both_ends,
     _finite_real,
+    _freeze,
     _increasing,
     _jacobi_arrays,
     eigendecompose,
@@ -38,8 +39,6 @@ from .jacobi import (
 from .moments import MomentSequence, _moment_sums, _stieltjes
 
 __all__ = [
-    "MOMENT_METHOD",
-    "DIRECT_ODE",
     "TodaTrajectory",
     "moser_evolve",
     "log_omega",
@@ -48,9 +47,6 @@ __all__ = [
     "solve_toda_finite",
     "weyl_evolution_residual",
 ]
-
-MOMENT_METHOD = "moment_method"
-DIRECT_ODE = "direct_ode"
 
 # The evolution law for the Weyl function requires a spectral gap; closer
 # evaluation points make the residual meaningless.
@@ -69,37 +65,27 @@ class TodaTrajectory:
 
     diag is a read-only (n_times, N) array, offdiag a read-only
     (n_times, N-1) array with strictly positive entries; row i is the
-    Jacobi matrix at times[i].  method records how the rows were produced
-    (MOMENT_METHOD or DIRECT_ODE).
+    Jacobi matrix at times[i].
     """
 
     times: np.ndarray
     diag: np.ndarray
     offdiag: np.ndarray
-    method: str
 
     def __post_init__(self):
         times = _increasing("times", self.times)
         diag, offdiag = _jacobi_arrays(self.diag, self.offdiag, 2)
         if diag.shape[0] != times.size:
             raise ValueError(f"need one row per grid time: {times.size} times, {diag.shape[0]} rows")
-        if self.method not in (MOMENT_METHOD, DIRECT_ODE):
-            raise ValueError(f"unknown method tag {self.method!r}")
-        self._assign(times, diag, offdiag, self.method)
+        _freeze(self, times=times, diag=diag, offdiag=offdiag)
 
     @classmethod
-    def _from_arrays(cls, times: np.ndarray, diag: np.ndarray, offdiag: np.ndarray, method: str) -> TodaTrajectory:
+    def _from_arrays(cls, times: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> TodaTrajectory:
         # the unchecked constructor of the solvers: the caller guarantees what
         # __post_init__ checks and hands over arrays that nothing else writes to
         trajectory = object.__new__(cls)
-        trajectory._assign(times, diag, offdiag, method)
+        _freeze(trajectory, times=times, diag=diag, offdiag=offdiag)
         return trajectory
-
-    def _assign(self, times: np.ndarray, diag: np.ndarray, offdiag: np.ndarray, method: str) -> None:
-        for name, value in (("times", times), ("diag", diag), ("offdiag", offdiag)):
-            value.flags.writeable = False
-            object.__setattr__(self, name, value)
-        object.__setattr__(self, "method", method)
 
     @property
     def size(self) -> int:
@@ -185,7 +171,7 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
     """
     t = _check_time(t)
     count = _count("count", count, 1)
-    return MomentSequence(values=_evolved_moments(mu0, t, count), time=t)
+    return MomentSequence(values=_evolved_moments(mu0, t, count))
 
 
 def _evolved_moments(mu0: DiscreteMeasure, times, count: int) -> np.ndarray:
@@ -241,7 +227,7 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
     """
     times = _check_grid(times)
     diag, offdiag = _evolve_lattice(j0, *_eigendecompose_both_ends(j0), times)
-    return TodaTrajectory._from_arrays(times, diag, offdiag, MOMENT_METHOD)
+    return TodaTrajectory._from_arrays(times, diag, offdiag)
 
 
 def _initial_rows(j0: JacobiMatrix, times: np.ndarray, size: int):

@@ -136,6 +136,14 @@ def _jacobi_arrays(diag, offdiag, ndim: int, names=("diag", "offdiag")) -> tuple
     return d, e
 
 
+def _freeze(instance, **arrays: np.ndarray) -> None:
+    # the one way a frozen value type holds its arrays: each is made
+    # read-only and set on the instance
+    for name, value in arrays.items():
+        value.flags.writeable = False
+        object.__setattr__(instance, name, value)
+
+
 @dataclass(frozen=True, eq=False)
 class JacobiMatrix:
     """Symmetric tridiagonal matrix: diag holds b_1..b_N, offdiag a_1..a_{N-1}.
@@ -149,8 +157,7 @@ class JacobiMatrix:
 
     def __post_init__(self):
         d, e = _jacobi_arrays(self.diag, self.offdiag, 1)
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "offdiag", e)
+        _freeze(self, diag=d, offdiag=e)
 
     @property
     def n(self) -> int:
@@ -188,21 +195,15 @@ class DiscreteMeasure:
             raise ValueError("weights must match nodes in length")
         if np.min(weights) <= 0.0:
             raise ValueError("weights must be strictly positive")
-        self._assign(nodes, np.log(weights))
+        _freeze(self, nodes=nodes, log_weights=np.log(weights))
 
     @classmethod
     def _from_log(cls, nodes: np.ndarray, log_weights: np.ndarray) -> DiscreteMeasure:
         # the log-form constructor: the caller guarantees strictly
         # increasing nodes and finite log weights of the same length
         mu = object.__new__(cls)
-        mu._assign(nodes, log_weights)
+        _freeze(mu, nodes=nodes, log_weights=log_weights)
         return mu
-
-    def _assign(self, nodes: np.ndarray, log_weights: np.ndarray) -> None:
-        nodes.flags.writeable = False
-        log_weights.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "log_weights", log_weights)
 
     @property
     def weights(self) -> np.ndarray:
@@ -259,13 +260,12 @@ def _eigendecompose_both_ends(j: JacobiMatrix) -> tuple[DiscreteMeasure, Discret
 
 
 def _spectral_measures(j: JacobiMatrix, last: bool) -> tuple[DiscreteMeasure, ...]:
-    # the measures of eigendecompose, first component only or both ends
-    if j.n == 1:
-        return (DiscreteMeasure._from_log(j.diag, np.zeros(1)),) * (1 + last)
+    # the measures of eigendecompose, first component only or both ends; at
+    # N = 1 dstemr returns the one node, diag[0], and its unit vector.
     # MRRR runs on J divided by a power of two that brings every entry to
     # at most 1, which is exact: at random N = 256 it fails (LAPACK info
     # 22) on J scaled by 2^48, not on J itself
-    exponent = math.frexp(max(np.max(np.abs(j.diag)), np.max(j.offdiag)))[1]
+    exponent = math.frexp(max(np.max(np.abs(j.diag)), np.max(j.offdiag, initial=0.0)))[1]
     d, e = np.ldexp(j.diag, -exponent), np.ldexp(j.offdiag, -exponent)
     # dstemr reads, and overwrites, an off-diagonal of length N; range 0
     # asks for every eigenpair, with the documented workspace as the default
@@ -279,7 +279,7 @@ def _spectral_measures(j: JacobiMatrix, last: bool) -> tuple[DiscreteMeasure, ..
     # the test runs on the scaled J, whose largest |eigenvalue| top lies in
     # [1/2, 3), so it reads the same at every power-of-two scale of J
     top = max(-lam[0], lam[-1])
-    if np.min(np.diff(lam)) < _EIGEN_SEPARATION * top:
+    if np.min(np.diff(lam), initial=np.inf) < _EIGEN_SEPARATION * top:
         raise EigenConvergenceError(
             "computed eigenvalues collide below relative separation 1e-12; "
             "a Jacobi matrix has simple spectrum, so this signals breakdown"

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DegenerateMeasureError, PositivityError
-from .jacobi import DiscreteMeasure, JacobiMatrix, _count, _finite_real, _real_array, _weighted_sums
+from .jacobi import DiscreteMeasure, JacobiMatrix, _count, _freeze, _real_array, _weighted_sums
 
 __all__ = [
     "MomentSequence",
@@ -52,20 +52,15 @@ _CONDITION_WARN = 1e12
 
 @dataclass(frozen=True, eq=False)
 class MomentSequence:
-    """Moments s_0..s_{K-1}, tagged with the flow time they belong to."""
+    """Moments s_0..s_{K-1}."""
 
     values: np.ndarray
-    time: float = 0.0
 
     def __post_init__(self):
         v = _real_array("values", self.values, 1)
         if not (v.size and v[0] > 0.0):
             raise ValueError("values must start with a positive s_0")
-        time = _finite_real("time", self.time)
-        if time < 0.0:
-            raise ValueError("time must be >= 0")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "time", time)
+        _freeze(self, values=v)
 
     def __len__(self) -> int:
         return self.values.size
@@ -92,7 +87,7 @@ def _moment_sums(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarr
     return _weighted_sums(powers, weights, f"|node|^k * weight for some k < {count}")
 
 
-def moments_from_measure(mu: DiscreteMeasure, count: int, *, time: float = 0.0) -> MomentSequence:
+def moments_from_measure(mu: DiscreteMeasure, count: int) -> MomentSequence:
     """First `count` moments of mu, each accumulated by compensated summation.
 
     values[k] = sum_j nodes[j]**k * weights[j], k = 0..count-1.
@@ -100,7 +95,7 @@ def moments_from_measure(mu: DiscreteMeasure, count: int, *, time: float = 0.0) 
     Raises OverflowError if any term exceeds the floating-point range.
     """
     count = _count("count", count, 1)
-    return MomentSequence(values=_moment_sums(mu.nodes, mu.weights, count), time=time)
+    return MomentSequence(values=_moment_sums(mu.nodes, mu.weights, count))
 
 
 def hankel_matrix(s: MomentSequence, size: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import DiscreteMeasure, _count, _real_array, _weighted_sums
+from .jacobi import DiscreteMeasure, _count, _freeze, _real_array, _weighted_sums
 from .moments import MomentSequence
 
 __all__ = [
@@ -42,7 +42,7 @@ class ResponseVector:
         v = _real_array("values", self.values, 1)
         if v.size < 1:
             raise ValueError("values must have at least one entry")
-        object.__setattr__(self, "values", v)
+        _freeze(self, values=v)
 
     def __len__(self) -> int:
         return self.values.size
@@ -97,7 +97,7 @@ def lambda_matrix(size: int) -> np.ndarray:
 def response_from_moments(s: MomentSequence) -> ResponseVector:
     """Response vector as the integer-matrix image of the moment vector, each entry a
     compensated sum; raises OverflowError if a term exceeds the floating-point range."""
-    table = lambda_matrix(len(s)).astype(float)
+    table = lambda_matrix(_count("len(s)", len(s), 1, _K_MAX)).astype(float)
     return ResponseVector(values=_weighted_sums(table, s.values, "lambda_matrix entry * s_j"))
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .flow import MOMENT_METHOD, TodaTrajectory, _check_grid, _evolve_block, _evolved_moments
+from .flow import TodaTrajectory, _check_grid, _evolve_block, _evolved_moments
 from .jacobi import JacobiMatrix, _count, _finite_real, _real_array, eigendecompose
 
 __all__ = [
@@ -253,5 +253,5 @@ def solve_toda_semi_infinite(
         moments=moments,
     )
     # copies: diag_history[-1] is another view of the same rows
-    window = TodaTrajectory._from_arrays(times, diag[:, :m].copy(), offdiag[:, : m - 1].copy(), MOMENT_METHOD)
+    window = TodaTrajectory._from_arrays(times, diag[:, :m].copy(), offdiag[:, : m - 1].copy())
     return window, report

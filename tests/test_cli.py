@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import todaflow.cli
-from todaflow import NumericalError
+from todaflow import JacobiMatrix, NumericalError, eigendecompose, response_from_measure
 from todaflow.cli import main, read_trajectory_csv
 
 
@@ -152,6 +152,14 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         })
         assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
         assert f"error: {name}:" in capsys.readouterr().err
+    # random data make one finite matrix, not data for every n
+    cfg = write_config(tmp_path / "t.json", {
+        "mode": "semi_infinite",
+        "initial": {"random": {"n": 3, "seed": 1}},
+        "grid": {"t_end": 1.0, "steps": 2},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
+    assert "error: initial: semi_infinite mode needs a generator name" in capsys.readouterr().err
     # JSON NaN and Infinity are rejected by the field that carries them
     escaping = {"generator": "linear_b", "params": {"beta": 1.0}}
     non_finite = [
@@ -464,6 +472,19 @@ def test_response_mode(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["classification"]["kind"] == "finite_support"
     assert report["classification"]["order"] == 2
+    # r is summed over the measure: the integer matrix times moments near
+    # 2^k loses about 8 digits at k = 30 (r_26 reads 4.0e-9 there, not 1e-14)
+    free = JacobiMatrix([0.0] * 8, [1.0] * 7)
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "response",
+        "initial": {"b": free.diag.tolist(), "a": free.offdiag.tolist()},
+        "grid": {"t_end": 1.0, "steps": 1},
+        "options": {"k": 30},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
+    lines = (tmp_path / "response.csv").read_text().strip().split("\n")
+    r_vec = np.array([float(line.split(",")[2]) for line in lines[1:]])
+    np.testing.assert_array_equal(r_vec, response_from_measure(eigendecompose(free), 30).values)
 
 
 def test_console_invocation(tmp_path):

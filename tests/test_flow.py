@@ -15,7 +15,6 @@ from todaflow import (
     DiscreteMeasure,
     EigenConvergenceError,
     JacobiMatrix,
-    MOMENT_METHOD,
     OverlapError,
     PoleProximityError,
     TodaTrajectory,
@@ -134,7 +133,6 @@ def test_evolve_moments_two_node_closed_form():
         np.testing.assert_allclose(s.values, [1.0, math.tanh(2.0 * t)], rtol=1e-14)
         full = evolve_moments(PM1, t, 8)
         np.testing.assert_allclose(full.values[::2], np.ones(4), atol=1e-14)
-    assert s.time == 3.0
 
 
 def test_evolve_moments_matches_moser_route():
@@ -204,7 +202,6 @@ def test_recurrence_residual_preconditions():
 def test_solve_constant_for_1x1():
     traj = solve_toda_finite(JacobiMatrix([0.7], []), np.linspace(0.0, 2.0, 9))
     assert all(state.diag[0] == 0.7 for state in traj.states)
-    assert traj.method == MOMENT_METHOD
 
 
 def test_solve_2x2_closed_form():
@@ -465,7 +462,7 @@ def test_moser_keeps_weights_below_the_double_range():
 
 
 def test_trajectory_holds_readonly_arrays():
-    traj = TodaTrajectory([0.0, 1.0], [[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.8]], MOMENT_METHOD)
+    traj = TodaTrajectory([0.0, 1.0], [[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.8]])
     assert traj.size == 2
     np.testing.assert_array_equal(traj.diag_array(), [[0.0, 1.0], [0.5, 0.5]])
     np.testing.assert_array_equal(traj.states[1].offdiag, [0.8])
@@ -488,20 +485,29 @@ def test_solver_trajectories_hold_readonly_arrays():
 
 
 @pytest.mark.parametrize(
-    "diag, offdiag, method, reason",
+    "diag, offdiag, reason",
     [
-        ([[0.0, 1.0]], [[1.0]], MOMENT_METHOD, "one row per grid time"),
-        ([[0.0, 1.0], [0.5, 0.5]], [[1.0, 1.0], [0.8, 0.8]], MOMENT_METHOD, "offdiag must have shape"),
-        ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.0]], MOMENT_METHOD, "strictly positive"),
-        ([[0.0, np.nan], [0.5, 0.5]], [[1.0], [0.8]], MOMENT_METHOD, "finite"),
-        ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.8]], "euler", "unknown method"),
-        ([[0.0, 1.0], [0.5, True]], [[1.0], [0.8]], MOMENT_METHOD, "diag: need real numbers"),
-        ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [True]], MOMENT_METHOD, "offdiag: need real numbers"),
+        ([[0.0, 1.0]], [[1.0]], "one row per grid time"),
+        ([[0.0, 1.0], [0.5, 0.5]], [[1.0, 1.0], [0.8, 0.8]], "offdiag must have shape"),
+        ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [0.0]], "strictly positive"),
+        ([[0.0, np.nan], [0.5, 0.5]], [[1.0], [0.8]], "finite"),
+        ([[0.0, 1.0], [0.5, True]], [[1.0], [0.8]], "diag: need real numbers"),
+        ([[0.0, 1.0], [0.5, 0.5]], [[1.0], [True]], "offdiag: need real numbers"),
+    ],
+    # explicit ids keep the names these cases were recorded under, from when
+    # the constructor also took a method tag
+    ids=[
+        "diag0-offdiag0-moment_method-one row per grid time",
+        "diag1-offdiag1-moment_method-offdiag must have shape",
+        "diag2-offdiag2-moment_method-strictly positive",
+        "diag3-offdiag3-moment_method-finite",
+        "diag5-offdiag5-moment_method-diag: need real numbers",
+        "diag6-offdiag6-moment_method-offdiag: need real numbers",
     ],
 )
-def test_trajectory_rejects_malformed_arrays(diag, offdiag, method, reason):
+def test_trajectory_rejects_malformed_arrays(diag, offdiag, reason):
     with pytest.raises(ValueError, match=reason):
-        TodaTrajectory([0.0, 1.0], diag, offdiag, method)
+        TodaTrajectory([0.0, 1.0], diag, offdiag)
 
 
 def test_solve_requires_grid_from_zero():
@@ -510,13 +516,15 @@ def test_solve_requires_grid_from_zero():
         solve_toda_finite(j, [0.5, 1.0])
     with pytest.raises(ValueError):
         solve_toda_finite(j, [0.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="^times: need at least one entry"):
+        solve_toda_finite(j, [])
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_every_grid_entry_point_rejects_non_finite_times(bad):
     j = JacobiMatrix([0.0, 0.0], [1.0])
     with pytest.raises(ValueError, match="finite"):
-        TodaTrajectory([0.0, bad], [[0.0, 0.0], [0.0, 0.0]], [[1.0], [1.0]], MOMENT_METHOD)
+        TodaTrajectory([0.0, bad], [[0.0, 0.0], [0.0, 0.0]], [[1.0], [1.0]])
     with pytest.raises(ValueError, match="finite"):
         solve_toda_finite(j, [0.0, bad])
     with pytest.raises(ValueError, match="finite"):

@@ -4,7 +4,6 @@ import pytest
 from scipy.linalg import eigh_tridiagonal
 
 from todaflow import (
-    MOMENT_METHOD,
     DiscreteMeasure,
     EigenConvergenceError,
     JacobiMatrix,
@@ -62,6 +61,10 @@ def test_measure_construction_rejects_bad_input():
         DiscreteMeasure(nodes=[0.0, 1.0], weights=[0.5, 0.0])
     with pytest.raises(ValueError):
         DiscreteMeasure(nodes=[0.0, 1.0], weights=[0.5, -0.5])
+    with pytest.raises(ValueError, match="^weights must match nodes in length"):
+        DiscreteMeasure(nodes=[0.0, 1.0], weights=[1.0])
+    with pytest.raises(ValueError, match="^nodes: need a 1-d array, got a ragged nesting"):
+        DiscreteMeasure(nodes=[[0.0], [1.0, 2.0]], weights=[1.0])
     not_real = [
         (["0", "1"], [0.5, 0.5]),
         ([0.0, 1.0], np.array([0.5, 0.5 + 0.5j])),
@@ -311,7 +314,7 @@ def test_weyl_function_pole_proximity():
     [
         lambda: JacobiMatrix([0.0, 1.0], [1.0]),
         lambda: DiscreteMeasure([0.0, 1.0], [0.5, 0.5]),
-        lambda: TodaTrajectory([0.0, 1.0], [[0.0, 1.0]] * 2, [[1.0]] * 2, MOMENT_METHOD),
+        lambda: TodaTrajectory([0.0, 1.0], [[0.0, 1.0]] * 2, [[1.0]] * 2),
         lambda: MomentSequence([1.0, 0.0, 1.0]),
         lambda: ResponseVector([1.0, 0.0]),
         lambda: solve_toda_semi_infinite(make_initial_data("constant"), [0.0, 1.0], 1, 1e-8, 8)[1],

@@ -50,13 +50,11 @@ def test_moment_sequence_rejects_bad_input():
         MomentSequence([0.0])
     with pytest.raises(ValueError):
         MomentSequence([-1.0, 0.0])
-    with pytest.raises(ValueError):
-        MomentSequence([1.0], time=-1.0)
-    with pytest.raises(ValueError, match="finite"):
-        MomentSequence([1.0], time=math.inf)
     # a response vector holds its entries to the same finite-real rule
     with pytest.raises(ValueError, match="finite"):
         ResponseVector([math.nan])
+    with pytest.raises(ValueError, match="^values must have at least one entry"):
+        ResponseVector([])
 
 
 def test_moments_from_measure_examples():

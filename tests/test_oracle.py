@@ -5,7 +5,6 @@ import pytest
 
 from todaflow import (
     BlowUpError,
-    DIRECT_ODE,
     JacobiMatrix,
     compare_trajectories,
     eigendecompose,
@@ -56,7 +55,6 @@ def reference_rk4(j0, times, dt, guards=True):
 
 def test_rk4_constant_for_1x1():
     traj = rk4_toda(JacobiMatrix([0.3], []), np.linspace(0.0, 1.0, 5), 1e-2)
-    assert traj.method == DIRECT_ODE
     assert all(state.diag[0] == 0.3 for state in traj.states)
 
 
@@ -216,6 +214,9 @@ def test_compare_rejects_mismatched_grids():
     b = rk4_toda(j, np.linspace(0.0, 1.0, 3), 1e-2)
     with pytest.raises(ValueError):
         compare_trajectories(a, b)
+    c = rk4_toda(JacobiMatrix([0.4, 0.0], [1.0]), np.linspace(0.0, 1.0, 5), 1e-2)
+    with pytest.raises(ValueError, match="^trajectories have different matrix sizes"):
+        compare_trajectories(c, a)
 
 
 def test_moment_method_matches_rk4():

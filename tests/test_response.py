@@ -118,8 +118,12 @@ def test_point_mass_response():
     # longer alternating pattern T_{k+1}(0) = 1, 0, -1, 0, 1, ...
     r = response_from_measure(DiscreteMeasure([0.0], [1.0]), 7)
     np.testing.assert_array_equal(r.values, [1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0])
+    assert len(r) == 7
     s = moments_from_measure(DiscreteMeasure([0.0], [1.0]), 7)
     np.testing.assert_array_equal(response_from_moments(s).values, r.values)
+    # the message names the caller's argument, not lambda_matrix's size
+    with pytest.raises(ValueError, match=r"^len\(s\): need an integer in \[1, 30\], got 31"):
+        response_from_moments(MomentSequence([1.0] * 31))
     for bad in (3.0, True, "3"):
         with pytest.raises(ValueError, match="^count:"):
             response_from_measure(DiscreteMeasure([0.0], [1.0]), bad)

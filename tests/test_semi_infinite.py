@@ -56,6 +56,8 @@ def test_generator_builtins():
     for name, params in rejected:
         with pytest.raises(ValueError):
             make_initial_data(name, params)
+    with pytest.raises(ValueError, match=r"^table needs len\(a\) in"):
+        make_initial_data("table", {"a": [1.0], "b": [1.0, 2.0, 3.0]})
 
 
 @pytest.mark.parametrize("params", [{"a": [], "b": 5}, {"a": [[1.0]], "b": [[1.0, 2.0]]}])
