@@ -1,24 +1,26 @@
 """Command-line front end: JSON config in, trajectory CSV and JSON reports out.
 
-Config document::
+    todaflow --config run.json [--out DIR] [--quiet]
 
-    {
-      "mode": "finite" | "verify" | "semi_infinite" | "response",
-      "initial": {"b": [...], "a": [...]}                      # explicit arrays
-                 | {"random": {"n": 5, "seed": 7}}             # b ~ U[-2,2], a ~ U[0.5,2]
-                 | {"generator": "linear_b",                   # semi_infinite only
-                    "params": {"alpha": 1.0, "beta": -1.0, "gamma": 0.0}},
-      "grid": {"t_end": 1.0, "steps": 10},                     # t_start is always 0
-      "options": {"dt": 1e-4,                                  # verify: oracle step
-                  "tol": 1e-8, "n_max": 64, "m": 2,            # semi_infinite
-                  "k": 8},                                     # response: vector length
-      "output": {"trajectory": "trajectory.csv",
-                 "report": "report.json",
-                 "table": "response.csv"}
-    }
+A config is one JSON object: "mode", "initial" and the fields of its mode,
+here with their defaults (the grid has none):
 
-Each object accepts only its own fields (initial: those of the shape it
-uses); any other field is rejected with a message naming it.
+    finite          grid {t_end, steps}
+                    output {trajectory: "trajectory.csv", report: "report.json"}
+    verify          grid {t_end, steps}, options {dt: 1e-4 (RK4 oracle step)}
+                    output {trajectory: "trajectory.csv", report: "report.json"}
+    semi_infinite   grid {t_end, steps}, options {tol: 1e-8, n_max: 64, m: 1}
+                    output {trajectory: "trajectory.csv", report: "report.json"}
+    response        options {k: 8 (vector length)}
+                    output {table: "response.csv", report: "report.json"}
+
+"initial" is {"b": [...], "a": [...]} or {"random": {"n": 5, "seed": 7}}
+(b ~ U[-2,2], a ~ U[0.5,2]); in semi_infinite mode it is {"b": [...],
+"a": [...]} tables or {"generator": "linear_b", "params": {"alpha": 1.0,
+"beta": -1.0, "gamma": 0.0}}.  The grid is steps + 1 equal times on
+[0, t_end].  Any other field is rejected with a message naming it, and
+so, before any output is made, are generator parameters that make some
+a_n <= 0 and, in semi_infinite mode, an n_max past the end of a table.
 Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure.
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
 values printed with 17 significant digits so a written file re-reads to
@@ -32,7 +34,7 @@ import errno
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -40,7 +42,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flow import TodaTrajectory, solve_toda_finite
-from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arrays, _real_array, eigendecompose
+from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arrays, eigendecompose
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import _grid_steps, compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_measure
@@ -56,20 +58,18 @@ __all__ = [
     "read_trajectory_csv",
 ]
 
-# mode -> the output fields it writes, in the order it writes them
-_MODE_FILES = {
-    "finite": ("trajectory", "report"),
-    "verify": ("trajectory", "report"),
-    "semi_infinite": ("trajectory", "report"),
-    "response": ("table", "report"),
-}
-MODES = tuple(_MODE_FILES)
+_TRAJECTORY_FILES = {"trajectory": "trajectory.csv", "report": "report.json"}
 
-_DEFAULT_OUTPUT = {
-    "trajectory": "trajectory.csv",
-    "report": "report.json",
-    "table": "response.csv",
+# mode -> (reads grid.t_end and grid.steps, option -> default, output file ->
+# default name in the order written): all that a config of the mode may set.
+# verify and semi_infinite pass their options to their solver by name
+_MODES = {
+    "finite": (True, {}, _TRAJECTORY_FILES),
+    "verify": (True, {"dt": 1e-4}, _TRAJECTORY_FILES),
+    "semi_infinite": (True, {"tol": 1e-8, "n_max": 64, "m": 1}, _TRAJECTORY_FILES),
+    "response": (False, {"k": 8}, {"table": "response.csv", "report": "report.json"}),
 }
+MODES = tuple(_MODES)
 
 # Upper bounds on the sizes a config may ask for: a larger grid or random
 # matrix would only fail later, in an allocation that names no field, and
@@ -77,9 +77,9 @@ _DEFAULT_OUTPUT = {
 _MAX_STEPS = 1_000_000
 _MAX_RANDOM_N = 16_384
 
-# option -> its value rule, called with the dotted field name; the defaults
-# live on RunConfig.  semi_infinite mode then holds n_max to 2m+2 and verify
-# mode dt to the grid, by the rules solve_toda_semi_infinite and rk4_toda use
+# option -> its value rule, called with the dotted field name.
+# semi_infinite mode then holds n_max to 2m+2 and verify mode dt to the
+# grid, by the rules solve_toda_semi_infinite and rk4_toda use
 _OPTIONS = {
     "dt": lambda name, v: _finite_real(name, v, positive=True),
     "tol": lambda name, v: _finite_real(name, v, positive=True),
@@ -97,19 +97,16 @@ class ConfigError(ValueError):
 class RunConfig:
     """A validated run: everything main() needs, resolved to library objects.
 
-    initial is a JacobiMatrix, or SemiInfiniteInitialData in semi_infinite mode.
+    initial is a JacobiMatrix, or SemiInfiniteInitialData in semi_infinite mode;
+    times is None in response mode; options and output are filled from _MODES.
     """
 
     mode: str
-    times: np.ndarray
+    times: Optional[np.ndarray]
     out_dir: Path
     initial: JacobiMatrix | SemiInfiniteInitialData
-    dt: float = 1e-4
-    tol: float = 1e-8
-    n_max: int = 64
-    m: int = 1
-    k: int = 8
-    output: dict = field(default_factory=lambda: dict(_DEFAULT_OUTPUT))
+    options: dict
+    output: dict
 
 
 def _require(condition: bool, message: str) -> None:
@@ -120,6 +117,14 @@ def _require(condition: bool, message: str) -> None:
 def _known_fields(obj: dict, fields, prefix: str) -> None:
     for key in obj:
         _require(key in fields, f"{prefix}{key}: unknown field, expected one of {sorted(fields)}")
+
+
+def _section(raw: dict, key: str, fields) -> dict:
+    # raw[key] ({} when absent), an object that holds only fields
+    obj = raw.get(key, {})
+    _require(isinstance(obj, dict), f"{key}: must be an object")
+    _known_fields(obj, fields, f"{key}.")
+    return obj
 
 
 def _build_matrix(initial: dict) -> JacobiMatrix:
@@ -137,35 +142,30 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
     return JacobiMatrix(diag=b, offdiag=a)
 
 
-def _generator_params(params: dict, prefix: str) -> dict:
-    # tables a, b are arrays; every other generator parameter is one number
-    return {
-        key: _real_array(f"{prefix}.{key}", value, 1)
-        if key in ("a", "b")
-        else _finite_real(f"{prefix}.{key}", value)
-        for key, value in params.items()
-    }
-
-
-def _build_generator(initial: dict) -> SemiInfiniteInitialData:
+def _build_generator(initial: dict) -> tuple[SemiInfiniteInitialData, Optional[int]]:
+    # the data, and how many entries a table holds (None for a generator)
     if "generator" in initial:
         _known_fields(initial, ("generator", "params"), "initial.")
-        name, field, params = initial["generator"], "initial.generator", initial.get("params", {})
+        name, params = initial["generator"], initial.get("params", {})
         _require(isinstance(params, dict), "initial.params: must be an object")
-        params = _generator_params(params, "initial.params")
+        field, prefix = "initial.generator", "initial.params."
     elif "b" in initial:
         _known_fields(initial, ("b", "a"), "initial.")
-        name, field = "table", "initial"
-        params = _generator_params({"a": initial.get("a", []), "b": initial["b"]}, "initial")
+        name, params = "table", {"a": initial.get("a", []), "b": initial["b"]}
+        field, prefix = "initial", "initial."
     else:
         raise ConfigError("initial: semi_infinite mode needs a generator name or explicit tables")
     try:
-        return make_initial_data(name, params)
+        data = make_initial_data(name, params, prefix=prefix)
     except ValueError as exc:
-        raise ConfigError(f"{field}: {exc}") from exc
+        # the rule of one parameter names it after prefix; the other
+        # messages are about the generator as a whole
+        message = str(exc)
+        raise ConfigError(message if message.startswith(prefix) else f"{field}: {message}") from exc
+    return data, len(params["b"]) if name == "table" else None
 
 
-def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = ".") -> RunConfig:
+def load_config(path, *, out_dir: str = ".") -> RunConfig:
     """Read, validate and resolve a JSON config file.
 
     Raises ConfigError, whose message starts with the offending field.
@@ -179,7 +179,7 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
         # a JSONDecodeError, or an integer literal too long for int()
         raise ConfigError(f"config: cannot parse {path} as JSON ({exc})") from exc
     try:
-        return _resolve(raw, mode_override, Path(out_dir))
+        return _resolve(raw, Path(out_dir))
     except ConfigError:
         raise
     except ValueError as exc:
@@ -188,48 +188,50 @@ def load_config(path, *, mode_override: Optional[str] = None, out_dir: str = "."
         raise ConfigError(str(exc)) from exc
 
 
-def _resolve(raw, mode_override: Optional[str], out_dir: Path) -> RunConfig:
+def _resolve(raw, out_dir: Path) -> RunConfig:
     _require(isinstance(raw, dict), "config: top level must be an object")
-    _known_fields(raw, ("mode", "initial", "grid", "options", "output"), "")
-
-    mode = mode_override or raw.get("mode")
+    mode = raw.get("mode")
     _require(mode in MODES, f"mode: must be one of {MODES}, got {mode!r}")
+    reads_grid, defaults, files = _MODES[mode]
+    _known_fields(raw, ("mode", "initial", "options", "output") + ("grid",) * reads_grid, "")
 
-    grid = raw.get("grid", {})
-    _require(isinstance(grid, dict), "grid: must be an object")
-    _known_fields(grid, ("t_end", "steps"), "grid.")
-    t_end = _finite_real("grid.t_end", grid.get("t_end"), positive=True)
-    steps = _count("grid.steps", grid.get("steps"), 1, _MAX_STEPS)
-    # a spacing below the smallest double gives equal times
-    times = _increasing("grid", np.linspace(0.0, t_end, steps + 1))
+    times = None
+    if reads_grid:
+        grid = _section(raw, "grid", ("t_end", "steps"))
+        t_end = _finite_real("grid.t_end", grid.get("t_end"), positive=True)
+        steps = _count("grid.steps", grid.get("steps"), 1, _MAX_STEPS)
+        # a spacing below the smallest double gives equal times
+        times = _increasing("grid", np.linspace(0.0, t_end, steps + 1))
 
-    options = raw.get("options", {})
-    _require(isinstance(options, dict), "options: must be an object")
-    _known_fields(options, _OPTIONS, "options.")
-    settings = {key: rule(f"options.{key}", options[key]) for key, rule in _OPTIONS.items() if key in options}
+    options = dict(defaults)
+    for key, value in _section(raw, "options", defaults).items():
+        options[key] = _OPTIONS[key](f"options.{key}", value)
 
     initial = raw.get("initial")
     _require(isinstance(initial, dict), "initial: must be an object")
-    build = _build_generator if mode == "semi_infinite" else _build_matrix
-    config = RunConfig(mode, times, out_dir, build(initial), **settings)
     if mode == "semi_infinite":
-        _truncation_sizes(config.m, config.n_max, "options.")
+        initial, entries = _build_generator(initial)
+        n_max = _truncation_sizes(options["m"], options["n_max"], "options.")[1]
+        _require(
+            entries is None or n_max <= entries,
+            f"options.n_max: need an integer <= {entries}, the length of the table, got {n_max}",
+        )
+    else:
+        initial = _build_matrix(initial)
     if mode == "verify":
-        oracle_steps = sum(_grid_steps(times, config.dt, "options.dt"))
+        oracle_steps = sum(_grid_steps(times, options["dt"], "options.dt"))
         _require(
             oracle_steps <= _MAX_STEPS,
-            f"options.dt: {config.dt!r} makes {oracle_steps} RK4 steps over the grid, more than {_MAX_STEPS}",
+            f"options.dt: {options['dt']!r} makes {oracle_steps} RK4 steps over the grid, more than {_MAX_STEPS}",
         )
 
-    output = raw.get("output", {})
-    _require(isinstance(output, dict), "output: must be an object")
-    _known_fields(output, _DEFAULT_OUTPUT, "output.")
-    for key, path in output.items():
+    output = dict(files)
+    for key, path in _section(raw, "output", files).items():
         _require(isinstance(path, str) and path, f"output.{key}: need a non-empty path")
-    config.output.update(output)
-    first, second = _MODE_FILES[mode]
-    _require(Path(config.output[first]) != Path(config.output[second]), f"output.{second}: same path as output.{first}")
-    return config
+        output[key] = path
+    first, second = output
+    _require(Path(output[first]) != Path(output[second]), f"output.{second}: same path as output.{first}")
+    return RunConfig(mode, times, out_dir, initial, options, output)
 
 
 def write_trajectory_csv(path, traj: TodaTrajectory) -> None:
@@ -271,28 +273,27 @@ def run(config: RunConfig) -> list[Path]:
     numerics, writes none of its files.
     """
     config.out_dir.mkdir(parents=True, exist_ok=True)
-    first, report_path = (config.out_dir / config.output[key] for key in _MODE_FILES[config.mode])
+    first, report_path = (config.out_dir / name for name in config.output.values())
     _check_targets(first, report_path)
     report = {"mode": config.mode}
     if config.mode == "response":
+        k = config.options["k"]
         mu = eigendecompose(config.initial)
-        s = moments_from_measure(mu, config.k)
+        s = moments_from_measure(mu, k)
         verdict = check_moment_positivity(s)
-        report.update(k=config.k, classification={"kind": verdict.kind, "order": verdict.order})
-        rows = zip(range(config.k), s.values.tolist(), response_from_measure(mu, config.k).values.tolist())
+        report.update(k=k, classification={"kind": verdict.kind, "order": verdict.order})
+        rows = zip(range(k), s.values.tolist(), response_from_measure(mu, k).values.tolist())
         first.write_text("\n".join(["k,s,r"] + ["%d,%.17g,%.17g" % row for row in rows]) + "\n")
     else:
         if config.mode == "semi_infinite":
-            traj, stabilization = solve_toda_semi_infinite(
-                config.initial, config.times, config.m, config.tol, config.n_max
-            )
+            traj, stabilization = solve_toda_semi_infinite(config.initial, config.times, **config.options)
             report.update(stabilization.to_dict())
         else:
             traj = solve_toda_finite(config.initial, config.times)
             report["n"] = traj.size
         if config.mode == "verify":
-            report["deviation"] = compare_trajectories(traj, rk4_toda(config.initial, config.times, config.dt))
-            report["dt"] = config.dt
+            report["deviation"] = compare_trajectories(traj, rk4_toda(config.initial, config.times, **config.options))
+            report["dt"] = config.options["dt"]
         write_trajectory_csv(first, traj)
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     return [first, report_path]
@@ -304,7 +305,6 @@ def _parse_args(argv):
         description="Solve finite and truncated semi-infinite Toda lattices by moment evolution.",
     )
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
-    parser.add_argument("--mode", choices=MODES, default=None, help="override the config's mode")
     parser.add_argument("--out", default=".", help="directory for output artifacts")
     parser.add_argument("--quiet", action="store_true", help="suppress the artifact listing")
     return parser.parse_args(argv)
@@ -313,7 +313,7 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        config = load_config(args.config, mode_override=args.mode, out_dir=args.out)
+        config = load_config(args.config, out_dir=args.out)
         artifacts = run(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,8 +80,9 @@ def _hides_bool(values, ndim: int) -> bool:
     return any(_hides_bool(row, ndim - 1) for row in values)
 
 
-def _real_array(name: str, values, ndim: int) -> np.ndarray:
-    """Read-only float copy of an ndim-d array of finite real numbers.
+def _real_array(name: str, values, ndim: int, *, positive: bool = False) -> np.ndarray:
+    """Read-only float copy of an ndim-d array of finite real numbers,
+    each greater than 0 when positive is set.
 
     Only integer and float dtypes pass: strings, bools (also inside a list
     of numbers), complex and object entries are rejected, never converted.
@@ -99,6 +100,8 @@ def _real_array(name: str, values, ndim: int) -> np.ndarray:
         raise ValueError(f"{name}: need real numbers, got true/false entries")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: entries must be finite")
+    if positive and arr.size and np.min(arr) <= 0.0:
+        raise ValueError(f"{name}: entries must be strictly positive")
     arr = arr.astype(float)
     arr.flags.writeable = False
     return arr
@@ -125,14 +128,12 @@ def _jacobi_arrays(diag, offdiag, ndim: int, names=("diag", "offdiag")) -> tuple
     """
     d_name, e_name = names
     d = _real_array(d_name, diag, ndim)
-    e = _real_array(e_name, offdiag, ndim)
+    e = _real_array(e_name, offdiag, ndim, positive=True)
     if d.shape[-1] < 1:
         raise ValueError(f"{d_name} must not be empty")
     expected = d.shape[:-1] + (d.shape[-1] - 1,)
     if e.shape != expected:
         raise ValueError(f"{e_name} must have shape {expected}, got {e.shape}")
-    if e.size and np.min(e) <= 0.0:
-        raise ValueError(f"{e_name} entries must be strictly positive")
     return d, e
 
 

@@ -62,15 +62,15 @@ def _decay(alpha: float, gamma: float):
     return lambda n: (alpha / n, gamma)
 
 
-def _table(a, b):
-    a, b = _real_array("a", a, 1), _real_array("b", b, 1)
+def _table(a, b, prefix: str):
+    a, b = _real_array(f"{prefix}a", a, 1, positive=True), _real_array(f"{prefix}b", b, 1)
     if a.size != b.size - 1 and a.size != b.size:
         raise ValueError("table needs len(a) in {len(b)-1, len(b)}")
 
     def coeff(n: int) -> tuple[float, float]:
         if n > b.size:
             raise ValueError(
-                f"table initial data exhausted at n={n}; provide more entries or lower N_max"
+                f"table initial data exhausted at n={n}; provide more entries or lower n_max"
             )
         if n <= a.size:
             return (float(a[n - 1]), float(b[n - 1]))
@@ -89,7 +89,7 @@ _GENERATORS = {
 }
 
 
-def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteInitialData:
+def make_initial_data(name: str, params: Optional[dict] = None, *, prefix: str = "") -> SemiInfiniteInitialData:
     """Named built-in generators for initial data.
 
     "linear_b":  b_n = beta * n + gamma, a_n = alpha
@@ -97,22 +97,27 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteI
     "decay":     b_n = gamma,            a_n = alpha / n
     "table":     explicit finite arrays a, b
 
-    Each generator takes only its own parameters, as finite real numbers.
-    Defaults: alpha = 1.0, beta = 0.0, gamma = 0.0.
+    Each generator takes only its own parameters, as finite real numbers,
+    with alpha > 0 and every entry of a table's a > 0, so that every
+    a_n > 0.  Defaults: alpha = 1.0, beta = 0.0, gamma = 0.0.  A message
+    about one parameter starts with prefix and the parameter's name.
     """
     params = dict(params or {})
     if name == "table":
         for key in ("a", "b"):
             if key not in params:
                 raise ValueError(f"{key}: the table generator needs arrays a and b")
-        coeff = _table(params.pop("a"), params.pop("b"))
-    elif name in _GENERATORS:
+        coeff = _table(params.pop("a"), params.pop("b"), prefix)
+    elif isinstance(name, str) and name in _GENERATORS:
         defaults, make = _GENERATORS[name]
-        coeff = make(**{key: _finite_real(key, params.pop(key, value)) for key, value in defaults.items()})
+        coeff = make(**{
+            key: _finite_real(prefix + key, params.pop(key, value), positive=key == "alpha")
+            for key, value in defaults.items()
+        })
     else:
         raise ValueError(f"unknown initial-data generator {name!r}")
     if params:
-        raise ValueError(f"unused generator parameters: {sorted(params)}")
+        raise ValueError(f"{prefix}{next(iter(params))}: not a parameter of the {name} generator")
     return SemiInfiniteInitialData(coefficients=coeff)
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,9 @@ def finite_config(tmp_path, **extra):
         "grid": {"t_end": 1.0, "steps": 10},
     }
     payload.update(extra)
+    if payload["mode"] == "response":
+        # the one mode that reads no grid
+        del payload["grid"]
     return write_config(tmp_path / "config.json", payload)
 
 
@@ -142,6 +146,7 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("semi_infinite", {"generator": "constant", "params": [1]}, "initial.params"),
         ("semi_infinite", {"generator": "constant", "params": {"alpha": [1]}}, "initial.params.alpha"),
         ("semi_infinite", {"generator": "table", "params": {"b": [1.0, 2.0]}}, "initial.generator: a"),
+        ("semi_infinite", {"generator": ["constant"]}, "initial.generator"),
     ]
     capsys.readouterr()
     for mode, initial, name in mistyped:
@@ -187,7 +192,7 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     grid = {"t_end": 1.0, "steps": 2}
     oversized = [
         ("finite", explicit, {"t_end": huge, "steps": 2}, {}, "grid.t_end"),
-        ("finite", explicit, grid, {"dt": huge}, "options.dt"),
+        ("verify", explicit, grid, {"dt": huge}, "options.dt"),
         ("finite", {"b": [0.0, huge], "a": [1.0]}, grid, {}, "initial.b"),
         ("semi_infinite", {"generator": "constant", "params": {"alpha": huge}}, grid, {}, "initial.params.alpha"),
         ("semi_infinite", {"b": [0.0, huge], "a": [1.0]}, grid, {}, "initial.b"),
@@ -198,9 +203,16 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     out_of_range = [
         ("semi_infinite", escaping, grid, {"m": 0}, "options.m"),
         ("semi_infinite", escaping, grid, {"n_max": 1}, "options.n_max"),
-        ("response", explicit, grid, {"k": 31}, "options.k"),
+        ("response", explicit, None, {"k": 31}, "options.k"),
         ("semi_infinite", escaping, grid, {"tol": 0}, "options.tol"),
         ("verify", explicit, grid, {"dt": True}, "options.dt"),
+        # initial data whose a_n are not all > 0 are rejected as they are read
+        ("semi_infinite", {"generator": "linear_b", "params": {"alpha": -1.0}}, grid, {}, "initial.params.alpha"),
+        ("semi_infinite", {"generator": "constant", "params": {"alpha": 0.0}}, grid, {}, "initial.params.alpha"),
+        ("semi_infinite", {"generator": "decay", "params": {"alpha": -1.0}}, grid, {}, "initial.params.alpha"),
+        ("semi_infinite", {"b": [0.0] * 4, "a": [1.0, -1.0, 1.0]}, grid, {"n_max": 4}, "initial.a"),
+        ("semi_infinite", {"generator": "table", "params": {"b": [0.0] * 4, "a": [1.0, 1.0, 1.0, 0.0]}},
+         grid, {"n_max": 4}, "initial.params.a"),
     ]
     # array entries must be JSON numbers: strings and true/false are not read as numbers
     table = {"n_max": 4}
@@ -215,15 +227,15 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("finite", explicit, {"t_end": 1e-320, "steps": 1000000}, {}, "grid"),
         ("verify", explicit, {"t_end": 1e-320, "steps": 1000000}, {}, "grid"),
     ]
+    out = tmp_path / "out"
     for mode, initial, grid_, options, name in oversized + out_of_range + not_numbers + too_fine:
-        cfg = write_config(tmp_path / "t.json", {
-            "mode": mode,
-            "initial": initial,
-            "grid": grid_,
-            "options": options,
-        })
-        assert main(["--config", cfg, "--out", str(tmp_path)]) == 1, name
+        payload = {"mode": mode, "initial": initial, "options": options}
+        if grid_ is not None:
+            payload["grid"] = grid_
+        cfg = write_config(tmp_path / "t.json", payload)
+        assert main(["--config", cfg, "--out", str(out)]) == 1, name
         assert f"error: {name}:" in capsys.readouterr().err
+        assert not out.exists(), name
     # a field the config does not define is named, not ignored
     unknown = [
         ({"options": {"n_mx": 16}}, "options.n_mx"),
@@ -235,6 +247,11 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ({"initial": {"b": [0.0], "upper_bound": 1.0}}, "initial.upper_bound"),
         ({"mode": "semi_infinite", "initial": {"generator": "constant", "b": [0.0]}}, "initial.b"),
         ({"mode": "semi_infinite", "initial": {"b": [0.0, 0.0], "a": [1.0], "params": {}}}, "initial.params"),
+        # each mode takes only the fields it reads
+        ({"options": {"dt": 1e-4}}, "options.dt"),
+        ({"output": {"table": "x.csv"}}, "output.table"),
+        ({"mode": "semi_infinite", "initial": {"generator": "constant"}, "options": {"k": 8}}, "options.k"),
+        ({"mode": "response"}, "grid"),
     ]
     for extra, name in unknown:
         payload = {"mode": "finite", "initial": explicit, "grid": grid}
@@ -254,6 +271,15 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     })
     assert main(["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: options.n_max: need an integer >= 6, got 4\n"
+    assert not out.exists()
+    # a table holds a finite number of entries, and n_max (default 64) may not pass them
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"b": [0.0, 0.0, 0.0, 0.0], "a": [1.0, 1.0, 1.0]},
+        "grid": {"t_end": 1.0, "steps": 2},
+    })
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: options.n_max: need an integer <= 4, the length of the table, got 64\n"
     assert not out.exists()
 
 
@@ -301,9 +327,11 @@ def test_outputs_that_share_a_path_are_rejected(tmp_path, capsys):
         assert main(["--config", cfg, "--out", str(out)]) == 1, output
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
-    # response mode writes no trajectory, so its path may be anything
+    # response mode writes no trajectory, so it takes no trajectory path
     cfg = finite_config(tmp_path, mode="response", output={"trajectory": "report.json"})
-    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: output.trajectory: unknown field")
+    assert not out.exists()
 
 
 def test_output_write_failures_exit_1(tmp_path, capsys):
@@ -370,12 +398,10 @@ def test_a_failed_computation_leaves_no_partial_run(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(todaflow.cli, last_step, fail)
     initial = {"generator": "constant"} if mode == "semi_infinite" else {"b": [0.0, 0.0], "a": [1.0]}
-    cfg = write_config(tmp_path / "c.json", {
-        "mode": mode,
-        "initial": initial,
-        "grid": {"t_end": 1.0, "steps": 2},
-        "options": {"dt": 0.5} if mode == "verify" else {},
-    })
+    payload = {"mode": mode, "initial": initial, "options": {"dt": 0.5} if mode == "verify" else {}}
+    if mode != "response":
+        payload["grid"] = {"t_end": 1.0, "steps": 2}
+    cfg = write_config(tmp_path / "c.json", payload)
     out = tmp_path / "out"
     assert main(["--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err == "numerical failure: NumericalError: injected\n"
@@ -395,7 +421,7 @@ def test_verify_on_random_n64_matches_rk4(tmp_path):
     assert json.loads((tmp_path / "report.json").read_text())["deviation"] <= 1e-6
 
 
-def test_numerical_failure_exits_2(tmp_path, capsys):
+def test_numerical_failure_exits_2(tmp_path, monkeypatch, capsys):
     cfg = write_config(tmp_path / "c.json", {
         "mode": "verify",
         "initial": {"b": [0.0, 0.0], "a": [100.0]},
@@ -412,6 +438,14 @@ def test_numerical_failure_exits_2(tmp_path, capsys):
     })
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
     assert "numerical failure: OverflowError" in capsys.readouterr().err
+    # a failed MRRR iteration in the eigendecomposition
+    monkeypatch.setattr(todaflow.jacobi.lapack, "dstemr", lambda *args: (None, None, None, 22))
+    out = tmp_path / "out"
+    assert main(["--config", finite_config(tmp_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: EigenConvergenceError: tridiagonal MRRR iteration failed (LAPACK dstemr info=22)\n"
+    )
+    assert list(out.iterdir()) == []
 
 
 def test_overlap_failure_exits_2_and_writes_nothing(tmp_path, capsys):
@@ -426,13 +460,6 @@ def test_overlap_failure_exits_2_and_writes_nothing(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: OverlapError: the two ends")
     assert list(out.iterdir()) == []
-
-
-def test_mode_override_flag(tmp_path):
-    cfg = finite_config(tmp_path)
-    assert main(["--config", cfg, "--mode", "verify", "--out", str(tmp_path), "--quiet"]) == 0
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert "deviation" in report
 
 
 def test_semi_infinite_mode(tmp_path):
@@ -455,7 +482,6 @@ def test_response_mode(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "mode": "response",
         "initial": {"b": [0.0, 0.0], "a": [1.0]},
-        "grid": {"t_end": 1.0, "steps": 1},
         "options": {"k": 6},
     })
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
@@ -478,7 +504,6 @@ def test_response_mode(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "mode": "response",
         "initial": {"b": free.diag.tolist(), "a": free.offdiag.tolist()},
-        "grid": {"t_end": 1.0, "steps": 1},
         "options": {"k": 30},
     })
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
@@ -500,3 +525,24 @@ def test_console_invocation(tmp_path):
     )
     assert proc.returncode == 0
     assert "trajectory.csv" in proc.stdout
+
+
+def test_readme_command_line_matches_the_cli(capsys):
+    # README's Command line section states the flags the parser defines,
+    # the modes, and each mode's fields with the defaults cli fills in
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command line\n")[1].split("\n## ")[0]
+    usage = next(line for line in section.splitlines() if line.startswith("todaflow --config "))
+    with pytest.raises(SystemExit):
+        todaflow.cli._parse_args(["--help"])
+    defined = re.findall(r"--[\w-]+", capsys.readouterr().out.split("\n\n")[0])
+    assert re.findall(r"--[\w-]+", usage) == defined
+    modes = re.findall(r"^- `(\w+)` reads (.*?)(?=^- |^$)", section, re.M | re.S)
+    assert tuple(mode for mode, _ in modes) == todaflow.cli.MODES
+    for mode, text in modes:
+        reads_grid, options, files = todaflow.cli._MODES[mode]
+        expected = {"grid.t_end": None, "grid.steps": None} if reads_grid else {}
+        expected.update({f"options.{key}": value for key, value in options.items()})
+        expected.update({f"output.{key}": value for key, value in files.items()})
+        stated = re.findall(r"`((?:grid|options|output)\.\w+)`(?:\s+\(`([^`]+)`)?", text)
+        assert {name: json.loads(value) if value else None for name, value in stated} == expected, mode

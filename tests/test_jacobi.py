@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+import todaflow.jacobi
 from todaflow import (
     DiscreteMeasure,
     EigenConvergenceError,
@@ -151,11 +152,15 @@ def test_measure_moments_match_matrix_powers():
             power = power @ dense
 
 
-def test_eigen_collision_is_reported_as_breakdown():
+def test_eigen_collision_is_reported_as_breakdown(monkeypatch):
     # offdiag 1e-300 is positive, but the eigenvalue gap 2e-300 is far below
     # the 1e-12 simplicity threshold against ||J|| = 1
     with pytest.raises(EigenConvergenceError):
         eigendecompose(JacobiMatrix(diag=[1.0, 1.0], offdiag=[1e-300]))
+    # an MRRR iteration that fails is reported with LAPACK's info
+    monkeypatch.setattr(todaflow.jacobi.lapack, "dstemr", lambda *args: (None, None, None, 22))
+    with pytest.raises(EigenConvergenceError, match=r"dstemr info=22\)$"):
+        eigendecompose(JacobiMatrix(diag=[0.0, 0.0], offdiag=[1.0]))
 
 
 def test_separation_is_relative_at_every_scale():

@@ -52,6 +52,13 @@ def test_generator_builtins():
         ("table", {"a": ["1"], "b": ["0", "0.5"]}),
         ("table", {"a": [float("nan")], "b": [0.0, 0.5]}),
         ("table", {"b": [1.0, 2.0]}),
+        # every a_n > 0, also an a_n past the last b_n
+        ("linear_b", {"alpha": -1.0}),
+        ("constant", {"alpha": 0.0}),
+        ("decay", {"alpha": -1.0}),
+        ("table", {"a": [1.0, -1.0], "b": [0.0, 0.0, 0.0]}),
+        ("table", {"a": [1.0, 0.0], "b": [0.0, 0.0]}),
+        (["constant"], {}),
     ]
     for name, params in rejected:
         with pytest.raises(ValueError):
@@ -67,7 +74,7 @@ def test_table_rejects_non_1d_arrays_at_construction(params):
 
 
 def test_truncation_rejects_nonpositive_a():
-    init = make_initial_data("linear_b", {"alpha": -1.0})
+    init = SemiInfiniteInitialData(lambda n: (-1.0, 0.0))
     with pytest.raises(ValueError):
         init.truncation(3)
 
