@@ -20,7 +20,8 @@ here with their defaults (the grid has none):
 "beta": -1.0, "gamma": 0.0}}.  The grid is steps + 1 equal times on
 [0, t_end].  Any other field is rejected with a message naming it, and
 so, before any output is made, are generator parameters that make some
-a_n <= 0 and, in semi_infinite mode, an n_max past the end of a table.
+a_n <= 0 and a table shorter than the first truncation size
+min(max(2m+2, 8), n_max).
 Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure.
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
 values printed with 17 significant digits so a written file re-reads to
@@ -46,7 +47,14 @@ from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arr
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import _grid_steps, compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_measure
-from .semi_infinite import SemiInfiniteInitialData, _truncation_sizes, make_initial_data, solve_toda_semi_infinite
+from .semi_infinite import (
+    _GENERATORS,
+    SemiInfiniteInitialData,
+    _first_size,
+    _truncation_sizes,
+    make_initial_data,
+    solve_toda_semi_infinite,
+)
 
 __all__ = [
     "ConfigError",
@@ -147,21 +155,20 @@ def _build_generator(initial: dict) -> tuple[SemiInfiniteInitialData, Optional[i
     if "generator" in initial:
         _known_fields(initial, ("generator", "params"), "initial.")
         name, params = initial["generator"], initial.get("params", {})
+        _require(name in ("table", *_GENERATORS), f"initial.generator: unknown initial-data generator {name!r}")
         _require(isinstance(params, dict), "initial.params: must be an object")
-        field, prefix = "initial.generator", "initial.params."
+        prefix = "initial.params."
     elif "b" in initial:
         _known_fields(initial, ("b", "a"), "initial.")
         name, params = "table", {"a": initial.get("a", []), "b": initial["b"]}
-        field, prefix = "initial", "initial."
+        prefix = "initial."
     else:
         raise ConfigError("initial: semi_infinite mode needs a generator name or explicit tables")
     try:
-        data = make_initial_data(name, params, prefix=prefix)
+        data = make_initial_data(name, params)
     except ValueError as exc:
-        # the rule of one parameter names it after prefix; the other
-        # messages are about the generator as a whole
-        message = str(exc)
-        raise ConfigError(message if message.startswith(prefix) else f"{field}: {message}") from exc
+        # make_initial_data starts each message with the parameter's name
+        raise ConfigError(prefix + str(exc)) from exc
     return data, len(params["b"]) if name == "table" else None
 
 
@@ -211,10 +218,13 @@ def _resolve(raw, out_dir: Path) -> RunConfig:
     _require(isinstance(initial, dict), "initial: must be an object")
     if mode == "semi_infinite":
         initial, entries = _build_generator(initial)
-        n_max = _truncation_sizes(options["m"], options["n_max"], "options.")[1]
+        # a table must hold the first truncation; a run that outgrows it
+        # later fails then, as the table is exhausted
+        first = _first_size(*_truncation_sizes(options["m"], options["n_max"], "options."))
         _require(
-            entries is None or n_max <= entries,
-            f"options.n_max: need an integer <= {entries}, the length of the table, got {n_max}",
+            entries is None or first <= entries,
+            f"options.n_max: the first truncation size, min(max(2m+2, 8), n_max) = {first}, "
+            f"is more than the table's {entries} entries",
         )
     else:
         initial = _build_matrix(initial)

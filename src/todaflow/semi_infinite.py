@@ -12,6 +12,7 @@ eigenvalue of each truncation is recorded (spectral_maxima), not tested.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,13 +60,20 @@ def _constant(alpha: float, gamma: float):
 
 
 def _decay(alpha: float, gamma: float):
+    # a normal alpha keeps alpha / n a positive double for every n < 2**52;
+    # a subnormal one can round to a_n = 0 at a size a run reaches
+    if alpha < sys.float_info.min:
+        raise ValueError(
+            f"alpha: need at least {sys.float_info.min!r}, the smallest normal double, "
+            f"so that every a_n = alpha / n > 0, got {alpha!r}"
+        )
     return lambda n: (alpha / n, gamma)
 
 
-def _table(a, b, prefix: str):
-    a, b = _real_array(f"{prefix}a", a, 1, positive=True), _real_array(f"{prefix}b", b, 1)
+def _table(a, b):
+    a, b = _real_array("a", a, 1, positive=True), _real_array("b", b, 1)
     if a.size != b.size - 1 and a.size != b.size:
-        raise ValueError("table needs len(a) in {len(b)-1, len(b)}")
+        raise ValueError(f"a: need len(a) = len(b) - 1 or len(b), got {a.size} for len(b) = {b.size}")
 
     def coeff(n: int) -> tuple[float, float]:
         if n > b.size:
@@ -89,7 +97,7 @@ _GENERATORS = {
 }
 
 
-def make_initial_data(name: str, params: Optional[dict] = None, *, prefix: str = "") -> SemiInfiniteInitialData:
+def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteInitialData:
     """Named built-in generators for initial data.
 
     "linear_b":  b_n = beta * n + gamma, a_n = alpha
@@ -98,26 +106,27 @@ def make_initial_data(name: str, params: Optional[dict] = None, *, prefix: str =
     "table":     explicit finite arrays a, b
 
     Each generator takes only its own parameters, as finite real numbers,
-    with alpha > 0 and every entry of a table's a > 0, so that every
-    a_n > 0.  Defaults: alpha = 1.0, beta = 0.0, gamma = 0.0.  A message
-    about one parameter starts with prefix and the parameter's name.
+    with alpha > 0 (decay: alpha at least the smallest normal double, so
+    that alpha / n does not underflow to 0) and every entry of a table's
+    a > 0, so that every a_n > 0.  Defaults: alpha = 1.0, beta = 0.0,
+    gamma = 0.0.  A message about one parameter starts with its name.
     """
     params = dict(params or {})
     if name == "table":
         for key in ("a", "b"):
             if key not in params:
                 raise ValueError(f"{key}: the table generator needs arrays a and b")
-        coeff = _table(params.pop("a"), params.pop("b"), prefix)
+        coeff = _table(params.pop("a"), params.pop("b"))
     elif isinstance(name, str) and name in _GENERATORS:
         defaults, make = _GENERATORS[name]
         coeff = make(**{
-            key: _finite_real(prefix + key, params.pop(key, value), positive=key == "alpha")
+            key: _finite_real(key, params.pop(key, value), positive=key == "alpha")
             for key, value in defaults.items()
         })
     else:
         raise ValueError(f"unknown initial-data generator {name!r}")
     if params:
-        raise ValueError(f"{prefix}{next(iter(params))}: not a parameter of the {name} generator")
+        raise ValueError(f"{next(iter(params))}: not a parameter of the {name} generator")
     return SemiInfiniteInitialData(coefficients=coeff)
 
 
@@ -180,6 +189,11 @@ def _truncation_sizes(m, n_max, prefix: str = "") -> tuple[int, int]:
     return m, _count(f"{prefix}n_max", n_max, 2 * m + 2)
 
 
+def _first_size(m: int, n_max: int) -> int:
+    """The first truncation size the solver runs: max(2m+2, 8), capped at n_max."""
+    return min(max(2 * m + 2, 8), n_max)
+
+
 def solve_toda_semi_infinite(
     init: SemiInfiniteInitialData,
     times,
@@ -216,7 +230,7 @@ def solve_toda_semi_infinite(
     # (a_k, b_k) for k = 1..n of the largest truncation so far: each
     # coefficient is fetched once
     pairs: list[tuple[float, float]] = []
-    n = min(max(2 * m + 2, 8), n_max)
+    n = _first_size(m, n_max)
     while True:
         pairs += [init.coefficients(k) for k in range(len(pairs) + 1, n + 1)]
         block = JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[:-1]])

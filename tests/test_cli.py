@@ -145,7 +145,7 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("semi_infinite", {"b": 5}, "initial.b"),
         ("semi_infinite", {"generator": "constant", "params": [1]}, "initial.params"),
         ("semi_infinite", {"generator": "constant", "params": {"alpha": [1]}}, "initial.params.alpha"),
-        ("semi_infinite", {"generator": "table", "params": {"b": [1.0, 2.0]}}, "initial.generator: a"),
+        ("semi_infinite", {"generator": "table", "params": {"b": [1.0, 2.0]}}, "initial.params.a"),
         ("semi_infinite", {"generator": ["constant"]}, "initial.generator"),
     ]
     capsys.readouterr()
@@ -210,6 +210,7 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("semi_infinite", {"generator": "linear_b", "params": {"alpha": -1.0}}, grid, {}, "initial.params.alpha"),
         ("semi_infinite", {"generator": "constant", "params": {"alpha": 0.0}}, grid, {}, "initial.params.alpha"),
         ("semi_infinite", {"generator": "decay", "params": {"alpha": -1.0}}, grid, {}, "initial.params.alpha"),
+        ("semi_infinite", {"generator": "decay", "params": {"alpha": 5e-324}}, grid, {}, "initial.params.alpha"),
         ("semi_infinite", {"b": [0.0] * 4, "a": [1.0, -1.0, 1.0]}, grid, {"n_max": 4}, "initial.a"),
         ("semi_infinite", {"generator": "table", "params": {"b": [0.0] * 4, "a": [1.0, 1.0, 1.0, 0.0]}},
          grid, {"n_max": 4}, "initial.params.a"),
@@ -272,15 +273,27 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     assert main(["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "error: options.n_max: need an integer >= 6, got 4\n"
     assert not out.exists()
-    # a table holds a finite number of entries, and n_max (default 64) may not pass them
+    # a table must hold the first truncation, of size 8 at the default n_max 64
     cfg = write_config(tmp_path / "c.json", {
         "mode": "semi_infinite",
         "initial": {"b": [0.0, 0.0, 0.0, 0.0], "a": [1.0, 1.0, 1.0]},
         "grid": {"t_end": 1.0, "steps": 2},
     })
     assert main(["--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: options.n_max: need an integer <= 4, the length of the table, got 64\n"
+    assert capsys.readouterr().err == (
+        "error: options.n_max: the first truncation size, min(max(2m+2, 8), n_max) = 8, "
+        "is more than the table's 4 entries\n"
+    )
     assert not out.exists()
+    # a table shorter than n_max runs when the sizes converge before passing its end
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"b": [0.0] * 16, "a": [0.5] * 16},
+        "grid": {"t_end": 1.0, "steps": 2},
+    })
+    assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["truncation_sizes"] == [8, 16] and report["stop_reason"] == "tol"
 
 
 def test_upper_bound_is_not_a_semi_infinite_field(tmp_path, capsys):

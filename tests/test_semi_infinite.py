@@ -56,6 +56,7 @@ def test_generator_builtins():
         ("linear_b", {"alpha": -1.0}),
         ("constant", {"alpha": 0.0}),
         ("decay", {"alpha": -1.0}),
+        ("decay", {"alpha": 5e-324}),
         ("table", {"a": [1.0, -1.0], "b": [0.0, 0.0, 0.0]}),
         ("table", {"a": [1.0, 0.0], "b": [0.0, 0.0]}),
         (["constant"], {}),
@@ -63,8 +64,11 @@ def test_generator_builtins():
     for name, params in rejected:
         with pytest.raises(ValueError):
             make_initial_data(name, params)
-    with pytest.raises(ValueError, match=r"^table needs len\(a\) in"):
+    with pytest.raises(ValueError, match=r"^a: need len\(a\) = len\(b\) - 1 or len\(b\), got 1 for len\(b\) = 3$"):
         make_initial_data("table", {"a": [1.0], "b": [1.0, 2.0, 3.0]})
+    # a subnormal decay alpha would make alpha / n round to 0
+    with pytest.raises(ValueError, match=r"^alpha: need at least 2.2250738585072014e-308, the smallest normal double"):
+        make_initial_data("decay", {"alpha": 1e-310})
 
 
 @pytest.mark.parametrize("params", [{"a": [], "b": 5}, {"a": [[1.0]], "b": [[1.0, 2.0]]}])
