@@ -18,10 +18,14 @@ here with their defaults (the grid has none):
 (b ~ U[-2,2], a ~ U[0.5,2]); in semi_infinite mode it is {"b": [...],
 "a": [...]} tables or {"generator": "linear_b", "params": {"alpha": 1.0,
 "beta": -1.0, "gamma": 0.0}}.  The grid is steps + 1 equal times on
-[0, t_end].  Any other field is rejected with a message naming it, and
-so, before any output is made, are generator parameters that make some
-a_n <= 0 and a table shorter than the first truncation size
-min(max(2m+2, 8), n_max).
+[0, t_end]; grid.steps is at most 1000000, and initial.random.n and
+options.n_max at most 16384.  Any other field is rejected with a message
+naming it, and so, before any output is made, are generator parameters
+that make some a_n <= 0 or some b_n infinite (linear_b: |beta| * 2**52 +
+|gamma| must be finite) and a table shorter than the first truncation
+size min(max(2m+2, 8), n_max), whose message is the table's own
+("options.n_max: table initial data exhausted at n=8: the table holds 4
+entries; ...").  Every config error is a ValueError.
 Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure.
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
 values printed with 17 significant digits so a written file re-reads to
@@ -57,7 +61,6 @@ from .semi_infinite import (
 )
 
 __all__ = [
-    "ConfigError",
     "RunConfig",
     "load_config",
     "run",
@@ -79,9 +82,11 @@ _MODES = {
 }
 MODES = tuple(_MODES)
 
-# Upper bounds on the sizes a config may ask for: a larger grid or random
-# matrix would only fail later, in an allocation that names no field, and
-# more RK4 steps in verify mode would run for hours without a message.
+# Upper bounds on the sizes a config may ask for: a larger grid, random
+# matrix or semi_infinite truncation (whose eigenvectors take n_max**2
+# doubles, 2.1 GB at 16384) would only fail later, in an allocation that
+# names no field, and more RK4 steps in verify mode would run for hours
+# without a message.
 _MAX_STEPS = 1_000_000
 _MAX_RANDOM_N = 16_384
 
@@ -91,19 +96,16 @@ _MAX_RANDOM_N = 16_384
 _OPTIONS = {
     "dt": lambda name, v: _finite_real(name, v, positive=True),
     "tol": lambda name, v: _finite_real(name, v, positive=True),
-    "n_max": lambda name, v: _count(name, v, 2),
+    "n_max": lambda name, v: _count(name, v, 2, _MAX_RANDOM_N),
     "m": lambda name, v: _count(name, v, 1),
     "k": lambda name, v: _count(name, v, 1, _K_MAX),
 }
 
 
-class ConfigError(ValueError):
-    """Configuration rejected; the message names the offending field."""
-
-
 @dataclass
 class RunConfig:
-    """A validated run: everything main() needs, resolved to library objects.
+    """A validated run: all that run() needs but the output directory,
+    resolved to library objects.
 
     initial is a JacobiMatrix, or SemiInfiniteInitialData in semi_infinite mode;
     times is None in response mode; options and output are filled from _MODES.
@@ -111,7 +113,6 @@ class RunConfig:
 
     mode: str
     times: Optional[np.ndarray]
-    out_dir: Path
     initial: JacobiMatrix | SemiInfiniteInitialData
     options: dict
     output: dict
@@ -119,7 +120,7 @@ class RunConfig:
 
 def _require(condition: bool, message: str) -> None:
     if not condition:
-        raise ConfigError(message)
+        raise ValueError(message)
 
 
 def _known_fields(obj: dict, fields, prefix: str) -> None:
@@ -150,8 +151,7 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
     return JacobiMatrix(diag=b, offdiag=a)
 
 
-def _build_generator(initial: dict) -> tuple[SemiInfiniteInitialData, Optional[int]]:
-    # the data, and how many entries a table holds (None for a generator)
+def _build_generator(initial: dict) -> SemiInfiniteInitialData:
     if "generator" in initial:
         _known_fields(initial, ("generator", "params"), "initial.")
         name, params = initial["generator"], initial.get("params", {})
@@ -163,39 +163,29 @@ def _build_generator(initial: dict) -> tuple[SemiInfiniteInitialData, Optional[i
         name, params = "table", {"a": initial.get("a", []), "b": initial["b"]}
         prefix = "initial."
     else:
-        raise ConfigError("initial: semi_infinite mode needs a generator name or explicit tables")
+        raise ValueError("initial: semi_infinite mode needs a generator name or explicit tables")
     try:
-        data = make_initial_data(name, params)
+        return make_initial_data(name, params)
     except ValueError as exc:
         # make_initial_data starts each message with the parameter's name
-        raise ConfigError(prefix + str(exc)) from exc
-    return data, len(params["b"]) if name == "table" else None
+        raise ValueError(prefix + str(exc)) from exc
 
 
-def load_config(path, *, out_dir: str = ".") -> RunConfig:
+def load_config(path) -> RunConfig:
     """Read, validate and resolve a JSON config file.
 
-    Raises ConfigError, whose message starts with the offending field.
+    Raises ValueError, whose message starts with the offending field: the
+    value rules of todaflow.jacobi start theirs with the field name the
+    CLI passes them.
     """
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
     except OSError as exc:
-        raise ConfigError(f"config: cannot read {path} ({exc})") from exc
+        raise ValueError(f"config: cannot read {path} ({exc})") from exc
     except ValueError as exc:
         # a JSONDecodeError, or an integer literal too long for int()
-        raise ConfigError(f"config: cannot parse {path} as JSON ({exc})") from exc
-    try:
-        return _resolve(raw, Path(out_dir))
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        # the value rules of todaflow.jacobi start their message with the
-        # field name the CLI passed them
-        raise ConfigError(str(exc)) from exc
-
-
-def _resolve(raw, out_dir: Path) -> RunConfig:
+        raise ValueError(f"config: cannot parse {path} as JSON ({exc})") from exc
     _require(isinstance(raw, dict), "config: top level must be an object")
     mode = raw.get("mode")
     _require(mode in MODES, f"mode: must be one of {MODES}, got {mode!r}")
@@ -217,15 +207,14 @@ def _resolve(raw, out_dir: Path) -> RunConfig:
     initial = raw.get("initial")
     _require(isinstance(initial, dict), "initial: must be an object")
     if mode == "semi_infinite":
-        initial, entries = _build_generator(initial)
-        # a table must hold the first truncation; a run that outgrows it
-        # later fails then, as the table is exhausted
-        first = _first_size(*_truncation_sizes(options["m"], options["n_max"], "options."))
-        _require(
-            entries is None or first <= entries,
-            f"options.n_max: the first truncation size, min(max(2m+2, 8), n_max) = {first}, "
-            f"is more than the table's {entries} entries",
-        )
+        initial = _build_generator(initial)
+        # no run starts on a table shorter than its first truncation; a run
+        # that outgrows a table later fails then, as the table is exhausted
+        size = _first_size(*_truncation_sizes(options["m"], options["n_max"], "options."))
+        try:
+            initial.coefficients(size)
+        except ValueError as exc:
+            raise ValueError(f"options.n_max: {exc}") from exc
     else:
         initial = _build_matrix(initial)
     if mode == "verify":
@@ -236,22 +225,28 @@ def _resolve(raw, out_dir: Path) -> RunConfig:
         )
 
     output = dict(files)
-    for key, path in _section(raw, "output", files).items():
-        _require(isinstance(path, str) and path, f"output.{key}: need a non-empty path")
-        output[key] = path
+    for key, name in _section(raw, "output", files).items():
+        _require(isinstance(name, str) and name, f"output.{key}: need a non-empty path")
+        output[key] = name
     first, second = output
     _require(Path(output[first]) != Path(output[second]), f"output.{second}: same path as output.{first}")
-    return RunConfig(mode, times, out_dir, initial, options, output)
+    return RunConfig(mode, times, initial, options, output)
+
+
+def _write_csv(path, header: list[str], rows) -> None:
+    # every CSV of the CLI: a header line, then rows of numbers printed with
+    # 17 significant digits, which re-read to the same doubles (and print
+    # an integer as %d does)
+    fmt = ",".join(["%.17g"] * len(header))
+    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_trajectory_csv(path, traj: TodaTrajectory) -> None:
     """Write "t,b1,...,bN,a1,...,a{N-1}" rows with full 17-digit precision."""
     n = traj.size
-    header = ",".join(["t"] + [f"b{i}" for i in range(1, n + 1)] + [f"a{i}" for i in range(1, n)])
-    rows = np.column_stack((traj.times, traj.diag, traj.offdiag))
-    fmt = ",".join(["%.17g"] * rows.shape[1])
-    lines = [header] + [fmt % tuple(row) for row in rows.tolist()]
-    Path(path).write_text("\n".join(lines) + "\n")
+    header = ["t"] + [f"b{i}" for i in range(1, n + 1)] + [f"a{i}" for i in range(1, n)]
+    _write_csv(path, header, np.column_stack((traj.times, traj.diag, traj.offdiag)).tolist())
 
 
 def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,17 +268,18 @@ def _check_targets(*paths: Path) -> None:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
-def run(config: RunConfig) -> list[Path]:
-    """Execute one validated run; returns the paths written.
+def run(config: RunConfig, out_dir) -> list[Path]:
+    """Execute one validated run into out_dir; returns the paths written.
 
-    Makes the output directory and checks both output paths, then
+    Makes out_dir and checks both output paths, then
     computes the whole run (the trajectory or the k,s,r table, and the
     report) with nothing written, and only then writes the mode's first
     file and the report.  So a run that fails, on its outputs or in its
     numerics, writes none of its files.
     """
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    first, report_path = (config.out_dir / name for name in config.output.values())
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    first, report_path = (out_dir / name for name in config.output.values())
     _check_targets(first, report_path)
     report = {"mode": config.mode}
     if config.mode == "response":
@@ -292,8 +288,7 @@ def run(config: RunConfig) -> list[Path]:
         s = moments_from_measure(mu, k)
         verdict = check_moment_positivity(s)
         report.update(k=k, classification={"kind": verdict.kind, "order": verdict.order})
-        rows = zip(range(k), s.values.tolist(), response_from_measure(mu, k).values.tolist())
-        first.write_text("\n".join(["k,s,r"] + ["%d,%.17g,%.17g" % row for row in rows]) + "\n")
+        _write_csv(first, ["k", "s", "r"], zip(range(k), s.values.tolist(), response_from_measure(mu, k).values.tolist()))
     else:
         if config.mode == "semi_infinite":
             traj, stabilization = solve_toda_semi_infinite(config.initial, config.times, **config.options)
@@ -323,8 +318,7 @@ def _parse_args(argv):
 def main(argv=None) -> int:
     args = _parse_args(argv)
     try:
-        config = load_config(args.config, out_dir=args.out)
-        artifacts = run(config)
+        artifacts = run(load_config(args.config), args.out)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -332,7 +326,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        # run's mkdir and writes; load_config turns a failed read into a ConfigError
+        # run's mkdir and writes; load_config turns a failed read into a ValueError
         print(f"error: output: cannot write {exc.filename or args.out} ({exc.strerror or exc})", file=sys.stderr)
         return 1
     if not args.quiet:

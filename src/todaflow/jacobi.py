@@ -191,11 +191,9 @@ class DiscreteMeasure:
 
     def __init__(self, nodes, weights):
         nodes = _increasing("nodes", nodes)
-        weights = _real_array("weights", weights, 1)
+        weights = _real_array("weights", weights, 1, positive=True)
         if weights.shape != nodes.shape:
             raise ValueError("weights must match nodes in length")
-        if np.min(weights) <= 0.0:
-            raise ValueError("weights must be strictly positive")
         _freeze(self, nodes=nodes, log_weights=np.log(weights))
 
     @classmethod

@@ -52,6 +52,12 @@ class SemiInfiniteInitialData:
 
 
 def _linear_b(alpha: float, beta: float, gamma: float):
+    # as for decay, every n < 2**52 must give a finite b_n
+    if not math.isfinite(abs(beta) * 2.0**52 + abs(gamma)):
+        raise ValueError(
+            f"beta: need |beta| * 2**52 + |gamma| finite, so that every b_n = beta * n + gamma "
+            f"is finite, got beta = {beta!r}, gamma = {gamma!r}"
+        )
     return lambda n: (alpha, beta * n + gamma)
 
 
@@ -78,7 +84,8 @@ def _table(a, b):
     def coeff(n: int) -> tuple[float, float]:
         if n > b.size:
             raise ValueError(
-                f"table initial data exhausted at n={n}; provide more entries or lower n_max"
+                f"table initial data exhausted at n={n}: the table holds {b.size} entries; "
+                "provide more entries or lower n_max"
             )
         if n <= a.size:
             return (float(a[n - 1]), float(b[n - 1]))
@@ -108,8 +115,11 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteI
     Each generator takes only its own parameters, as finite real numbers,
     with alpha > 0 (decay: alpha at least the smallest normal double, so
     that alpha / n does not underflow to 0) and every entry of a table's
-    a > 0, so that every a_n > 0.  Defaults: alpha = 1.0, beta = 0.0,
-    gamma = 0.0.  A message about one parameter starts with its name.
+    a > 0, so that every a_n > 0; linear_b needs |beta| * 2**52 + |gamma|
+    finite, so that every b_n with n < 2**52 is finite.  Defaults:
+    alpha = 1.0, beta = 0.0, gamma = 0.0.  A message about one parameter
+    starts with its name.  A table raises ValueError when it is asked
+    for an entry past its end, naming its length.
     """
     params = dict(params or {})
     if name == "table":

@@ -198,6 +198,8 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("semi_infinite", {"b": [0.0, huge], "a": [1.0]}, grid, {}, "initial.b"),
         ("finite", explicit, {"t_end": 1.0, "steps": huge}, {}, "grid.steps"),
         ("finite", {"random": {"n": huge}}, grid, {}, "initial.random.n"),
+        # a truncation's eigenvectors take n_max**2 doubles
+        ("semi_infinite", escaping, grid, {"n_max": 16385}, "options.n_max"),
     ]
     # every option is checked against its own range
     out_of_range = [
@@ -211,6 +213,8 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("semi_infinite", {"generator": "constant", "params": {"alpha": 0.0}}, grid, {}, "initial.params.alpha"),
         ("semi_infinite", {"generator": "decay", "params": {"alpha": -1.0}}, grid, {}, "initial.params.alpha"),
         ("semi_infinite", {"generator": "decay", "params": {"alpha": 5e-324}}, grid, {}, "initial.params.alpha"),
+        # and whose b_n are not all finite
+        ("semi_infinite", {"generator": "linear_b", "params": {"beta": 1e308}}, grid, {}, "initial.params.beta"),
         ("semi_infinite", {"b": [0.0] * 4, "a": [1.0, -1.0, 1.0]}, grid, {"n_max": 4}, "initial.a"),
         ("semi_infinite", {"generator": "table", "params": {"b": [0.0] * 4, "a": [1.0, 1.0, 1.0, 0.0]}},
          grid, {"n_max": 4}, "initial.params.a"),
@@ -281,8 +285,8 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     })
     assert main(["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: options.n_max: the first truncation size, min(max(2m+2, 8), n_max) = 8, "
-        "is more than the table's 4 entries\n"
+        "error: options.n_max: table initial data exhausted at n=8: the table holds 4 entries; "
+        "provide more entries or lower n_max\n"
     )
     assert not out.exists()
     # a table shorter than n_max runs when the sizes converge before passing its end

@@ -25,3 +25,46 @@ def test_every_imported_name_is_used():
     assert modules
     unused = [entry for path in modules for entry in _unused_imports(path)]
     assert not unused, f"imported and never used: {unused}"
+
+
+
+def _private_names(node: ast.stmt) -> list[str]:
+    # the functions, classes and constants a module-level statement defines
+    # under a name with one leading underscore
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names = [node.name]
+    elif isinstance(node, ast.Assign):
+        names = [target.id for target in node.targets if isinstance(target, ast.Name)]
+    elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        names = [node.target.id]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def _read_names(node: ast.AST) -> set[str]:
+    # names read under node, as a name, an attribute or an import from a sibling
+    read = set()
+    for child in ast.walk(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            read.add(child.id)
+        elif isinstance(child, ast.Attribute):
+            read.add(child.attr)
+        elif isinstance(child, ast.ImportFrom):
+            read.update(alias.name for alias in child.names)
+    return read
+
+
+def test_every_private_helper_is_read():
+    # a helper counts as read only outside its own definition, so one that
+    # only calls itself is dead too
+    statements = [(path.name, node) for path in sorted(PACKAGE.glob("*.py")) for node in ast.parse(path.read_text()).body]
+    reads = [_read_names(node) for _, node in statements]
+    helpers = [(i, name) for i, (_, node) in enumerate(statements) for name in _private_names(node)]
+    assert helpers
+    dead = [
+        f"{statements[i][0]}:{statements[i][1].lineno} {name}"
+        for i, name in helpers
+        if not any(name in read for j, read in enumerate(reads) if j != i)
+    ]
+    assert not dead, f"private and read by no module of the package: {dead}"

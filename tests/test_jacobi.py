@@ -58,9 +58,9 @@ def test_measure_construction_rejects_bad_input():
         DiscreteMeasure(nodes=[1.0, 0.0], weights=[0.5, 0.5])
     with pytest.raises(ValueError):
         DiscreteMeasure(nodes=[0.0, 0.0], weights=[0.5, 0.5])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights: entries must be strictly positive"):
         DiscreteMeasure(nodes=[0.0, 1.0], weights=[0.5, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^weights: entries must be strictly positive"):
         DiscreteMeasure(nodes=[0.0, 1.0], weights=[0.5, -0.5])
     with pytest.raises(ValueError, match="^weights must match nodes in length"):
         DiscreteMeasure(nodes=[0.0, 1.0], weights=[1.0])
@@ -157,6 +157,13 @@ def test_eigen_collision_is_reported_as_breakdown(monkeypatch):
     # the 1e-12 simplicity threshold against ||J|| = 1
     with pytest.raises(EigenConvergenceError):
         eigendecompose(JacobiMatrix(diag=[1.0, 1.0], offdiag=[1e-300]))
+    # MRRR sets over a hundred first components of random N = 256 to 0; a
+    # twisted pass that cannot recompute them yields no measure
+    rng = np.random.default_rng(0)
+    j = JacobiMatrix(diag=rng.uniform(-2.0, 2.0, 256), offdiag=rng.uniform(0.5, 2.0, 255))
+    monkeypatch.setattr(todaflow.jacobi, "_twisted_log_weights", lambda d, e, lam, vec: np.full(lam.shape, np.nan))
+    with pytest.raises(EigenConvergenceError, match="^a log weight is not finite"):
+        eigendecompose(j)
     # an MRRR iteration that fails is reported with LAPACK's info
     monkeypatch.setattr(todaflow.jacobi.lapack, "dstemr", lambda *args: (None, None, None, 22))
     with pytest.raises(EigenConvergenceError, match=r"dstemr info=22\)$"):

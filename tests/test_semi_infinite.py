@@ -57,6 +57,8 @@ def test_generator_builtins():
         ("constant", {"alpha": 0.0}),
         ("decay", {"alpha": -1.0}),
         ("decay", {"alpha": 5e-324}),
+        # and every b_n finite for n < 2**52
+        ("linear_b", {"beta": 1e308}),
         ("table", {"a": [1.0, -1.0], "b": [0.0, 0.0, 0.0]}),
         ("table", {"a": [1.0, 0.0], "b": [0.0, 0.0]}),
         (["constant"], {}),
