@@ -168,12 +168,14 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     measures -- and read the three-term recurrence off the sequence.
     Diagonal entries are the recurrence centers, off-diagonal entries the
     (positive) norms.  When mu has exactly n nodes this inverts
-    eigendecompose.  Each step runs the three-term recurrence and then one
-    projection onto the whole basis, in the unit vectors q sqrt(w), which
-    keeps the round trip at roundoff level for desk-scale n.  This is the
-    one-row call of the batched kernel that solve_toda_finite runs over all
-    grid times and both ends of the chain at once; it stays one-ended, so
-    its first k coefficients do not depend on n.
+    eigendecompose.  Each step runs the three-term recurrence in the unit
+    vectors q sqrt(w) and projects onto the whole basis only on the steps
+    where a bound on the lost orthogonality passes sqrt(eps), and on the
+    step after (partial reorthogonalization), which keeps the round trip at
+    roundoff level for desk-scale n.  This is the one-row call of the
+    batched kernel that solve_toda_finite runs over all grid times and both
+    ends of the chain at once; it stays one-ended, so its first k
+    coefficients do not depend on n.
 
     Raises
     ------
@@ -188,10 +190,21 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
 
 
-# Cap on the (rows, n, nodes) basis that one sweep of _stieltjes holds; a
+# Cap on the (n, rows, nodes) basis that one sweep of _stieltjes holds; a
 # longer stack of weight rows is reconstructed in chunks of rows.  Each
 # row's arithmetic is the same whatever rows share its chunk.
 _BASIS_BYTES = 1 << 24
+
+# A step on which at most this share of a chunk's rows takes the whole-basis
+# pass copies those rows out for it, a copy smaller than the basis; a larger
+# share takes one pass over every row that leaves the other rows untouched.
+# Both give each row the same bits.
+_GATHER_SHARE = 0.5
+
+_EPS = float(np.finfo(float).eps)
+
+# semiorthogonality: the bound past which a row takes the whole-basis pass
+_SEMIORTHOGONAL = math.sqrt(_EPS)
 
 
 def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -203,9 +216,11 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
     off-diagonals, row i being the Jacobi block of the measure
     (nodes, exp(log_weights[i])).  The recurrence of jacobi_from_measure
     runs over all rows at once, so its loop is over the n steps only.
-    The basis is stored as (rows, n, N): step k reads each row's slice
-    basis[i, :k+1], laid out the same whatever n is, so a leading block
-    is bitwise the prefix of a larger reconstruction.
+    The basis is stored as (n, rows, N), so that each step's vectors are
+    contiguous: step k reads each row's vectors basis[:k+1, i], laid out
+    the same whatever n is, and decides from that row's earlier steps
+    alone, so a leading block is bitwise the prefix of a larger
+    reconstruction.
     """
     rows_per_chunk = max(1, _BASIS_BYTES // (n * nodes.size * log_weights.itemsize))
     diag = np.empty((log_weights.shape[0], n))
@@ -216,53 +231,108 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
     return diag, offdiag
 
 
-# Lanczos on diag(x) in the unit vectors u = q sqrt(w), with complete
+# Lanczos on diag(x) in the unit vectors u = q sqrt(w), with partial
 # reorthogonalization, from sqrt(w / sum w) formed as exp((log w - max) / 2) over its
 # norm: only that root has to be a double, and an entry that underflows drops its
 # node.  Each step takes x u_k less its three-term part alpha u_k + a_{k-1} u_{k-1},
-# the only components it has in exact arithmetic, and then projects the remainder
-# once onto the whole basis u_0..u_k: the recurrence is the first of the two
-# projections that suffice (Parlett, The Symmetric Eigenvalue Problem, 1998, sec.
-# 6.9).  The center is alpha plus the second u_k coefficient and the final
-# remainder's norm the next off-diagonal.  A small norm is reported
-# only while every norm so far is finite (an infinite one divides the next vector
-# to 0); otherwise, as for NaN, the check at the end raises.
+# the only components it has in exact arithmetic.  Each row carries a bound m_k on
+# max_j |u_k . u_j|, from m_0 = eps:
+#     m_{k+1} = ((2 top + spread) m_k + top m_{k-1} + noise) / a_k,
+# with top the row's largest norm so far, spread = x_N - x_1 and noise = 2 eps max|x|.
+# As every center lies in [x_1, x_N], it bounds the row's omega recurrence of
+# H. D. Simon, Math. Comp. 42 (1984) 115.  A row whose bound passes sqrt(eps)
+# projects its remainder once onto its whole basis u_0..u_k on this step and the
+# next, the recurrence being the first of the two projections that suffice (Parlett,
+# The Symmetric Eigenvalue Problem, 1998, sec. 6.9), and its bound restarts at eps;
+# its center is alpha plus the second u_k coefficient.  Every other row keeps its
+# three-term remainder and center alpha.  The decision reads only the row's own
+# earlier steps, so no other row, chunk or sweep length changes a row's bits.  The
+# final remainder's norm is the next off-diagonal.  A small norm is reported only
+# while every norm so far is finite (an infinite one divides the next vector to 0);
+# otherwise, as for NaN, the check at the end raises.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
     n = diag.shape[1]
-    basis = np.empty((log_w.shape[0], n, x.size))
+    basis = np.empty((n,) + log_w.shape)
     # the rows are finite, so fmax is their max, and numpy reduces short rows
     # faster with it (5 against 16 us for 200 rows of 16)
-    u = np.subtract(log_w, np.fmax.reduce(log_w, axis=1, keepdims=True), out=basis[:, 0])
+    u = np.subtract(log_w, np.fmax.reduce(log_w, axis=1, keepdims=True), out=basis[0])
     u *= 0.5
     np.exp(u, out=u)
     u /= np.sqrt(np.vecdot(u, u))[:, np.newaxis]
     v, term = np.empty((2,) + log_w.shape)
-    # a (rows, N, 1) view: one matrix-vector product per row
-    column = v[:, :, np.newaxis]
+    # per row: the bounds m_k and m_{k-1}, the next one, the largest norm so
+    # far and the last step's norm, which no off-diagonal holds; again marks
+    # the rows whose bound passed on the step before
+    bound, prior, estimate, top, end = np.zeros((5, log_w.shape[0]))
+    bound[:] = _EPS
+    again = np.zeros(log_w.shape[0], dtype=bool)
+    spread = x[-1] - x[0]
+    noise = 2.0 * _EPS * max(-x[0], x[-1])
     for k in range(n):
-        span = basis[:, : k + 1]
-        u = basis[:, k]
+        u = basis[k]
         np.multiply(x, u, out=v)
-        alpha = np.vecdot(u, v)
+        alpha = np.vecdot(u, v, out=diag[:, k])
         v -= np.multiply(alpha[:, np.newaxis], u, out=term)
         if k:
-            v -= np.multiply(offdiag[:, k - 1, np.newaxis], basis[:, k - 1], out=term)
-        c = span @ column
-        np.add(alpha, c[:, k, 0], out=diag[:, k])
+            v -= np.multiply(offdiag[:, k - 1, np.newaxis], basis[k - 1], out=term)
+        norm = np.sqrt(np.vecdot(v, v), out=offdiag[:, k] if k < n - 1 else end)
+        # the next vector's bound, in place: m_{k-1} is not read again
+        np.add(bound, bound, out=estimate)
+        estimate += prior
+        estimate *= top
+        estimate += np.multiply(bound, spread, out=prior)
+        estimate += noise
+        estimate /= norm
+        trigger = estimate > _SEMIORTHOGONAL
+        project = trigger | again
+        np.greater(trigger, again, out=again)
+        if np.count_nonzero(project):
+            _reorthogonalize(basis[: k + 1], v, project, alpha, norm if k < n - 1 else None)
+            np.copyto(estimate, _EPS, where=project)
         if k == n - 1:
             break
-        column -= span.transpose(0, 2, 1) @ c
-        norm = np.sqrt(np.vecdot(v, v), out=offdiag[:, k])
         if np.fmin.reduce(norm) < _DEGENERATE_NORM and np.max(offdiag[:, : k + 1]) < np.inf:
             raise DegenerateMeasureError(
                 f"orthogonalization norm {norm[norm < _DEGENERATE_NORM][0]:.3e} below 1e-12 at step {k + 1}; "
                 f"measure is numerically supported on fewer than {n} points"
             )
-        np.divide(v, norm[:, np.newaxis], out=basis[:, k + 1])
+        np.maximum(top, norm, out=top)
+        bound, prior, estimate = estimate, bound, prior
+        np.divide(v, norm[:, np.newaxis], out=basis[k + 1])
     # written so that NaN fails it
     if not (np.abs(diag).max() < np.inf and np.max(offdiag, initial=0.0) < np.inf):
         raise OverflowError("a recurrence center or norm left the double-precision range")
+
+
+def _reorthogonalize(
+    span: np.ndarray, v: np.ndarray, project: np.ndarray, center: np.ndarray, norm: np.ndarray | None
+) -> None:
+    """The whole-basis pass of the rows marked in project, in place.
+
+    span is the (k+1, rows, N) basis u_0..u_k and v the (rows, N)
+    remainders.  Each marked row adds its u_k coefficient to its center
+    and, unless norm is None (the last step), takes its projection off its
+    remainder and recomputes its norm.  Unmarked rows keep their bits.
+    """
+    if np.count_nonzero(project) > _GATHER_SHARE * project.size:
+        span = span.transpose(1, 0, 2)
+        column = v[:, :, np.newaxis]
+        c = span @ column
+        np.add(center, c[:, -1, 0], out=center, where=project)
+        if norm is not None:
+            np.subtract(column, span.transpose(0, 2, 1) @ c, out=column, where=project[:, np.newaxis, np.newaxis])
+            np.sqrt(np.vecdot(v, v), out=norm)
+        return
+    rows = np.flatnonzero(project)
+    span = span[:, rows].transpose(1, 0, 2)
+    column = v[rows][:, :, np.newaxis]
+    c = span @ column
+    center[rows] += c[:, -1, 0]
+    if norm is not None:
+        column -= span.transpose(0, 2, 1) @ c
+        v[rows] = remainder = column[:, :, 0]
+        norm[rows] = np.sqrt(np.vecdot(remainder, remainder))
 
 
 def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:

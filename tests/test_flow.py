@@ -270,6 +270,73 @@ def test_evolve_block_does_not_depend_on_chunking(monkeypatch):
         np.testing.assert_array_equal(chunked[1], offdiag)
 
 
+def projected_row_steps(monkeypatch):
+    # counts, per call of the whole-basis pass, the rows it projects and
+    # the rows of the sweep
+    calls = []
+    reorthogonalize = todaflow.moments._reorthogonalize
+
+    def counting(span, v, project, *rest):
+        calls.append((np.count_nonzero(project), project.size))
+        return reorthogonalize(span, v, project, *rest)
+
+    monkeypatch.setattr(todaflow.moments, "_reorthogonalize", counting)
+    return calls
+
+
+def test_each_row_is_its_own_sweep_where_rows_project_apart(monkeypatch):
+    # at N = 12 and 16 rows take the whole-basis pass on at most four late
+    # steps, so the two tests above see little of a rule that read other
+    # rows; at N = 64 the rows split on 13 to 28 steps, and every row,
+    # chunked or not, is still bitwise its sweep over the one time alone
+    j = random_jacobi(np.random.default_rng(25), 64)
+    times = np.linspace(0.0, 1.0, 41)
+    for evolve in both_routes(j):
+        with monkeypatch.context() as patch:
+            calls = projected_row_steps(patch)
+            diag, offdiag = evolve(times)
+        assert any(0 < projected < rows for projected, rows in calls)
+        with monkeypatch.context() as patch:
+            patch.setattr(todaflow.moments, "_BASIS_BYTES", 3 * j.n * j.n * 8)
+            chunked = evolve(times)
+        np.testing.assert_array_equal(chunked[0], diag)
+        np.testing.assert_array_equal(chunked[1], offdiag)
+        for i in range(1, times.size):
+            d, e = evolve(np.array([0.0, times[i]]))
+            np.testing.assert_array_equal(d[1], diag[i])
+            np.testing.assert_array_equal(e[1], offdiag[i])
+
+
+def test_gathered_and_dense_passes_give_the_same_bits(monkeypatch):
+    # a share of 1 copies out the projecting rows on every step, a share of
+    # 0 takes one pass over all rows whenever any projects
+    j = random_jacobi(np.random.default_rng(26), 64)
+    times = np.linspace(0.0, 1.0, 41)
+    for evolve in both_routes(j):
+        diag, offdiag = evolve(times)
+        for share in (1.0, 0.0):
+            with monkeypatch.context() as patch:
+                patch.setattr(todaflow.moments, "_GATHER_SHARE", share)
+                other = evolve(times)
+            np.testing.assert_array_equal(other[0], diag)
+            np.testing.assert_array_equal(other[1], offdiag)
+
+
+def test_rows_take_the_whole_basis_pass_only_on_some_steps(monkeypatch):
+    # the two-ended N = 16 sweep has 200 rows of 9 steps; it projected 343
+    # of those 1800 row-steps, and a random N = 64 one must project some
+    times = np.linspace(0.0, 1.0, 101)
+    for n in (16, 64):
+        j = random_jacobi(np.random.default_rng(0), n)
+        with monkeypatch.context() as patch:
+            calls = projected_row_steps(patch)
+            solve_toda_finite(j, times)
+        projected = sum(count for count, _ in calls)
+        if n == 16:
+            assert projected < 0.5 * 2 * (times.size - 1) * (n // 2 + 1)
+        assert projected > 0
+
+
 def test_evolve_block_memory_is_bounded():
     # an unchunked (N, T, N) basis at N = 128, T = 1001 would take 131 MB,
     # and the two-ended (2 T, N / 2 + 1, N) one 133 MB
@@ -373,18 +440,21 @@ def digest(*arrays):
     return h.hexdigest()[:16]
 
 
-# SHA-256 prefixes of the one-ended outputs as the one-ended solver gave
-# them, before the finite solver went two-ended (numpy 2.4 and the
-# OpenBLAS and LAPACK of scipy 1.17 on x86-64; another BLAS or LAPACK build
-# may round differently and must record its own)
+# SHA-256 prefixes of the one-ended outputs (numpy 2.4 and the OpenBLAS and
+# LAPACK of scipy 1.17 on x86-64; another BLAS or LAPACK build may round
+# differently and must record its own).  The eigendecompose entries are as
+# the one-ended solver gave them, before the finite solver went two-ended;
+# the other four were recorded when the sweep went from complete to partial
+# reorthogonalization, from outputs within 1.6e-13 max |lambda| of the
+# complete kernel's
 ONE_ENDED_DIGESTS = {
     "eigendecompose 16": "16d6d9cb05854457",
-    "jacobi_from_measure 16": "8f88af974945d990",
+    "jacobi_from_measure 16": "e51f3f63cc37cf53",
     "eigendecompose 256": "08d46e86d76cbe0b",
-    "jacobi_from_measure 256": "e7c3ed9aa23af298",
+    "jacobi_from_measure 256": "6d5d5712cb3c1f03",
     "eigendecompose 1024": "4aff867a68f339cc",
-    "semi_infinite linear_b": "99967e19883afc8e",
-    "semi_infinite constant": "8388c5f6167cbebd",
+    "semi_infinite linear_b": "dd79b6d6501af891",
+    "semi_infinite constant": "372e66d45cd83d77",
 }
 
 

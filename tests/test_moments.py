@@ -242,11 +242,12 @@ def test_jacobi_from_measure_matches_the_compensated_loop():
 
 
 def test_kernel_stays_within_a_bound_set_by_the_cgs2_kernel():
-    # Large blocks, where one whole-basis pass after the three-term
-    # recurrence has to do what two passes did: error against the
-    # compensated loop in units of eps * max |entry|.  The previous kernel
-    # (two whole-basis passes) reached 9.1e3 on these cases and this one
-    # 1.3e4; plain three-term Lanczos is off by O(1) at N = 64.
+    # Large blocks, where the three-term recurrence with a whole-basis pass
+    # only on the steps that can lose orthogonality has to do what two
+    # passes on every step did: error against the compensated loop in
+    # units of eps * max |entry|.  Two passes on every step reached 9.1e3
+    # on these cases, one pass on every step 8.3e3 and the partial rule
+    # 1.5e4; plain three-term Lanczos is off by O(1) at N = 64.
     bound = 4e4 * np.finfo(float).eps
     times = np.array([0.0, 0.5, 1.0])
     cases = [(random_jacobi(np.random.default_rng(seed), n), (n,)) for n in (64, 256) for seed in range(5)]
