@@ -195,12 +195,6 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
 # row's arithmetic is the same whatever rows share its chunk.
 _BASIS_BYTES = 1 << 24
 
-# A step on which at most this share of a chunk's rows takes the whole-basis
-# pass copies those rows out for it, a copy smaller than the basis; a larger
-# share takes one pass over every row that leaves the other rows untouched.
-# Both give each row the same bits.
-_GATHER_SHARE = 0.5
-
 _EPS = float(np.finfo(float).eps)
 
 # semiorthogonality: the bound past which a row takes the whole-basis pass
@@ -313,26 +307,16 @@ def _reorthogonalize(
     span is the (k+1, rows, N) basis u_0..u_k and v the (rows, N)
     remainders.  Each marked row adds its u_k coefficient to its center
     and, unless norm is None (the last step), takes its projection off its
-    remainder and recomputes its norm.  Unmarked rows keep their bits.
+    remainder and recomputes its norm.  The pass runs over every row but
+    writes only the marked ones, so unmarked rows keep their bits.
     """
-    if np.count_nonzero(project) > _GATHER_SHARE * project.size:
-        span = span.transpose(1, 0, 2)
-        column = v[:, :, np.newaxis]
-        c = span @ column
-        np.add(center, c[:, -1, 0], out=center, where=project)
-        if norm is not None:
-            np.subtract(column, span.transpose(0, 2, 1) @ c, out=column, where=project[:, np.newaxis, np.newaxis])
-            np.sqrt(np.vecdot(v, v), out=norm)
-        return
-    rows = np.flatnonzero(project)
-    span = span[:, rows].transpose(1, 0, 2)
-    column = v[rows][:, :, np.newaxis]
+    span = span.transpose(1, 0, 2)
+    column = v[:, :, np.newaxis]
     c = span @ column
-    center[rows] += c[:, -1, 0]
+    np.add(center, c[:, -1, 0], out=center, where=project)
     if norm is not None:
-        column -= span.transpose(0, 2, 1) @ c
-        v[rows] = remainder = column[:, :, 0]
-        norm[rows] = np.sqrt(np.vecdot(remainder, remainder))
+        np.subtract(column, span.transpose(0, 2, 1) @ c, out=column, where=project[:, np.newaxis, np.newaxis])
+        np.sqrt(np.vecdot(v, v), out=norm)
 
 
 def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:

@@ -307,21 +307,6 @@ def test_each_row_is_its_own_sweep_where_rows_project_apart(monkeypatch):
             np.testing.assert_array_equal(e[1], offdiag[i])
 
 
-def test_gathered_and_dense_passes_give_the_same_bits(monkeypatch):
-    # a share of 1 copies out the projecting rows on every step, a share of
-    # 0 takes one pass over all rows whenever any projects
-    j = random_jacobi(np.random.default_rng(26), 64)
-    times = np.linspace(0.0, 1.0, 41)
-    for evolve in both_routes(j):
-        diag, offdiag = evolve(times)
-        for share in (1.0, 0.0):
-            with monkeypatch.context() as patch:
-                patch.setattr(todaflow.moments, "_GATHER_SHARE", share)
-                other = evolve(times)
-            np.testing.assert_array_equal(other[0], diag)
-            np.testing.assert_array_equal(other[1], offdiag)
-
-
 def test_rows_take_the_whole_basis_pass_only_on_some_steps(monkeypatch):
     # the two-ended N = 16 sweep has 200 rows of 9 steps; it projected 343
     # of those 1800 row-steps, and a random N = 64 one must project some
