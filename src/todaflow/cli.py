@@ -54,7 +54,6 @@ from .response import _K_MAX, response_from_measure
 from .semi_infinite import (
     _GENERATORS,
     SemiInfiniteInitialData,
-    _first_size,
     _truncation_sizes,
     make_initial_data,
     solve_toda_semi_infinite,
@@ -210,7 +209,7 @@ def load_config(path) -> RunConfig:
         initial = _build_generator(initial)
         # no run starts on a table shorter than its first truncation; a run
         # that outgrows a table later fails then, as the table is exhausted
-        size = _first_size(*_truncation_sizes(options["m"], options["n_max"], "options."))
+        size = _truncation_sizes(options["m"], options["n_max"], "options.")[1][0]
         try:
             initial.coefficients(size)
         except ValueError as exc:
@@ -228,8 +227,6 @@ def load_config(path) -> RunConfig:
     for key, name in _section(raw, "output", files).items():
         _require(isinstance(name, str) and name, f"output.{key}: need a non-empty path")
         output[key] = name
-    first, second = output
-    _require(Path(output[first]) != Path(output[second]), f"output.{second}: same path as output.{first}")
     return RunConfig(mode, times, initial, options, output)
 
 
@@ -271,15 +268,18 @@ def _check_targets(*paths: Path) -> None:
 def run(config: RunConfig, out_dir) -> list[Path]:
     """Execute one validated run into out_dir; returns the paths written.
 
-    Makes out_dir and checks both output paths, then
-    computes the whole run (the trajectory or the k,s,r table, and the
-    report) with nothing written, and only then writes the mode's first
-    file and the report.  So a run that fails, on its outputs or in its
-    numerics, writes none of its files.
+    Checks that the two output paths name two files, makes out_dir and
+    checks that both paths can take a file, then computes the whole run
+    (the trajectory or the k,s,r table, and the report) with nothing
+    written, and only then writes the mode's first file and the report.
+    So a run that fails, on its outputs or in its numerics, writes none
+    of its files.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     first, report_path = (out_dir / name for name in config.output.values())
+    first_key, report_key = config.output
+    _require(first.resolve() != report_path.resolve(), f"output.{report_key}: same path as output.{first_key}")
+    out_dir.mkdir(parents=True, exist_ok=True)
     _check_targets(first, report_path)
     report = {"mode": config.mode}
     if config.mode == "response":

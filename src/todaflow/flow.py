@@ -124,9 +124,11 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
 
     Nodes are unchanged; the weights are renormalized to unit mass.  The
     reweighting runs on the log weights, log w_k + 2 lam_k t less its
-    maximum, so any finite t >= 0 is safe and no weight is changed to
-    keep it in range: one below the double-precision range keeps its
-    value in log_weights and reads 0 in weights.
+    maximum, so no weight is changed to keep it in range: one below the
+    double-precision range keeps its value in log_weights and reads 0 in
+    weights.  Raises OverflowError where 2 t lam_1, 2 t lam_N or the
+    spread 2 t (lam_N - lam_1) is beyond the double range (nodes
+    [-1, 1] at t = 8e307).
     """
     tilt = _tilted_log_weights(mu0, _check_time(t))
     tilt -= tilt.max()
@@ -134,7 +136,10 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
 
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
-    """log of Omega(t) = integral e^{2 lambda t} dmu0, via log-sum-exp."""
+    """log of Omega(t) = integral e^{2 lambda t} dmu0, via log-sum-exp.
+
+    Raises OverflowError where moser_evolve does.
+    """
     tilt = _tilted_log_weights(mu0, _check_time(t))
     top = tilt.max()
     return float(top + np.log(np.sum(np.exp(tilt - top))))
@@ -142,22 +147,16 @@ def log_omega(mu0: DiscreteMeasure, t: float) -> float:
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
     # log w_k + 2 lam_k t: a row per time for an array of times (possibly
-    # none), one row for a scalar
-    tilt = _tilts(mu0.nodes, times)
-    tilt += mu0.log_weights
-    return tilt
-
-
-def _tilts(nodes: np.ndarray, times, out=None) -> np.ndarray:
-    # 2 lam_k t, the outer product of 2 times and the nodes (into out if
-    # given); raises where 2 |t| lam_k, or the spread 2 |t| (lam_N - lam_1)
-    # that subtracting the maximum reaches, leaves the double range (an inf
-    # term makes the difference inf or NaN)
-    times = np.asarray(times)
+    # none), one row for a scalar; raises where 2 |t| lam_k, or the spread
+    # 2 |t| (lam_N - lam_1) that subtracting the maximum reaches, leaves the
+    # double range (an inf term makes the difference inf or NaN)
+    times, nodes = np.asarray(times), mu0.nodes
     reach = 2.0 * float(np.abs(times).max(initial=0.0))
     if not math.isfinite(reach * float(nodes[-1]) - reach * float(nodes[0])):
         raise OverflowError("2 lambda t is beyond the double range")
-    return np.multiply.outer(2.0 * times, nodes, out=out)
+    tilt = np.multiply.outer(2.0 * times, nodes)
+    tilt += mu0.log_weights
+    return tilt
 
 
 def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence:
@@ -167,7 +166,7 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
     and denominator sharing one exponent shift and each accumulated by
     compensated summation.  Equal to
     moments_from_measure(moser_evolve(mu0, t), count) up to roundoff,
-    with s_0 = 1 exactly.
+    with s_0 = 1 exactly.  Raises OverflowError where moser_evolve does.
     """
     t = _check_time(t)
     count = _count("count", count, 1)
@@ -222,8 +221,11 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
 
     Raises OverlapError when the two ends disagree on b_{N // 2 + 1},
     which both rebuild, as they do where the spectral data no longer
-    determine the lattice in double precision (random N = 1536), and
-    DegenerateMeasureError when either end's measure runs out of support.
+    determine the lattice in double precision (random N = 1536),
+    DegenerateMeasureError when either end's measure runs out of support,
+    and OverflowError where 2 t lam_1, 2 t lam_N or the spread
+    2 t (lam_N - lam_1) is beyond the double range at the last grid time
+    t, lam being the eigenvalues of j0.
     """
     times = _check_grid(times)
     diag, offdiag = _evolve_lattice(j0, *_eigendecompose_both_ends(j0), times)
@@ -278,13 +280,9 @@ def _evolve_lattice(j0: JacobiMatrix, first: DiscreteMeasure, last: DiscreteMeas
     """
     n, rows = j0.n, times.size - 1
     p = n // 2 + 1
-    # one outer product of tilts: the front rows log w + 2 lam t above the
-    # back rows log w' - 2 lam t
-    stack = np.empty((2, rows, n))
-    _tilts(first.nodes, times[1:], out=stack[0])
-    np.subtract(last.log_weights, stack[0], out=stack[1])
-    stack[0] += first.log_weights
-    d, e = _stieltjes(first.nodes, stack.reshape(2 * rows, n), p)
+    # the front rows log w + 2 lam t above the back rows log w' - 2 lam t
+    stack = np.concatenate((_tilted_log_weights(first, times[1:]), _tilted_log_weights(last, -times[1:])))
+    d, e = _stieltjes(first.nodes, stack, p)
     mismatch = np.abs(d[:rows, p - 1] - d[rows:, n - p])
     tol = _OVERLAP_REL * max(-first.nodes[0], first.nodes[-1])
     bad = np.flatnonzero(mismatch > tol)

@@ -192,16 +192,17 @@ def _inf_norm(j: JacobiMatrix) -> float:
     return float(np.max(rows))
 
 
-def _truncation_sizes(m, n_max, prefix: str = "") -> tuple[int, int]:
-    """(m, n_max) as ints, if m >= 1 and n_max >= 2m+2; prefix goes
-    before both names in the message."""
+def _truncation_sizes(m, n_max, prefix: str = "") -> tuple[int, list[int]]:
+    """m as an int, if m >= 1, and the truncation sizes the solver may
+    run, if n_max >= 2m+2: N1 = max(2m+2, 8) capped at n_max, doubled while
+    below n_max, then n_max itself.  prefix goes before both names in the
+    message."""
     m = _count(f"{prefix}m", m, 1)
-    return m, _count(f"{prefix}n_max", n_max, 2 * m + 2)
-
-
-def _first_size(m: int, n_max: int) -> int:
-    """The first truncation size the solver runs: max(2m+2, 8), capped at n_max."""
-    return min(max(2 * m + 2, 8), n_max)
+    n_max = _count(f"{prefix}n_max", n_max, 2 * m + 2)
+    sizes = [min(max(2 * m + 2, 8), n_max)]
+    while sizes[-1] < n_max:
+        sizes.append(min(2 * sizes[-1], n_max))
+    return m, sizes
 
 
 def solve_toda_semi_infinite(
@@ -225,12 +226,14 @@ def solve_toda_semi_infinite(
     floor a tighter tol cannot be met.
     Returns the last solution's leading m x m block together with the
     full refinement report.  Non-convergence is reported, not raised.
+    Raises OverflowError where 2 t lam_1, 2 t lam_N or the spread
+    2 t (lam_N - lam_1) is beyond the double range at the last grid time
+    t, lam being the eigenvalues of a truncation that runs.
     """
     times = _check_grid(times)
     tol = _finite_real("tol", tol, positive=True)
-    m, n_max = _truncation_sizes(m, n_max)
+    m, sizes = _truncation_sizes(m, n_max)
 
-    sizes_run: list[int] = []
     deviations: list[float] = []
     diag_hist: list[np.ndarray] = []
     offdiag_hist: list[np.ndarray] = []
@@ -240,8 +243,7 @@ def solve_toda_semi_infinite(
     # (a_k, b_k) for k = 1..n of the largest truncation so far: each
     # coefficient is fetched once
     pairs: list[tuple[float, float]] = []
-    n = _first_size(m, n_max)
-    while True:
+    for n in sizes:
         pairs += [init.coefficients(k) for k in range(len(pairs) + 1, n + 1)]
         block = JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[:-1]])
         mu0 = eigendecompose(block)
@@ -249,8 +251,7 @@ def solve_toda_semi_infinite(
         diag, offdiag = _evolve_block(block, mu0, times, m + 1)
         diag_hist.append(diag[:, :m])
         offdiag_hist.append(offdiag)
-        sizes_run.append(n)
-        if len(sizes_run) > 1:
+        if len(diag_hist) > 1:
             dev = max(
                 float(np.max(np.abs(diag_hist[-1] - diag_hist[-2]))),
                 float(np.max(np.abs(offdiag_hist[-1] - offdiag_hist[-2]))),
@@ -262,16 +263,13 @@ def solve_toda_semi_infinite(
             if dev <= _FLOOR_ULPS * np.finfo(float).eps * _inf_norm(block):
                 stop_reason = "floor_limited"
                 break
-        if n == n_max:
-            break
-        n = min(2 * n, n_max)
 
     # mu0 is the spectral measure of the largest truncation that ran
     moments = _evolved_moments(mu0, times, 2 * m)
     report = StabilizationReport(
         entries=m,
         times=times,
-        truncation_sizes=tuple(sizes_run),
+        truncation_sizes=tuple(sizes[: len(diag_hist)]),
         deviations=tuple(deviations),
         converged=stop_reason != "n_max",
         stop_reason=stop_reason,

@@ -337,6 +337,8 @@ def test_outputs_that_share_a_path_are_rejected(tmp_path, capsys):
     cases = [
         ("finite", {"trajectory": "x", "report": "x"}, "output.report: same path as output.trajectory"),
         ("verify", {"trajectory": "./report.json"}, "output.report: same path as output.trajectory"),
+        # two spellings of one file under --out
+        ("finite", {"trajectory": "../out/t.csv", "report": "t.csv"}, "output.report: same path as output.trajectory"),
         ("response", {"table": "x", "report": "x"}, "output.report: same path as output.table"),
     ]
     for mode, output, message in cases:

@@ -467,6 +467,22 @@ def test_one_ended_outputs_are_bitwise_unchanged():
     assert got == ONE_ENDED_DIGESTS
 
 
+# SHA-256 prefixes of solve_toda_finite's diag and offdiag on random data,
+# seed 0, at 101 times on [0, 1] (same build caveat as above): N = 16 is the
+# finite_dense_grid benchmark's shape, N = 17 has an odd overlap row and
+# N = 64 has rows that project onto their whole basis
+TWO_ENDED_DIGESTS = {16: "030d1cfffbef232d", 17: "3117efeceb6f0029", 64: "f3750002a6742bf0"}
+
+
+def test_two_ended_outputs_are_bitwise_unchanged():
+    times = np.linspace(0.0, 1.0, 101)
+    got = {}
+    for n in TWO_ENDED_DIGESTS:
+        traj = solve_toda_finite(random_jacobi(np.random.default_rng(0), n), times)
+        got[n] = digest(traj.diag, traj.offdiag)
+    assert got == TWO_ENDED_DIGESTS
+
+
 @pytest.mark.parametrize("n", [768, 1024])
 def test_two_ended_route_reaches_n1024(n):
     # one end alone ran out of support at random N = 768 (seed 1, step 767)

@@ -68,3 +68,49 @@ def test_every_private_helper_is_read():
         if not any(name in read for j, read in enumerate(reads) if j != i)
     ]
     assert not dead, f"private and read by no module of the package: {dead}"
+
+
+def _defaulted(node: ast.FunctionDef) -> list[tuple[int | None, str]]:
+    # (position or None if keyword-only, name) of each parameter with a default
+    args = node.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    return [(i, positional[i].arg) for i in range(first, len(positional))] + [
+        (None, arg.arg) for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+    ]
+
+
+def _sets(call: ast.Call, position: int | None, name: str) -> bool:
+    # whether call passes the parameter, by position (a *args may reach any)
+    # or by keyword (a **kwargs may name any)
+    if position is not None and (
+        len(call.args) > position or any(isinstance(arg, ast.Starred) for arg in call.args)
+    ):
+        return True
+    return any(keyword.arg in (name, None) for keyword in call.keywords)
+
+
+def test_every_default_of_a_private_function_is_overridden_somewhere():
+    # a default that no call in the package overrides is a constant, not a knob
+    trees = [(path.name, ast.parse(path.read_text())) for path in sorted(PACKAGE.glob("*.py"))]
+    calls = {}
+    for _, tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    functions = [
+        (module, node)
+        for module, tree in trees
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and _private_names(node)
+    ]
+    assert any(_defaulted(node) for _, node in functions)
+    fixed = [
+        f"{module}:{node.lineno} {node.name}({name}=)"
+        for module, node in functions
+        for position, name in _defaulted(node)
+        if not any(_sets(call, position, name) for call in calls.get(node.name, []))
+    ]
+    assert not fixed, f"defaulted parameters that no call in the package sets: {fixed}"
