@@ -28,11 +28,12 @@ from .jacobi import (
     DiscreteMeasure,
     JacobiMatrix,
     _count,
-    _eigendecompose_both_ends,
     _finite_real,
     _freeze,
     _increasing,
     _jacobi_arrays,
+    _spectral_measures,
+    _unchecked,
     eigendecompose,
     weyl_function,
 )
@@ -79,14 +80,6 @@ class TodaTrajectory:
             raise ValueError(f"need one row per grid time: {times.size} times, {diag.shape[0]} rows")
         _freeze(self, times=times, diag=diag, offdiag=offdiag)
 
-    @classmethod
-    def _from_arrays(cls, times: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> TodaTrajectory:
-        # the unchecked constructor of the solvers: the caller guarantees what
-        # __post_init__ checks and hands over arrays that nothing else writes to
-        trajectory = object.__new__(cls)
-        _freeze(trajectory, times=times, diag=diag, offdiag=offdiag)
-        return trajectory
-
     @property
     def size(self) -> int:
         return self.diag.shape[1]
@@ -132,7 +125,7 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
     """
     tilt = _tilted_log_weights(mu0, _check_time(t))
     tilt -= tilt.max()
-    return DiscreteMeasure._from_log(mu0.nodes, tilt - np.log(np.sum(np.exp(tilt))))
+    return _unchecked(DiscreteMeasure, nodes=mu0.nodes, log_weights=tilt - np.log(np.sum(np.exp(tilt))))
 
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
@@ -228,8 +221,8 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
     t, lam being the eigenvalues of j0.
     """
     times = _check_grid(times)
-    diag, offdiag = _evolve_lattice(j0, *_eigendecompose_both_ends(j0), times)
-    return TodaTrajectory._from_arrays(times, diag, offdiag)
+    diag, offdiag = _evolve_lattice(j0, *_spectral_measures(j0, last=True), times)
+    return _unchecked(TodaTrajectory, times=times, diag=diag, offdiag=offdiag)
 
 
 def _initial_rows(j0: JacobiMatrix, times: np.ndarray, size: int):

@@ -145,6 +145,14 @@ def _freeze(instance, **arrays: np.ndarray) -> None:
         object.__setattr__(instance, name, value)
 
 
+def _unchecked(cls, **arrays: np.ndarray):
+    # a cls built without its checks, the solvers' constructor: the caller
+    # guarantees what they test and hands over arrays that nothing else writes to
+    instance = object.__new__(cls)
+    _freeze(instance, **arrays)
+    return instance
+
+
 @dataclass(frozen=True, eq=False)
 class JacobiMatrix:
     """Symmetric tridiagonal matrix: diag holds b_1..b_N, offdiag a_1..a_{N-1}.
@@ -196,14 +204,6 @@ class DiscreteMeasure:
             raise ValueError("weights must match nodes in length")
         _freeze(self, nodes=nodes, log_weights=np.log(weights))
 
-    @classmethod
-    def _from_log(cls, nodes: np.ndarray, log_weights: np.ndarray) -> DiscreteMeasure:
-        # the log-form constructor: the caller guarantees strictly
-        # increasing nodes and finite log weights of the same length
-        mu = object.__new__(cls)
-        _freeze(mu, nodes=nodes, log_weights=log_weights)
-        return mu
-
     @property
     def weights(self) -> np.ndarray:
         """exp(log_weights), read-only."""
@@ -245,21 +245,14 @@ def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
     return _spectral_measures(j, last=False)[0]
 
 
-def _eigendecompose_both_ends(j: JacobiMatrix) -> tuple[DiscreteMeasure, DiscreteMeasure]:
-    """j's first-component and last-component spectral measures, on the same nodes.
-
-    The first is eigendecompose(j), bitwise.  The second weighs node k by
-    the squared last component of the k-th eigenvector, read off the same
-    MRRR vectors; the components MRRR sets to 0 are recomputed by the
-    same twisted pass, run on the reversed chain, whose first components
-    they are.  It is the first-component measure of j with its index
-    order reversed.  Raises as eigendecompose does.
-    """
-    return _spectral_measures(j, last=True)
-
-
 def _spectral_measures(j: JacobiMatrix, last: bool) -> tuple[DiscreteMeasure, ...]:
-    # the measures of eigendecompose, first component only or both ends; at
+    # eigendecompose(j) as a 1-tuple or, with last set, followed by j's
+    # last-component measure on the same nodes; raises as eigendecompose
+    # does.  The last-component measure weighs node k by the squared last
+    # component of the k-th eigenvector, read off the same MRRR vectors; the
+    # components MRRR sets to 0 are recomputed by the same twisted pass, run
+    # on the reversed chain, whose first components they are.  It is the
+    # first-component measure of j with its index order reversed.  At
     # N = 1 dstemr returns the one node, diag[0], and its unit vector.
     # MRRR runs on J divided by a power of two that brings every entry to
     # at most 1, which is exact: at random N = 256 it fails (LAPACK info
@@ -286,7 +279,7 @@ def _spectral_measures(j: JacobiMatrix, last: bool) -> tuple[DiscreteMeasure, ..
     if math.frexp(top)[1] + exponent > np.finfo(float).maxexp:
         raise OverflowError("an eigenvalue is beyond the double range")
     lam = np.ldexp(lam, exponent)
-    return tuple(DiscreteMeasure._from_log(lam, w) for w in log_weights)
+    return tuple(_unchecked(DiscreteMeasure, nodes=lam, log_weights=w) for w in log_weights)
 
 
 def _first_log_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray, vec: np.ndarray) -> np.ndarray:

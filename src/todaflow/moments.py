@@ -180,9 +180,15 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     Raises
     ------
     DegenerateMeasureError
-        If an intermediate norm drops below 1e-12 before n coefficients
-        are produced (mu is numerically supported on fewer than n points,
-        as when weights below about 1e-616 of the total drop out).
+        If an intermediate norm drops below 1e-12 times 2^e, the power of
+        two with max |node| in [2^(e-1), 2^e), before n coefficients are
+        produced (mu is numerically supported on fewer than n points, as
+        when weights below about 1e-616 of the total drop out).  The floor
+        is relative, so scaling the nodes by a power of two scales the
+        result by it, bit for bit; the message names the norm over 2^e.
+    OverflowError
+        If an entry is beyond the double range (none exceeds max |node|
+        in exact arithmetic).
     """
     # at most one coefficient pair per node
     n = _count("n", n, 1, mu.nodes.size)
@@ -214,14 +220,27 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
     contiguous: step k reads each row's vectors basis[:k+1, i], laid out
     the same whatever n is, and decides from that row's earlier steps
     alone, so a leading block is bitwise the prefix of a larger
-    reconstruction.
+    reconstruction.  The sweep runs on the nodes divided by the power of
+    two 2^e that brings max |node| into [1/2, 1), which is exact, and its
+    results are multiplied back by 2^e: so its norm floor reads relative
+    to 2^e, and the coefficients of 2^k times the nodes are 2^k times
+    these, bit for bit, unless an entry leaves the normal doubles.
     """
+    e = math.frexp(max(-nodes[0], nodes[-1]))[1]
+    x = np.ldexp(nodes, -e)
     rows_per_chunk = max(1, _BASIS_BYTES // (n * nodes.size * log_weights.itemsize))
     diag = np.empty((log_weights.shape[0], n))
     offdiag = np.empty((log_weights.shape[0], n - 1))
     for start in range(0, log_weights.shape[0], rows_per_chunk):
         chunk = slice(start, start + rows_per_chunk)
-        _stieltjes_sweep(nodes, log_weights[chunk], diag[chunk], offdiag[chunk])
+        _stieltjes_sweep(x, log_weights[chunk], diag[chunk], offdiag[chunk])
+    # no entry exceeds max |node| in exact arithmetic, so only rounding at
+    # the top of the double range could carry one past it
+    with np.errstate(over="ignore"):
+        np.ldexp(diag, e, out=diag)
+        np.ldexp(offdiag, e, out=offdiag)
+    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
+        raise OverflowError("a recurrence center or norm left the double-precision range")
     return diag, offdiag
 
 
@@ -241,9 +260,8 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
 # its center is alpha plus the second u_k coefficient.  Every other row keeps its
 # three-term remainder and center alpha.  The decision reads only the row's own
 # earlier steps, so no other row, chunk or sweep length changes a row's bits.  The
-# final remainder's norm is the next off-diagonal.  A small norm is reported only
-# while every norm so far is finite (an infinite one divides the next vector to 0);
-# otherwise, as for NaN, the check at the end raises.
+# final remainder's norm is the next off-diagonal.  With |x| < 1 every vector,
+# center and norm is bounded, so a norm below the floor is the only way out.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
     n = diag.shape[1]
@@ -286,7 +304,7 @@ def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag
             np.copyto(estimate, _EPS, where=project)
         if k == n - 1:
             break
-        if np.fmin.reduce(norm) < _DEGENERATE_NORM and np.max(offdiag[:, : k + 1]) < np.inf:
+        if np.fmin.reduce(norm) < _DEGENERATE_NORM:
             raise DegenerateMeasureError(
                 f"orthogonalization norm {norm[norm < _DEGENERATE_NORM][0]:.3e} below 1e-12 at step {k + 1}; "
                 f"measure is numerically supported on fewer than {n} points"
@@ -294,9 +312,6 @@ def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag
         np.maximum(top, norm, out=top)
         bound, prior, estimate = estimate, bound, prior
         np.divide(v, norm[:, np.newaxis], out=basis[k + 1])
-    # written so that NaN fails it
-    if not (np.abs(diag).max() < np.inf and np.max(offdiag, initial=0.0) < np.inf):
-        raise OverflowError("a recurrence center or norm left the double-precision range")
 
 
 def _reorthogonalize(

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .flow import TodaTrajectory
-from .jacobi import JacobiMatrix, _finite_real, _increasing
+from .jacobi import JacobiMatrix, _finite_real, _increasing, _unchecked
 
 __all__ = ["rk4_toda", "compare_trajectories"]
 
@@ -133,7 +133,7 @@ def rk4_toda(j0: JacobiMatrix, times, dt: float) -> TodaTrajectory:
                     if message is not None:
                         raise BlowUpError(message)
             diag[i], offdiag[i] = y_b, y_a
-    return TodaTrajectory._from_arrays(times, diag, offdiag)
+    return _unchecked(TodaTrajectory, times=times, diag=diag, offdiag=offdiag)
 
 
 def compare_trajectories(first: TodaTrajectory, second: TodaTrajectory) -> float:

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .flow import TodaTrajectory, _check_grid, _evolve_block, _evolved_moments
-from .jacobi import JacobiMatrix, _count, _finite_real, _real_array, eigendecompose
+from .jacobi import JacobiMatrix, _count, _finite_real, _freeze, _real_array, _unchecked, eigendecompose
 
 __all__ = [
     "SemiInfiniteInitialData",
@@ -153,7 +153,7 @@ class StabilizationReport:
     converged) or "n_max" (size n_max ran without either).  moments holds
     s_0..s_{2m-1} per grid time from the largest truncation (the finite
     stand-in for the limiting moments).  achieved is the last deviation
-    (inf when only one size ran).
+    (inf when only one size ran).  Every array it holds is read-only.
     """
 
     entries: int
@@ -167,6 +167,12 @@ class StabilizationReport:
     offdiag_history: tuple[np.ndarray, ...]
     spectral_maxima: tuple[float, ...]
     moments: np.ndarray
+
+    def __post_init__(self):
+        # read-only by the value types' rule; the history entries in place
+        _freeze(self, times=self.times, moments=self.moments)
+        for entry in self.diag_history + self.offdiag_history:
+            entry.flags.writeable = False
 
     def to_dict(self) -> dict:
         """JSON-ready representation (achieved = null when only one size ran)."""
@@ -280,5 +286,5 @@ def solve_toda_semi_infinite(
         moments=moments,
     )
     # copies: diag_history[-1] is another view of the same rows
-    window = TodaTrajectory._from_arrays(times, diag[:, :m].copy(), offdiag[:, : m - 1].copy())
+    window = _unchecked(TodaTrajectory, times=times, diag=diag[:, :m].copy(), offdiag=offdiag[:, : m - 1].copy())
     return window, report

@@ -449,11 +449,11 @@ def test_numerical_failure_exits_2(tmp_path, monkeypatch, capsys):
     })
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
-    # an overflow inside the reconstruction is numerical, not bad input
+    # an overflow inside the solver is numerical, not bad input
     cfg = write_config(tmp_path / "c.json", {
         "mode": "finite",
-        "initial": {"b": [1e155, -1e155, 5e154], "a": [1e155, 3e154]},
-        "grid": {"t_end": 1e-170, "steps": 1},
+        "initial": {"b": [0.0, 0.0], "a": [1.0]},
+        "grid": {"t_end": 1e308, "steps": 1},
     })
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 2
     assert "numerical failure: OverflowError" in capsys.readouterr().err

@@ -34,7 +34,7 @@ from todaflow import (
     weyl_function,
 )
 from todaflow.flow import _evolve_block, _evolve_lattice, _evolved_moments
-from todaflow.jacobi import _eigendecompose_both_ends
+from todaflow.jacobi import _spectral_measures, _unchecked
 
 PM1 = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
 
@@ -232,7 +232,7 @@ def test_one_time_grid_returns_the_initial_state():
 def both_routes(j):
     # the grid -> (diag, offdiag) maps of the one-ended route, which the
     # semi-infinite windows take, and of the two-ended one of whole lattices
-    first, last = _eigendecompose_both_ends(j)
+    first, last = _spectral_measures(j, last=True)
     return (
         lambda times: _evolve_block(j, first, times, j.n),
         lambda times: _evolve_lattice(j, first, last, times),
@@ -346,7 +346,7 @@ def test_two_ended_top_rows_are_the_one_ended_block():
     times = np.linspace(0.0, 1.0, 11)
     for n in (1, 2, 7, 16):
         j = random_jacobi(np.random.default_rng(n), n)
-        first, last = _eigendecompose_both_ends(j)
+        first, last = _spectral_measures(j, last=True)
         p = n // 2 + 1
         diag, offdiag = _evolve_lattice(j, first, last, times)
         top_diag, top_offdiag = _evolve_block(j, first, times, p)
@@ -362,11 +362,11 @@ def test_overlap_check_catches_a_wrong_back_end():
     # -2 lam t (log w' + 4 lam t, less the route's 2 lam t), or fed the
     # front end's measure, rebuilds another lattice's bottom rows
     j = random_jacobi(np.random.default_rng(24), 16)
-    first, last = _eigendecompose_both_ends(j)
+    first, last = _spectral_measures(j, last=True)
     t = 0.5
     times = np.array([0.0, t])
     _evolve_lattice(j, first, last, times)
-    flipped = DiscreteMeasure._from_log(last.nodes, last.log_weights + 4.0 * t * last.nodes)
+    flipped = _unchecked(DiscreteMeasure, nodes=last.nodes, log_weights=last.log_weights + 4.0 * t * last.nodes)
     for back in (flipped, first):
         with pytest.raises(OverlapError, match="disagree by .* on b_9 at t = 0.5"):
             _evolve_lattice(j, first, back, times)
@@ -551,8 +551,48 @@ def test_solver_trajectories_hold_readonly_arrays():
     for traj in (solve_toda_finite(j, [0.0, 0.5]), rk4_toda(j, [0.0, 0.5], 0.01), window):
         for values in (traj.times, traj.diag, traj.offdiag):
             assert not values.flags.writeable
+    # and so is the report: no write can change what to_dict says
+    for values in (report.times, report.moments, *report.diag_history, *report.offdiag_history):
+        assert not values.flags.writeable
     # the window shares no memory with the report it came with
     assert not np.shares_memory(window.diag, report.diag_history[-1])
+
+
+def test_unchecked_outputs_pass_the_checked_constructors():
+    # the solvers build their values unchecked; what the checks test still holds
+    j = random_jacobi(np.random.default_rng(3), 16)
+    times = np.linspace(0.0, 1.0, 11)
+    window, _ = solve_toda_semi_infinite(make_initial_data("linear_b", {"beta": -1.0}), times, 3, 1e-10, 64)
+    for traj in (solve_toda_finite(j, times), window, rk4_toda(j, times, 1e-3)):
+        checked = TodaTrajectory(traj.times, traj.diag, traj.offdiag)
+        assert np.array_equal(checked.diag, traj.diag) and np.array_equal(checked.offdiag, traj.offdiag)
+    mu = eigendecompose(j)
+    for measure in (mu, moser_evolve(mu, 0.5), moser_evolve(mu, 1.0)):
+        # normal weights, so that the checked constructor reads each as > 0
+        assert measure.weights.min() >= sys.float_info.min
+        DiscreteMeasure(measure.nodes, measure.weights)
+
+
+@pytest.mark.parametrize("n", [16, 17, 64])
+def test_finite_pipeline_is_covariant_under_powers_of_two(n):
+    # 2^k J at times 2^-k t is 2^k times the lattice of J at t, bit for bit:
+    # eigendecompose, the tilt and the reconstruction all run at unit scale
+    j = random_jacobi(np.random.default_rng(n), n)
+    times = np.linspace(0.0, 1.0, 11)
+    traj = solve_toda_finite(j, times)
+    mu0 = eigendecompose(j)
+    back = jacobi_from_measure(mu0, n)
+    for k in (-1000, -60, 60, 1000):
+        jk = JacobiMatrix(np.ldexp(j.diag, k), np.ldexp(j.offdiag, k))
+        scaled = solve_toda_finite(jk, np.ldexp(times, -k))
+        assert np.array_equal(scaled.diag, np.ldexp(traj.diag, k)), k
+        assert np.array_equal(scaled.offdiag, np.ldexp(traj.offdiag, k)), k
+        mu = eigendecompose(jk)
+        assert np.array_equal(mu.nodes, np.ldexp(mu0.nodes, k)), k
+        assert np.array_equal(mu.log_weights, mu0.log_weights), k
+        scaled_back = jacobi_from_measure(mu, n)
+        assert np.array_equal(scaled_back.diag, np.ldexp(back.diag, k)), k
+        assert np.array_equal(scaled_back.offdiag, np.ldexp(back.offdiag, k)), k
 
 
 @pytest.mark.parametrize(

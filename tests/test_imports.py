@@ -114,3 +114,37 @@ def test_every_default_of_a_private_function_is_overridden_somewhere():
         if not any(_sets(call, position, name) for call in calls.get(node.name, []))
     ]
     assert not fixed, f"defaulted parameters that no call in the package sets: {fixed}"
+
+
+def _passed_names(call: ast.Call) -> list[str | None]:
+    # what call passes, in order, each as the name it reads (None for any
+    # other expression); keywords that pass a constant are left out
+    values = [arg.value if isinstance(arg, ast.Starred) else arg for arg in call.args]
+    values += [keyword.value for keyword in call.keywords if not isinstance(keyword.value, ast.Constant)]
+    return [value.id if isinstance(value, ast.Name) else None for value in values]
+
+
+def _forwards(node: ast.FunctionDef) -> bool:
+    # whether node's body, after an optional docstring, is one return of a
+    # call that passes node's own parameters through in order
+    body = node.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if not (len(body) == 1 and isinstance(body[0], ast.Return) and isinstance(body[0].value, ast.Call)):
+        return False
+    args = node.args
+    params = args.posonlyargs + args.args + [args.vararg] + args.kwonlyargs + [args.kwarg]
+    return _passed_names(body[0].value) == [arg.arg for arg in params if arg is not None]
+
+
+def test_no_private_function_only_forwards_its_parameters():
+    # such a function is a second name for the call it makes
+    functions = [
+        (path.name, node)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and _private_names(node)
+    ]
+    assert functions
+    forwarders = [f"{module}:{node.lineno} {node.name}" for module, node in functions if _forwards(node)]
+    assert not forwarders, f"private functions that only pass their parameters on to one call: {forwarders}"

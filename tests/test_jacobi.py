@@ -18,7 +18,7 @@ from todaflow import (
     solve_toda_semi_infinite,
     weyl_function,
 )
-from todaflow.jacobi import _eigendecompose_both_ends, _twisted_log_weights
+from todaflow.jacobi import _spectral_measures, _twisted_log_weights
 
 SQRT2 = np.sqrt(2.0)
 
@@ -248,7 +248,7 @@ def test_last_component_measure_is_that_of_the_reversed_chain():
     # well; the twisted pass on the reversed chain recomputes them, and the
     # first-component measure is eigendecompose's, bitwise
     j = random_jacobi(np.random.default_rng(3), 256)
-    first, last = _eigendecompose_both_ends(j)
+    first, last = _spectral_measures(j, last=True)
     mu = eigendecompose(j)
     np.testing.assert_array_equal(first.nodes, mu.nodes)
     np.testing.assert_array_equal(first.log_weights, mu.log_weights)
@@ -258,7 +258,7 @@ def test_last_component_measure_is_that_of_the_reversed_chain():
     reversed_mu = eigendecompose(JacobiMatrix(j.diag[::-1], j.offdiag[::-1]))
     np.testing.assert_allclose(last.log_weights, reversed_mu.log_weights, rtol=0, atol=1e-10)
     single = JacobiMatrix([0.3], [])
-    assert [m.log_weights.tolist() for m in _eigendecompose_both_ends(single)] == [[0.0], [0.0]]
+    assert [m.log_weights.tolist() for m in _spectral_measures(single, last=True)] == [[0.0], [0.0]]
 
 
 def test_twisted_pass_through_zero_pivots():

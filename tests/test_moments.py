@@ -19,10 +19,12 @@ from todaflow import (
     hankel_matrix,
     jacobi_from_measure,
     jacobi_from_moments,
+    make_initial_data,
     moment_bilinear_form,
     moments_from_measure,
     moser_evolve,
     solve_toda_finite,
+    solve_toda_semi_infinite,
 )
 from todaflow.flow import _tilted_log_weights
 from todaflow.moments import _stieltjes
@@ -80,13 +82,37 @@ def test_moments_overflow_guard():
     for first_moment in (lambda: moments_from_measure(mu, 2), lambda: b1_from_measure(mu)):
         with pytest.raises(OverflowError, match="double-precision range"):
             first_moment()
-    # the reconstruction kernel reports an overflow, not the trajectory's input rule
+    # the reconstruction kernel runs at unit scale, so a lattice whose squared
+    # entries are past the range solves, as 2^515 times its scaled copy
     j = JacobiMatrix([1e155, -1e155, 5e154], [1e155, 3e154])
-    with pytest.raises(OverflowError, match="double-precision range"):
-        solve_toda_finite(j, [0.0, 1e-170])
+    scaled = JacobiMatrix(np.ldexp(j.diag, -515), np.ldexp(j.offdiag, -515))
+    big, unit = solve_toda_finite(j, [0.0, 1e-170]), solve_toda_finite(scaled, [0.0, np.ldexp(1e-170, 515)])
+    assert np.array_equal(big.diag, np.ldexp(unit.diag, 515))
+    assert np.array_equal(big.offdiag, np.ldexp(unit.offdiag, 515))
     # a bilinear form whose terms 1e300 * 1e10 * 1e10 are past the range
     with pytest.raises(OverflowError):
         moment_bilinear_form(MomentSequence([1.0, 1e300, 1e300]), [1e10, 1e10], [1e10, 1e10])
+
+
+def test_lattices_far_from_unit_scale_solve():
+    # the norm floor is relative: these raised DegenerateMeasureError (the
+    # first three) or OverflowError when it was absolute
+    back = jacobi_from_measure(DiscreteMeasure([-1e-20, 1e-20], [0.5, 0.5]), 2)
+    np.testing.assert_allclose(back.diag, [0.0, 0.0], rtol=0, atol=1e-35)
+    np.testing.assert_allclose(back.offdiag, [1e-20], rtol=1e-15)
+    unit = solve_toda_finite(JacobiMatrix([0.3, -0.2, 0.1], [1.0, 0.5]), [0.0, 0.1])
+    for scale in (1e-13, 1e160):
+        j = JacobiMatrix(np.multiply(scale, [0.3, -0.2, 0.1]), np.multiply(scale, [1.0, 0.5]))
+        traj = solve_toda_finite(j, [0.0, 0.1 / scale])
+        np.testing.assert_allclose(traj.diag / scale, unit.diag, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(traj.offdiag / scale, unit.offdiag, rtol=0, atol=1e-14)
+    times = np.linspace(0.0, 0.1, 5)
+    windows = [
+        solve_toda_semi_infinite(make_initial_data("constant", {"alpha": alpha}), times / alpha, 2, 1e-30, 64)[0]
+        for alpha in (1e-14, 1.0)
+    ]
+    np.testing.assert_allclose(windows[0].diag / 1e-14, windows[1].diag, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(windows[0].offdiag / 1e-14, windows[1].offdiag, rtol=0, atol=1e-14)
 
 
 def test_hankel_matrix_examples():
