@@ -65,7 +65,6 @@ __all__ = [
     "run",
     "main",
     "write_trajectory_csv",
-    "read_trajectory_csv",
 ]
 
 _TRAJECTORY_FILES = {"trajectory": "trajectory.csv", "report": "report.json"}
@@ -244,15 +243,6 @@ def write_trajectory_csv(path, traj: TodaTrajectory) -> None:
     n = traj.size
     header = ["t"] + [f"b{i}" for i in range(1, n + 1)] + [f"a{i}" for i in range(1, n)]
     _write_csv(path, header, np.column_stack((traj.times, traj.diag, traj.offdiag)).tolist())
-
-
-def read_trajectory_csv(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read a trajectory CSV back as (times, diag (nt, N), offdiag (nt, N-1))."""
-    lines = Path(path).read_text().strip().split("\n")
-    header = lines[0].split(",")
-    n = sum(1 for name in header if name.startswith("b"))
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
-    return data[:, 0], data[:, 1 : 1 + n], data[:, 1 + n :]
 
 
 def _check_targets(*paths: Path) -> None:

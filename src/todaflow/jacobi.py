@@ -23,7 +23,6 @@ __all__ = [
     "DiscreteMeasure",
     "eigendecompose",
     "weyl_function",
-    "b1_from_measure",
 ]
 
 # A Jacobi matrix with positive off-diagonal cannot have a repeated
@@ -190,8 +189,8 @@ class DiscreteMeasure:
     b_n = n, a_n = 1 reach 1e-430); weights is derived as
     exp(log_weights), in which such a mass reads 0.  jacobi_from_measure
     takes log_weights, so such a mass still counts there.
-    Total mass equals the zeroth moment; spectral measures of Jacobi
-    matrices carry mass 1.
+    The total mass is the zeroth moment, moments_from_measure(mu, 1);
+    spectral measures of Jacobi matrices carry mass 1.
     """
 
     nodes: np.ndarray
@@ -210,10 +209,6 @@ class DiscreteMeasure:
         w = np.exp(self.log_weights)
         w.flags.writeable = False
         return w
-
-    @property
-    def mass(self) -> float:
-        return math.fsum(self.weights)
 
 
 def eigendecompose(j: JacobiMatrix) -> DiscreteMeasure:
@@ -361,12 +356,3 @@ def _weighted_sums(table: np.ndarray, weights: np.ndarray, what: str) -> np.ndar
         raise OverflowError(f"{what} left the double-precision range")
     sums = [math.fsum(row) for row in terms.reshape(-1, table.shape[-1]).tolist()]
     return np.array(sums).reshape(terms.shape[:-1])
-
-
-def b1_from_measure(mu: DiscreteMeasure) -> float:
-    """First diagonal entry recovered from a unit-mass spectral measure.
-
-    Equals the first moment sum_k lam_k sigma_k^2.  Raises OverflowError
-    if a term lam_k sigma_k^2 is beyond the double range.
-    """
-    return float(_weighted_sums(mu.nodes[np.newaxis], mu.weights, "node * weight")[0])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
@@ -175,20 +175,12 @@ class StabilizationReport:
             entry.flags.writeable = False
 
     def to_dict(self) -> dict:
-        """JSON-ready representation (achieved = null when only one size ran)."""
-        return {
-            "entries": self.entries,
-            "times": self.times.tolist(),
-            "truncation_sizes": list(self.truncation_sizes),
-            "deviations": list(self.deviations),
-            "converged": self.converged,
-            "stop_reason": self.stop_reason,
-            "achieved": self.achieved if math.isfinite(self.achieved) else None,
-            "diag_history": [h.tolist() for h in self.diag_history],
-            "offdiag_history": [h.tolist() for h in self.offdiag_history],
-            "spectral_maxima": list(self.spectral_maxima),
-            "moments": self.moments.tolist(),
-        }
+        """JSON-ready representation: every field in class order, arrays and
+        tuples as lists (achieved = null when only one size ran)."""
+        out = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
+        if not math.isfinite(self.achieved):
+            out["achieved"] = None
+        return out
 
 
 def _inf_norm(j: JacobiMatrix) -> float:

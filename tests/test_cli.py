@@ -11,7 +11,7 @@ import pytest
 
 import todaflow.cli
 from todaflow import JacobiMatrix, NumericalError, eigendecompose, response_from_measure
-from todaflow.cli import main, read_trajectory_csv
+from todaflow.cli import main
 
 
 def write_config(path, payload):
@@ -32,10 +32,18 @@ def finite_config(tmp_path, **extra):
     return write_config(tmp_path / "config.json", payload)
 
 
+def read_trajectory(path):
+    # numpy's CSV reader, independent of the library; a row is t, b1..bN,
+    # a1..a{N-1}, so 2N columns
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    n = data.shape[1] // 2
+    return data[:, 0], data[:, 1 : 1 + n], data[:, 1 + n :]
+
+
 def test_finite_mode_writes_closed_form_trajectory(tmp_path):
     cfg = finite_config(tmp_path)
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
-    times, diag, offdiag = read_trajectory_csv(tmp_path / "trajectory.csv")
+    times, diag, offdiag = read_trajectory(tmp_path / "trajectory.csv")
     np.testing.assert_allclose(times, np.linspace(0, 1, 11), atol=1e-15)
     for t, b1, a1 in zip(times, diag[:, 0], offdiag[:, 0]):
         assert abs(b1 - math.tanh(2.0 * t)) < 1e-8
@@ -67,7 +75,7 @@ def test_csv_round_trips_exactly(tmp_path):
         "grid": {"t_end": 0.7, "steps": 6},
     })
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
-    times, diag, offdiag = read_trajectory_csv(tmp_path / "trajectory.csv")
+    times, diag, offdiag = read_trajectory(tmp_path / "trajectory.csv")
 
     from todaflow import JacobiMatrix, solve_toda_finite
 
@@ -492,7 +500,7 @@ def test_semi_infinite_mode(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is True
     assert report["achieved"] < 1e-8
-    times, diag, offdiag = read_trajectory_csv(tmp_path / "trajectory.csv")
+    times, diag, offdiag = read_trajectory(tmp_path / "trajectory.csv")
     assert diag.shape == (6, 2)
     assert offdiag.shape == (6, 1)
 

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "todaflow"
@@ -148,3 +150,19 @@ def test_no_private_function_only_forwards_its_parameters():
     assert functions
     forwarders = [f"{module}:{node.lineno} {node.name}" for module, node in functions if _forwards(node)]
     assert not forwarders, f"private functions that only pass their parameters on to one call: {forwarders}"
+
+
+def test_readme_module_table_names_only_exported_names():
+    # every backticked name in the contents column of "What is in the box"
+    # is in its row's module __all__
+    readme = (PACKAGE.parent.parent / "README.md").read_text()
+    table = readme.split("## What is in the box", 1)[1].strip().split("\n\n")[0]
+    rows = re.findall(r"^\| `(todaflow\.\w+)` +\| (.*) \|$", table, re.MULTILINE)
+    assert rows
+    stray = [
+        f"{module}.{name}"
+        for module, contents in rows
+        for name in re.findall(r"`(\w+)`", contents)
+        if name not in importlib.import_module(module).__all__
+    ]
+    assert not stray, f"README names what its module does not export: {stray}"

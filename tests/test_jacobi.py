@@ -12,9 +12,9 @@ from todaflow import (
     PoleProximityError,
     ResponseVector,
     TodaTrajectory,
-    b1_from_measure,
     eigendecompose,
     make_initial_data,
+    moments_from_measure,
     solve_toda_semi_infinite,
     weyl_function,
 )
@@ -126,14 +126,19 @@ def test_weights_sum_to_one_and_b1_proposition():
     for _ in range(30):
         j = random_jacobi(rng, int(rng.integers(1, 9)))
         mu = eigendecompose(j)
-        assert abs(mu.mass - 1.0) < 1e-12
-        assert abs(b1_from_measure(mu) - j.diag[0]) < 1e-10
+        mass, b1 = moments_from_measure(mu, 2).values
+        assert abs(mass - 1.0) < 1e-12
+        assert abs(b1 - j.diag[0]) < 1e-10
 
 
 def test_b1_from_measure_examples():
-    assert b1_from_measure(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])) == 0.0
-    assert b1_from_measure(DiscreteMeasure([3.0], [1.0])) == 3.0
-    assert abs(b1_from_measure(DiscreteMeasure([-SQRT2, 0.0, SQRT2], [0.25, 0.5, 0.25]))) < 1e-16
+    # b_1 of a unit-mass spectral measure is its first moment
+    def b1(mu):
+        return moments_from_measure(mu, 2).values[1]
+
+    assert b1(DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])) == 0.0
+    assert b1(DiscreteMeasure([3.0], [1.0])) == 3.0
+    assert abs(b1(DiscreteMeasure([-SQRT2, 0.0, SQRT2], [0.25, 0.5, 0.25]))) < 1e-16
 
 
 def test_measure_moments_match_matrix_powers():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import todaflow.moments
 from todaflow import (
     FINITE_SUPPORT,
     INVALID,
@@ -13,7 +14,6 @@ from todaflow import (
     MomentSequence,
     PositivityError,
     ResponseVector,
-    b1_from_measure,
     check_moment_positivity,
     eigendecompose,
     hankel_matrix,
@@ -76,12 +76,9 @@ def test_moments_overflow_guard():
     mu = DiscreteMeasure([1e200], [1.0])
     with pytest.raises(OverflowError):
         moments_from_measure(mu, 3)
-    # b1 is the first moment, from the same accumulator: 1e308 * 10 raises
-    # where a plain sum read inf
-    mu = DiscreteMeasure([1e308], [10.0])
-    for first_moment in (lambda: moments_from_measure(mu, 2), lambda: b1_from_measure(mu)):
-        with pytest.raises(OverflowError, match="double-precision range"):
-            first_moment()
+    # b1 is the first moment: 1e308 * 10 raises where a plain sum read inf
+    with pytest.raises(OverflowError, match="double-precision range"):
+        moments_from_measure(DiscreteMeasure([1e308], [10.0]), 2)
     # the reconstruction kernel runs at unit scale, so a lattice whose squared
     # entries are past the range solves, as 2^515 times its scaled copy
     j = JacobiMatrix([1e155, -1e155, 5e154], [1e155, 3e154])
@@ -211,6 +208,22 @@ def test_jacobi_from_measure_errors():
         match="below 1e-12 at step 2; measure is numerically supported on fewer than 3 points",
     ):
         jacobi_from_measure(tight, 3)
+
+
+def test_a_center_scaled_past_the_double_range_raises(monkeypatch):
+    # the sweep's rounding bound lets a center reach 1 at unit scale, which
+    # is inf once multiplied back by 2^1024; no input is known to get there,
+    # so a sweep that writes it stands in for one
+    sweep = todaflow.moments._stieltjes_sweep
+
+    def sweep_with_a_unit_center(x, log_w, diag, offdiag):
+        sweep(x, log_w, diag, offdiag)
+        diag[:, 0] = 1.0
+
+    monkeypatch.setattr(todaflow.moments, "_stieltjes_sweep", sweep_with_a_unit_center)
+    top = 1.7976931348623157e308
+    with pytest.raises(OverflowError, match="^a recurrence center or norm left the double-precision range$"):
+        jacobi_from_measure(DiscreteMeasure([-top, top], [0.5, 0.5]), 2)
 
 
 def lanczos_reference(mu, n):

@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -193,6 +195,30 @@ def test_roundoff_floor_stops_the_doubling():
     _, odd = solve_toda_semi_infinite(init, times, 3, 1e-15, 48)
     assert odd.truncation_sizes == (8, 16, 32, 48)
     assert odd.stop_reason == "floor_limited"
+
+
+def test_report_dict_is_its_fields_as_json():
+    # one report where only one size ran (n_max = 8) and one where two did
+    init = make_initial_data("constant", {"alpha": 0.5, "gamma": 2.0})
+    times = np.linspace(0.0, 1.0, 5)
+    for m, n_max, runs in ((1, 8, 1), (2, 64, 2)):
+        _, report = solve_toda_semi_infinite(init, times, m, 1e-8, n_max)
+        assert len(report.truncation_sizes) == runs
+        d = json.loads(json.dumps(report.to_dict(), allow_nan=False))
+        assert list(d) == [field.name for field in dataclasses.fields(report)]
+        assert (d["achieved"] is None) == (runs == 1)
+        if runs > 1:
+            assert d["achieved"] == report.achieved
+        for name in ("entries", "converged", "stop_reason"):
+            assert d[name] == getattr(report, name)
+        for name in ("truncation_sizes", "deviations", "spectral_maxima"):
+            assert tuple(d[name]) == getattr(report, name)
+        for name in ("times", "moments"):
+            np.testing.assert_array_equal(np.array(d[name]), getattr(report, name))
+        for name in ("diag_history", "offdiag_history"):
+            assert len(d[name]) == runs
+            for entry, history in zip(d[name], getattr(report, name)):
+                np.testing.assert_array_equal(np.array(entry), history)
 
 
 def test_spectrum_escaping_upward_is_flagged():
