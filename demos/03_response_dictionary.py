@@ -36,6 +36,6 @@ k = 12
 via_measure = response_from_measure(mu, k)
 via_moments = response_from_moments(moments_from_measure(mu, k))
 print(f"\nresponse of a random 5-point measure, K = {k}:")
-print("  spectral route:", np.array2string(via_measure.values, precision=5))
-print("  moment route:  ", np.array2string(via_moments.values, precision=5))
-print(f"  max deviation:  {np.max(np.abs(via_measure.values - via_moments.values)):.3e}")
+print("  spectral route:", np.array2string(via_measure, precision=5))
+print("  moment route:  ", np.array2string(via_moments, precision=5))
+print(f"  max deviation:  {np.max(np.abs(via_measure - via_moments)):.3e}")

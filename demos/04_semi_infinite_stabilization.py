@@ -23,7 +23,7 @@ init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
 traj, report = solve_toda_semi_infinite(init, times, m=2, tol=1e-10, n_max=128)
 print(f"truncations: {report.truncation_sizes}")
 print(f"successive deviations: {['%.2e' % d for d in report.deviations]}")
-print(f"converged: {report.converged} (achieved {report.achieved:.2e})")
+print(f"converged: {report.converged} (last deviation {report.deviations[-1]:.2e})")
 print(f"top eigenvalue per truncation: {['%.4f' % x for x in report.spectral_maxima]}")
 print("\nleading entries of the solution:")
 print(f"{'t':>5} {'b_1':>10} {'b_2':>10} {'a_1':>10}")

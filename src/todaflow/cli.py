@@ -15,17 +15,18 @@ here with their defaults (the grid has none):
                     output {table: "response.csv", report: "report.json"}
 
 "initial" is {"b": [...], "a": [...]} or {"random": {"n": 5, "seed": 7}}
-(b ~ U[-2,2], a ~ U[0.5,2]); in semi_infinite mode it is {"b": [...],
-"a": [...]} tables or {"generator": "linear_b", "params": {"alpha": 1.0,
-"beta": -1.0, "gamma": 0.0}}.  The grid is steps + 1 equal times on
-[0, t_end]; grid.steps is at most 1000000, and initial.random.n and
-options.n_max at most 16384.  Any other field is rejected with a message
-naming it, and so, before any output is made, are generator parameters
-that make some a_n <= 0 or some b_n infinite (linear_b: |beta| * 2**52 +
-|gamma| must be finite) and a table shorter than the first truncation
-size min(max(2m+2, 8), n_max), whose message is the table's own
-("options.n_max: table initial data exhausted at n=8: the table holds 4
-entries; ...").  Every config error is a ValueError.
+(b ~ U[-2,2], a ~ U[0.5,2]); in semi_infinite mode it is a generator,
+{"generator": "linear_b", "params": {"alpha": 1.0, "beta": -1.0, "gamma":
+0.0}}, or {"generator": "table", "params": {"b": [...], "a": [...]}}.  The
+grid is steps + 1 equal times on [0, t_end]; grid.steps is at most
+1000000, the size N (len(initial.b), initial.random.n or options.n_max)
+at most 16384, and (steps + 1) * N at most 2**24.  Any other field is
+rejected with a message naming it, and so, before any output is made,
+are generator parameters that make some a_n <= 0 or some b_n infinite
+(linear_b: |beta| * 2**52 + |gamma| must be finite) and a table shorter
+than the first truncation size min(max(2m+2, 8), n_max), whose message
+is the table's own ("options.n_max: table initial data exhausted at n=8:
+the table holds 4 entries; ...").  Every config error is a ValueError.
 Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure.
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
 values printed with 17 significant digits so a written file re-reads to
@@ -80,13 +81,15 @@ _MODES = {
 }
 MODES = tuple(_MODES)
 
-# Upper bounds on the sizes a config may ask for: a larger grid, random
-# matrix or semi_infinite truncation (whose eigenvectors take n_max**2
-# doubles, 2.1 GB at 16384) would only fail later, in an allocation that
-# names no field, and more RK4 steps in verify mode would run for hours
-# without a message.
+# Upper bounds on the sizes a config may ask for: a larger grid, matrix or
+# semi_infinite truncation (whose eigenvectors take n_max**2 doubles, 2.1 GB
+# at 16384), or a grid of more than 2**24 times x N (the solvers hold a few
+# (steps + 1, N) arrays of doubles, 128 MB each at the bound), would only fail
+# later, in an allocation that names no field, and more RK4 steps in verify
+# mode would run for hours without a message.
 _MAX_STEPS = 1_000_000
-_MAX_RANDOM_N = 16_384
+_MAX_N = 16_384
+_MAX_GRID_VALUES = 2**24
 
 # option -> its value rule, called with the dotted field name.
 # semi_infinite mode then holds n_max to 2m+2 and verify mode dt to the
@@ -94,7 +97,7 @@ _MAX_RANDOM_N = 16_384
 _OPTIONS = {
     "dt": lambda name, v: _finite_real(name, v, positive=True),
     "tol": lambda name, v: _finite_real(name, v, positive=True),
-    "n_max": lambda name, v: _count(name, v, 2, _MAX_RANDOM_N),
+    "n_max": lambda name, v: _count(name, v, 2, _MAX_N),
     "m": lambda name, v: _count(name, v, 1),
     "k": lambda name, v: _count(name, v, 1, _K_MAX),
 }
@@ -140,33 +143,26 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
         params = initial["random"]
         _require(isinstance(params, dict), "initial.random: must be an object")
         _known_fields(params, ("n", "seed"), "initial.random.")
-        n = _count("initial.random.n", params.get("n"), 1, _MAX_RANDOM_N)
+        n = _count("initial.random.n", params.get("n"), 1, _MAX_N)
         rng = np.random.default_rng(_count("initial.random.seed", params.get("seed", 0), 0))
         return JacobiMatrix(diag=rng.uniform(-2.0, 2.0, n), offdiag=rng.uniform(0.5, 2.0, n - 1))
     _require("b" in initial, "initial.b: required for explicit initial data")
     _known_fields(initial, ("b", "a"), "initial.")
     b, a = _jacobi_arrays(initial["b"], initial.get("a", []), 1, names=("initial.b", "initial.a"))
+    _require(b.size <= _MAX_N, f"initial.b: need at most {_MAX_N} entries, got {b.size}")
     return JacobiMatrix(diag=b, offdiag=a)
 
 
 def _build_generator(initial: dict) -> SemiInfiniteInitialData:
-    if "generator" in initial:
-        _known_fields(initial, ("generator", "params"), "initial.")
-        name, params = initial["generator"], initial.get("params", {})
-        _require(name in ("table", *_GENERATORS), f"initial.generator: unknown initial-data generator {name!r}")
-        _require(isinstance(params, dict), "initial.params: must be an object")
-        prefix = "initial.params."
-    elif "b" in initial:
-        _known_fields(initial, ("b", "a"), "initial.")
-        name, params = "table", {"a": initial.get("a", []), "b": initial["b"]}
-        prefix = "initial."
-    else:
-        raise ValueError("initial: semi_infinite mode needs a generator name or explicit tables")
+    _known_fields(initial, ("generator", "params"), "initial.")
+    name, params = initial.get("generator"), initial.get("params", {})
+    _require(name in ("table", *_GENERATORS), f"initial.generator: unknown initial-data generator {name!r}")
+    _require(isinstance(params, dict), "initial.params: must be an object")
     try:
         return make_initial_data(name, params)
     except ValueError as exc:
         # make_initial_data starts each message with the parameter's name
-        raise ValueError(prefix + str(exc)) from exc
+        raise ValueError("initial.params." + str(exc)) from exc
 
 
 def load_config(path) -> RunConfig:
@@ -215,6 +211,12 @@ def load_config(path) -> RunConfig:
             raise ValueError(f"options.n_max: {exc}") from exc
     else:
         initial = _build_matrix(initial)
+    if reads_grid:
+        n = options["n_max"] if mode == "semi_infinite" else initial.n
+        _require(
+            (steps + 1) * n <= _MAX_GRID_VALUES,
+            f"grid.steps: need (steps + 1) * N <= {_MAX_GRID_VALUES}, got {steps + 1} * {n}",
+        )
     if mode == "verify":
         oracle_steps = sum(_grid_steps(times, options["dt"], "options.dt"))
         _require(
@@ -229,20 +231,20 @@ def load_config(path) -> RunConfig:
     return RunConfig(mode, times, initial, options, output)
 
 
-def _write_csv(path, header: list[str], rows) -> None:
+def _write_csv(path, header: list[str], columns) -> None:
     # every CSV of the CLI: a header line, then rows of numbers printed with
     # 17 significant digits, which re-read to the same doubles (and print
-    # an integer as %d does)
-    fmt = ",".join(["%.17g"] * len(header))
-    lines = [",".join(header)] + [fmt % tuple(row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    # an integer as %d does); written through a handle, as savetxt would
+    # gzip a path that ends in .gz
+    with Path(path).open("w") as fh:
+        np.savetxt(fh, np.column_stack(columns), fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def write_trajectory_csv(path, traj: TodaTrajectory) -> None:
     """Write "t,b1,...,bN,a1,...,a{N-1}" rows with full 17-digit precision."""
     n = traj.size
     header = ["t"] + [f"b{i}" for i in range(1, n + 1)] + [f"a{i}" for i in range(1, n)]
-    _write_csv(path, header, np.column_stack((traj.times, traj.diag, traj.offdiag)).tolist())
+    _write_csv(path, header, (traj.times, traj.diag, traj.offdiag))
 
 
 def _check_targets(*paths: Path) -> None:
@@ -278,7 +280,7 @@ def run(config: RunConfig, out_dir) -> list[Path]:
         s = moments_from_measure(mu, k)
         verdict = check_moment_positivity(s)
         report.update(k=k, classification={"kind": verdict.kind, "order": verdict.order})
-        _write_csv(first, ["k", "s", "r"], zip(range(k), s.values.tolist(), response_from_measure(mu, k).values.tolist()))
+        _write_csv(first, ["k", "s", "r"], (np.arange(k), s.values, response_from_measure(mu, k)))
     else:
         if config.mode == "semi_infinite":
             traj, stabilization = solve_toda_semi_infinite(config.initial, config.times, **config.options)
@@ -312,7 +314,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NumericalError, OverflowError, FloatingPointError) as exc:
+    except (NumericalError, OverflowError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .jacobi import DiscreteMeasure, _count, _freeze, _real_array, _weighted_sums
+from .jacobi import DiscreteMeasure, _count, _real_array, _weighted_sums
 from .moments import MomentSequence
 
 __all__ = [
-    "ResponseVector",
     "chebyshev_u",
     "lambda_matrix",
     "response_from_moments",
@@ -30,22 +28,6 @@ __all__ = [
 # Matrix entries are exact in int64 far beyond this, but moment/response
 # conversions are meaningless in double precision for longer vectors.
 _K_MAX = 30
-
-
-@dataclass(frozen=True, eq=False)
-class ResponseVector:
-    """Response entries r_0..r_{K-1}; r_0 always equals s_0 since T_1 = 1."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = _real_array("values", self.values, 1)
-        if v.size < 1:
-            raise ValueError("values must have at least one entry")
-        _freeze(self, values=v)
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 def _chebyshev_rows(lam: np.ndarray):
@@ -94,14 +76,15 @@ def lambda_matrix(size: int) -> np.ndarray:
     return out
 
 
-def response_from_moments(s: MomentSequence) -> ResponseVector:
-    """Response vector as the integer-matrix image of the moment vector, each entry a
-    compensated sum; raises OverflowError if a term exceeds the floating-point range."""
+def response_from_moments(s: MomentSequence) -> np.ndarray:
+    """Response entries r_0..r_{K-1}, K = len(s), as the integer-matrix image of
+    the moment vector, each entry a compensated sum; r_0 = s_0 since T_1 = 1.
+    Raises OverflowError if a term exceeds the floating-point range."""
     table = lambda_matrix(_count("len(s)", len(s), 1, _K_MAX)).astype(float)
-    return ResponseVector(values=_weighted_sums(table, s.values, "lambda_matrix entry * s_j"))
+    return _weighted_sums(table, s.values, "lambda_matrix entry * s_j")
 
 
-def response_from_measure(mu: DiscreteMeasure, count: int) -> ResponseVector:
+def response_from_measure(mu: DiscreteMeasure, count: int) -> np.ndarray:
     """Response entries r_{k-1} = sum_j T_k(node_j) * weight_j, k = 1..count.
 
     One forward-recurrence sweep over the nodes; each entry is accumulated
@@ -112,4 +95,4 @@ def response_from_measure(mu: DiscreteMeasure, count: int) -> ResponseVector:
     count = _count("count", count, 1)
     table = np.array(list(itertools.islice(_chebyshev_rows(mu.nodes), 1, count + 1)))
     what = f"T_k(node) * weight for some k <= {count}"
-    return ResponseVector(values=_weighted_sums(table, mu.weights, what))
+    return _weighted_sums(table, mu.weights, what)

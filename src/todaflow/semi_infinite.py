@@ -61,10 +61,6 @@ def _linear_b(alpha: float, beta: float, gamma: float):
     return lambda n: (alpha, beta * n + gamma)
 
 
-def _constant(alpha: float, gamma: float):
-    return lambda n: (alpha, gamma)
-
-
 def _decay(alpha: float, gamma: float):
     # a normal alpha keeps alpha / n a positive double for every n < 2**52;
     # a subnormal one can round to a_n = 0 at a size a run reaches
@@ -80,6 +76,9 @@ def _table(a, b):
     a, b = _real_array("a", a, 1, positive=True), _real_array("b", b, 1)
     if a.size != b.size - 1 and a.size != b.size:
         raise ValueError(f"a: need len(a) = len(b) - 1 or len(b), got {a.size} for len(b) = {b.size}")
+    # a_{len(b)} lies outside every truncated block, so a missing one is
+    # padded with any positive placeholder
+    a = np.append(a, [1.0] * (b.size - a.size))
 
     def coeff(n: int) -> tuple[float, float]:
         if n > b.size:
@@ -87,11 +86,7 @@ def _table(a, b):
                 f"table initial data exhausted at n={n}: the table holds {b.size} entries; "
                 "provide more entries or lower n_max"
             )
-        if n <= a.size:
-            return (float(a[n - 1]), float(b[n - 1]))
-        # n == len(b) with len(a) == len(b)-1: this a_n lies outside every
-        # truncated block, so any positive placeholder works
-        return (1.0, float(b[n - 1]))
+        return (float(a[n - 1]), float(b[n - 1]))
 
     return coeff
 
@@ -99,7 +94,6 @@ def _table(a, b):
 # generator -> (its own parameters with their defaults, coefficient maker)
 _GENERATORS = {
     "linear_b": ({"alpha": 1.0, "beta": 0.0, "gamma": 0.0}, _linear_b),
-    "constant": ({"alpha": 1.0, "gamma": 0.0}, _constant),
     "decay": ({"alpha": 1.0, "gamma": 0.0}, _decay),
 }
 
@@ -107,8 +101,7 @@ _GENERATORS = {
 def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteInitialData:
     """Named built-in generators for initial data.
 
-    "linear_b":  b_n = beta * n + gamma, a_n = alpha
-    "constant":  b_n = gamma,            a_n = alpha
+    "linear_b":  b_n = beta * n + gamma, a_n = alpha (constant data at beta = 0)
     "decay":     b_n = gamma,            a_n = alpha / n
     "table":     explicit finite arrays a, b
 
@@ -152,8 +145,7 @@ class StabilizationReport:
     100 eps ||J_n||_inf of the truncation J_n just run, which counts as
     converged) or "n_max" (size n_max ran without either).  moments holds
     s_0..s_{2m-1} per grid time from the largest truncation (the finite
-    stand-in for the limiting moments).  achieved is the last deviation
-    (inf when only one size ran).  Every array it holds is read-only.
+    stand-in for the limiting moments).  Every array it holds is read-only.
     """
 
     entries: int
@@ -162,7 +154,6 @@ class StabilizationReport:
     deviations: tuple[float, ...]
     converged: bool
     stop_reason: str
-    achieved: float
     diag_history: tuple[np.ndarray, ...]
     offdiag_history: tuple[np.ndarray, ...]
     spectral_maxima: tuple[float, ...]
@@ -176,11 +167,8 @@ class StabilizationReport:
 
     def to_dict(self) -> dict:
         """JSON-ready representation: every field in class order, arrays and
-        tuples as lists (achieved = null when only one size ran)."""
-        out = {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
-        if not math.isfinite(self.achieved):
-            out["achieved"] = None
-        return out
+        tuples as lists."""
+        return {f.name: np.asarray(getattr(self, f.name)).tolist() for f in fields(self)}
 
 
 def _inf_norm(j: JacobiMatrix) -> float:
@@ -271,7 +259,6 @@ def solve_toda_semi_infinite(
         deviations=tuple(deviations),
         converged=stop_reason != "n_max",
         stop_reason=stop_reason,
-        achieved=deviations[-1] if deviations else math.inf,
         diag_history=tuple(diag_hist),
         offdiag_history=tuple(offdiag_hist),
         spectral_maxima=tuple(spectral_maxima),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import todaflow.cli
-from todaflow import JacobiMatrix, NumericalError, eigendecompose, response_from_measure
+from todaflow import JacobiMatrix, NumericalError, TodaTrajectory, eigendecompose, response_from_measure
 from todaflow.cli import main
 
 
@@ -87,6 +87,18 @@ def test_csv_round_trips_exactly(tmp_path):
     np.testing.assert_array_equal(times, traj.times)
 
 
+def test_trajectory_csv_bytes(tmp_path):
+    # %.17g: an integral value prints as an integer, -0 keeps its sign, and
+    # the extremes of the double range print in full
+    traj = TodaTrajectory([0.0, 0.1], [[-0.0, 5e-324], [1.7976931348623157e308, 0.1]], [[1.0], [2.5e-300]])
+    todaflow.cli.write_trajectory_csv(tmp_path / "t.csv", traj)
+    assert (tmp_path / "t.csv").read_text() == (
+        "t,b1,b2,a1\n"
+        "0,-0,4.9406564584124654e-324,1\n"
+        "0.10000000000000001,1.7976931348623157e+308,0.10000000000000001,2.5e-300\n"
+    )
+
+
 def test_identical_configs_are_byte_identical(tmp_path):
     out1 = tmp_path / "run1"
     out2 = tmp_path / "run2"
@@ -149,12 +161,15 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("finite", {"random": {"n": 3, "seed": 1.5}}, "initial.random.seed"),
         ("finite", {"random": {"n": True}}, "initial.random.n"),
         ("finite", {"b": {"x": 1}}, "initial.b"),
-        ("semi_infinite", {"b": {"x": 1}}, "initial.b"),
-        ("semi_infinite", {"b": 5}, "initial.b"),
-        ("semi_infinite", {"generator": "constant", "params": [1]}, "initial.params"),
-        ("semi_infinite", {"generator": "constant", "params": {"alpha": [1]}}, "initial.params.alpha"),
+        ("semi_infinite", {"generator": "table", "params": {"b": {"x": 1}, "a": []}}, "initial.params.b"),
+        ("semi_infinite", {"generator": "table", "params": {"b": 5, "a": []}}, "initial.params.b"),
+        ("semi_infinite", {"generator": "linear_b", "params": [1]}, "initial.params"),
+        ("semi_infinite", {"generator": "linear_b", "params": {"alpha": [1]}}, "initial.params.alpha"),
         ("semi_infinite", {"generator": "table", "params": {"b": [1.0, 2.0]}}, "initial.params.a"),
-        ("semi_infinite", {"generator": ["constant"]}, "initial.generator"),
+        ("semi_infinite", {"generator": ["linear_b"]}, "initial.generator"),
+        # every semi_infinite config names its generator; constant data is linear_b's default beta = 0
+        ("semi_infinite", {"params": {"alpha": 1.0}}, "initial.generator"),
+        ("semi_infinite", {"generator": "constant"}, "initial.generator"),
     ]
     capsys.readouterr()
     for mode, initial, name in mistyped:
@@ -172,14 +187,15 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         "grid": {"t_end": 1.0, "steps": 2},
     })
     assert main(["--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "error: initial: semi_infinite mode needs a generator name" in capsys.readouterr().err
+    assert "error: initial.random: unknown field" in capsys.readouterr().err
     # JSON NaN and Infinity are rejected by the field that carries them
     escaping = {"generator": "linear_b", "params": {"beta": 1.0}}
     non_finite = [
         ("semi_infinite", escaping, {"t_end": 1.0, "steps": 2}, {"tol": math.inf}, "options.tol"),
         ("semi_infinite", {"generator": "linear_b", "params": {"beta": -1.0, "upper_bound": math.nan}},
          {"t_end": 1.0, "steps": 2}, {}, "initial.params.upper_bound"),
-        ("semi_infinite", {"b": [0.0, math.nan], "a": [1.0]}, {"t_end": 1.0, "steps": 2}, {}, "initial.b"),
+        ("semi_infinite", {"generator": "table", "params": {"b": [0.0, math.nan], "a": [1.0]}},
+         {"t_end": 1.0, "steps": 2}, {}, "initial.params.b"),
         ("finite", {"b": [0.0, 0.0], "a": [1.0]}, {"t_end": math.inf, "steps": 2}, {}, "grid.t_end"),
         ("finite", {"b": [0.0, math.nan], "a": [1.0]}, {"t_end": 1.0, "steps": 2}, {}, "initial.b"),
         ("finite", {"b": [0.0, 0.0], "a": [-math.inf]}, {"t_end": 1.0, "steps": 2}, {}, "initial.a"),
@@ -202,12 +218,17 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("finite", explicit, {"t_end": huge, "steps": 2}, {}, "grid.t_end"),
         ("verify", explicit, grid, {"dt": huge}, "options.dt"),
         ("finite", {"b": [0.0, huge], "a": [1.0]}, grid, {}, "initial.b"),
-        ("semi_infinite", {"generator": "constant", "params": {"alpha": huge}}, grid, {}, "initial.params.alpha"),
-        ("semi_infinite", {"b": [0.0, huge], "a": [1.0]}, grid, {}, "initial.b"),
+        ("semi_infinite", {"generator": "linear_b", "params": {"alpha": huge}}, grid, {}, "initial.params.alpha"),
+        ("semi_infinite", {"generator": "table", "params": {"b": [0.0, huge], "a": [1.0]}}, grid, {},
+         "initial.params.b"),
         ("finite", explicit, {"t_end": 1.0, "steps": huge}, {}, "grid.steps"),
         ("finite", {"random": {"n": huge}}, grid, {}, "initial.random.n"),
         # a truncation's eigenvectors take n_max**2 doubles
         ("semi_infinite", escaping, grid, {"n_max": 16385}, "options.n_max"),
+        ("finite", {"b": [0.0] * 40000, "a": [1.0] * 39999}, grid, {}, "initial.b"),
+        # the solvers hold (steps + 1, N) arrays: 1000001 x 4096 doubles take 30.5 GiB
+        ("finite", {"random": {"n": 4096, "seed": 0}}, {"t_end": 1.0, "steps": 1000000}, {}, "grid.steps"),
+        ("semi_infinite", escaping, {"t_end": 1.0, "steps": 1000000}, {"n_max": 64}, "grid.steps"),
     ]
     # every option is checked against its own range
     out_of_range = [
@@ -218,12 +239,13 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ("verify", explicit, grid, {"dt": True}, "options.dt"),
         # initial data whose a_n are not all > 0 are rejected as they are read
         ("semi_infinite", {"generator": "linear_b", "params": {"alpha": -1.0}}, grid, {}, "initial.params.alpha"),
-        ("semi_infinite", {"generator": "constant", "params": {"alpha": 0.0}}, grid, {}, "initial.params.alpha"),
+        ("semi_infinite", {"generator": "linear_b", "params": {"alpha": 0.0}}, grid, {}, "initial.params.alpha"),
         ("semi_infinite", {"generator": "decay", "params": {"alpha": -1.0}}, grid, {}, "initial.params.alpha"),
         ("semi_infinite", {"generator": "decay", "params": {"alpha": 5e-324}}, grid, {}, "initial.params.alpha"),
         # and whose b_n are not all finite
         ("semi_infinite", {"generator": "linear_b", "params": {"beta": 1e308}}, grid, {}, "initial.params.beta"),
-        ("semi_infinite", {"b": [0.0] * 4, "a": [1.0, -1.0, 1.0]}, grid, {"n_max": 4}, "initial.a"),
+        ("semi_infinite", {"generator": "table", "params": {"b": [0.0] * 4, "a": [1.0, -1.0, 1.0]}},
+         grid, {"n_max": 4}, "initial.params.a"),
         ("semi_infinite", {"generator": "table", "params": {"b": [0.0] * 4, "a": [1.0, 1.0, 1.0, 0.0]}},
          grid, {"n_max": 4}, "initial.params.a"),
     ]
@@ -231,9 +253,11 @@ def test_validation_failures_exit_1(tmp_path, capsys):
     table = {"n_max": 4}
     not_numbers = [
         ("finite", {"b": ["0", "0.5"], "a": ["1"]}, grid, {}, "initial.b"),
-        ("semi_infinite", {"b": ["0", "0.5", "0", "0.5"], "a": [1.0, 1.0, 1.0]}, grid, table, "initial.b"),
+        ("semi_infinite", {"generator": "table", "params": {"b": ["0", "0.5", "0", "0.5"], "a": [1.0, 1.0, 1.0]}},
+         grid, table, "initial.params.b"),
         ("finite", {"b": [True, 0.5], "a": [1.0]}, grid, {}, "initial.b"),
-        ("semi_infinite", {"b": [True, 0.5, 0.0, 0.5], "a": [1.0, 1.0, 1.0]}, grid, table, "initial.b"),
+        ("semi_infinite", {"generator": "table", "params": {"b": [True, 0.5, 0.0, 0.5], "a": [1.0, 1.0, 1.0]}},
+         grid, table, "initial.params.b"),
     ]
     # a spacing below the smallest double would give equal grid times
     too_fine = [
@@ -258,12 +282,13 @@ def test_validation_failures_exit_1(tmp_path, capsys):
         ({"initial": {"random": {"n": 3, "sead": 1}}}, "initial.random.sead"),
         ({"initial": {"random": {"n": 3}, "a": [1.0, 1.0]}}, "initial.a"),
         ({"initial": {"b": [0.0], "upper_bound": 1.0}}, "initial.upper_bound"),
-        ({"mode": "semi_infinite", "initial": {"generator": "constant", "b": [0.0]}}, "initial.b"),
-        ({"mode": "semi_infinite", "initial": {"b": [0.0, 0.0], "a": [1.0], "params": {}}}, "initial.params"),
+        ({"mode": "semi_infinite", "initial": {"generator": "linear_b", "b": [0.0]}}, "initial.b"),
+        # explicit {b, a} arrays are a finite matrix: a semi_infinite table is the table generator's params
+        ({"mode": "semi_infinite", "initial": {"b": [0.0, 0.0], "a": [1.0], "params": {}}}, "initial.b"),
         # each mode takes only the fields it reads
         ({"options": {"dt": 1e-4}}, "options.dt"),
         ({"output": {"table": "x.csv"}}, "output.table"),
-        ({"mode": "semi_infinite", "initial": {"generator": "constant"}, "options": {"k": 8}}, "options.k"),
+        ({"mode": "semi_infinite", "initial": {"generator": "linear_b"}, "options": {"k": 8}}, "options.k"),
         ({"mode": "response"}, "grid"),
     ]
     for extra, name in unknown:
@@ -278,7 +303,7 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "c.json", {
         "mode": "semi_infinite",
-        "initial": {"generator": "constant", "params": {"alpha": 1.0}},
+        "initial": {"generator": "linear_b", "params": {"alpha": 1.0}},
         "grid": {"t_end": 1.0, "steps": 2},
         "options": {"m": 2, "n_max": 4},
     })
@@ -288,7 +313,7 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     # a table must hold the first truncation, of size 8 at the default n_max 64
     cfg = write_config(tmp_path / "c.json", {
         "mode": "semi_infinite",
-        "initial": {"b": [0.0, 0.0, 0.0, 0.0], "a": [1.0, 1.0, 1.0]},
+        "initial": {"generator": "table", "params": {"b": [0.0, 0.0, 0.0, 0.0], "a": [1.0, 1.0, 1.0]}},
         "grid": {"t_end": 1.0, "steps": 2},
     })
     assert main(["--config", cfg, "--out", str(out)]) == 1
@@ -300,7 +325,7 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     # a table shorter than n_max runs when the sizes converge before passing its end
     cfg = write_config(tmp_path / "c.json", {
         "mode": "semi_infinite",
-        "initial": {"b": [0.0] * 16, "a": [0.5] * 16},
+        "initial": {"generator": "table", "params": {"b": [0.0] * 16, "a": [0.5] * 16}},
         "grid": {"t_end": 1.0, "steps": 2},
     })
     assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
@@ -311,7 +336,7 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
 def test_upper_bound_is_not_a_semi_infinite_field(tmp_path, capsys):
     out = tmp_path / "out"
     for initial in (
-        {"b": [0.0, 0.0, 0.0, 0.0], "a": [1.0, 1.0, 1.0], "upper_bound": 1.0},
+        {"generator": "table", "params": {"b": [0.0, 0.0, 0.0, 0.0], "a": [1.0, 1.0, 1.0], "upper_bound": 1.0}},
         {"generator": "linear_b", "params": {"beta": -1.0, "upper_bound": 1.0}},
     ):
         cfg = write_config(tmp_path / "c.json", {
@@ -424,7 +449,7 @@ def test_a_failed_computation_leaves_no_partial_run(tmp_path, monkeypatch, capsy
         raise NumericalError("injected")
 
     monkeypatch.setattr(todaflow.cli, last_step, fail)
-    initial = {"generator": "constant"} if mode == "semi_infinite" else {"b": [0.0, 0.0], "a": [1.0]}
+    initial = {"generator": "linear_b"} if mode == "semi_infinite" else {"b": [0.0, 0.0], "a": [1.0]}
     payload = {"mode": mode, "initial": initial, "options": {"dt": 0.5} if mode == "verify" else {}}
     if mode != "response":
         payload["grid"] = {"t_end": 1.0, "steps": 2}
@@ -499,7 +524,8 @@ def test_semi_infinite_mode(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["converged"] is True
-    assert report["achieved"] < 1e-8
+    assert report["deviations"][-1] < 1e-8
+    assert "achieved" not in report
     times, diag, offdiag = read_trajectory(tmp_path / "trajectory.csv")
     assert diag.shape == (6, 2)
     assert offdiag.shape == (6, 1)
@@ -536,7 +562,7 @@ def test_response_mode(tmp_path):
     assert main(["--config", cfg, "--out", str(tmp_path), "--quiet"]) == 0
     lines = (tmp_path / "response.csv").read_text().strip().split("\n")
     r_vec = np.array([float(line.split(",")[2]) for line in lines[1:]])
-    np.testing.assert_array_equal(r_vec, response_from_measure(eigendecompose(free), 30).values)
+    np.testing.assert_array_equal(r_vec, response_from_measure(eigendecompose(free), 30))
 
 
 def test_console_invocation(tmp_path):

@@ -439,7 +439,7 @@ ONE_ENDED_DIGESTS = {
     "jacobi_from_measure 256": "6d5d5712cb3c1f03",
     "eigendecompose 1024": "4aff867a68f339cc",
     "semi_infinite linear_b": "dd79b6d6501af891",
-    "semi_infinite constant": "372e66d45cd83d77",
+    "semi_infinite linear_b beta 0": "372e66d45cd83d77",
 }
 
 
@@ -456,10 +456,10 @@ def test_one_ended_outputs_are_bitwise_unchanged():
             got[f"jacobi_from_measure {n}"] = digest(back.diag, back.offdiag)
     for name, params, t_end, m, tol, n_max in (
         ("linear_b", {"beta": -1.0, "alpha": 1.0}, 1.0, 3, 1e-10, 32),
-        ("constant", {"alpha": 1.0}, 4.0, 3, 1e-15, 256),
+        ("linear_b beta 0", {"alpha": 1.0}, 4.0, 3, 1e-15, 256),
     ):
         times = np.linspace(0.0, t_end, 11)
-        window, report = solve_toda_semi_infinite(make_initial_data(name, params), times, m, tol, n_max)
+        window, report = solve_toda_semi_infinite(make_initial_data("linear_b", params), times, m, tol, n_max)
         got[f"semi_infinite {name}"] = digest(
             window.diag, window.offdiag, *report.diag_history, *report.offdiag_history,
             report.moments, report.deviations, report.spectral_maxima,
@@ -547,7 +547,7 @@ def test_trajectory_holds_readonly_arrays():
 def test_solver_trajectories_hold_readonly_arrays():
     # the solvers build their trajectories unchecked, and read-only all the same
     j = JacobiMatrix([0.0, 1.0, -0.5], [1.0, 0.5])
-    window, report = solve_toda_semi_infinite(make_initial_data("constant"), [0.0, 0.5], 1, 1e-8, 16)
+    window, report = solve_toda_semi_infinite(make_initial_data("linear_b"), [0.0, 0.5], 1, 1e-8, 16)
     for traj in (solve_toda_finite(j, [0.0, 0.5]), rk4_toda(j, [0.0, 0.5], 0.01), window):
         for values in (traj.times, traj.diag, traj.offdiag):
             assert not values.flags.writeable
