@@ -125,7 +125,7 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
     """
     tilt = _tilted_log_weights(mu0, _check_time(t))
     tilt -= tilt.max()
-    return _unchecked(DiscreteMeasure, nodes=mu0.nodes, log_weights=tilt - np.log(np.sum(np.exp(tilt))))
+    return _unchecked(DiscreteMeasure, nodes=mu0.nodes, log_weights=tilt - np.log(np.exp(tilt).sum()))
 
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
@@ -135,7 +135,7 @@ def log_omega(mu0: DiscreteMeasure, t: float) -> float:
     """
     tilt = _tilted_log_weights(mu0, _check_time(t))
     top = tilt.max()
-    return float(top + np.log(np.sum(np.exp(tilt - top))))
+    return float(top + np.log(np.exp(tilt - top).sum()))
 
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
@@ -304,7 +304,7 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
     """
     t, h = _central_step(t, h)
     lam = _finite_real("lam", lam)
-    gap = float(np.min(np.abs(lam - eigendecompose(j0).nodes)))
+    gap = float(np.abs(lam - eigendecompose(j0).nodes).min())
     if gap < _SPECTRAL_GAP:
         raise PoleProximityError(
             f"lambda={lam!r} is within {gap:.3e} of the spectrum; need separation >= {_SPECTRAL_GAP}"

@@ -97,9 +97,9 @@ def _real_array(name: str, values, ndim: int, *, positive: bool = False) -> np.n
         raise ValueError(f"{name}: need a {ndim}-d array, got {arr.ndim}-d")
     if _hides_bool(values, ndim):
         raise ValueError(f"{name}: need real numbers, got true/false entries")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
-    if positive and arr.size and np.min(arr) <= 0.0:
+    if positive and arr.size and arr.min() <= 0.0:
         raise ValueError(f"{name}: entries must be strictly positive")
     arr = arr.astype(float)
     arr.flags.writeable = False
@@ -112,7 +112,7 @@ def _increasing(name: str, values) -> np.ndarray:
     if arr.size < 1:
         raise ValueError(f"{name}: need at least one entry")
     # neighbours compared directly: their difference can overflow
-    if np.any(arr[1:] <= arr[:-1]):
+    if (arr[1:] <= arr[:-1]).any():
         raise ValueError(f"{name}: must be strictly increasing")
     return arr
 
@@ -252,7 +252,7 @@ def _spectral_measures(j: JacobiMatrix, last: bool) -> tuple[DiscreteMeasure, ..
     # MRRR runs on J divided by a power of two that brings every entry to
     # at most 1, which is exact: at random N = 256 it fails (LAPACK info
     # 22) on J scaled by 2^48, not on J itself
-    exponent = math.frexp(max(np.max(np.abs(j.diag)), np.max(j.offdiag, initial=0.0)))[1]
+    exponent = math.frexp(max(np.abs(j.diag).max(), j.offdiag.max(initial=0.0)))[1]
     d, e = np.ldexp(j.diag, -exponent), np.ldexp(j.offdiag, -exponent)
     # dstemr reads, and overwrites, an off-diagonal of length N; range 0
     # asks for every eigenpair, with the documented workspace as the default
@@ -266,7 +266,7 @@ def _spectral_measures(j: JacobiMatrix, last: bool) -> tuple[DiscreteMeasure, ..
     # the test runs on the scaled J, whose largest |eigenvalue| top lies in
     # [1/2, 3), so it reads the same at every power-of-two scale of J
     top = max(-lam[0], lam[-1])
-    if np.min(np.diff(lam), initial=np.inf) < _EIGEN_SEPARATION * top:
+    if (lam[1:] - lam[:-1]).min(initial=np.inf) < _EIGEN_SEPARATION * top:
         raise EigenConvergenceError(
             "computed eigenvalues collide below relative separation 1e-12; "
             "a Jacobi matrix has simple spectrum, so this signals breakdown"
@@ -281,10 +281,13 @@ def _first_log_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray, vec: np.nd
     # 2 log|vec[0, k]|, the components MRRR set to 0 recomputed in logs
     with np.errstate(divide="ignore"):
         log_weights = 2.0 * np.log(np.abs(vec[0]))
+    if np.isfinite(log_weights).all():
+        # MRRR set no component to 0
+        return log_weights
     lost = log_weights == -np.inf
     if lost.any():
         log_weights[lost] = _twisted_log_weights(d, e, lam[lost], vec[:, lost])
-    if not np.all(np.isfinite(log_weights)):
+    if not np.isfinite(log_weights).all():
         raise EigenConvergenceError("a log weight is not finite: the entries are beyond double precision")
     return log_weights
 
@@ -320,7 +323,7 @@ def _twisted_log_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray, vec: np.
     log_piv = np.where(blown[1:], 2.0 * log_a, np.log(np.abs(piv[:-1])))
     log_piv[blown[:-1]] = 0.0
     above = np.arange(rows - 1)[:, np.newaxis] < twist
-    log_ratio = np.sum(np.where(above, log_a - log_piv, 0.0), axis=0)
+    log_ratio = np.where(above, log_a - log_piv, 0.0).sum(axis=0)
     return 2.0 * (np.log(np.abs(vec[twist, np.arange(lam.size)])) + log_ratio)
 
 
@@ -334,12 +337,17 @@ def weyl_function(j: JacobiMatrix, lam: float) -> float:
     """
     lam = _finite_real("lam", lam)
     mu = eigendecompose(j)
-    gap = float(np.min(np.abs(lam - mu.nodes)))
+    gap = float(np.abs(lam - mu.nodes).min())
     if gap < _POLE_TOL:
         raise PoleProximityError(
             f"lambda={lam!r} is within {gap:.3e} of an eigenvalue (tolerance {_POLE_TOL})"
         )
     return float(math.fsum(mu.weights / (lam - mu.nodes)))
+
+
+# the most terms _weighted_sums forms at once, unless one weight row has
+# more: 8 MiB of doubles
+_TERMS_PER_CHUNK = 1 << 20
 
 
 def _weighted_sums(table: np.ndarray, weights: np.ndarray, what: str) -> np.ndarray:
@@ -348,11 +356,31 @@ def _weighted_sums(table: np.ndarray, weights: np.ndarray, what: str) -> np.ndar
     table is (count, N); the sums are (count,) for one weight row (N,) and
     (rows, count) for a (rows, N) stack.  Every term must be finite, else
     OverflowError names what left the double-precision range: the moment
-    and response accumulator of the library.
+    and response accumulator of the library.  The terms are formed and
+    checked for as many weight rows at a time as fit in 2^20 terms (at
+    least one), and math.fsum reads each row of terms straight from their
+    buffer, so beyond table itself it holds at most 8 MiB of terms or one
+    row's table.size.  Each sum is one math.fsum over its row whatever the
+    chunks, and the errors are those of checking every term before summing
+    any.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = table * weights[..., np.newaxis, :]
-    if not np.all(np.isfinite(terms)):
-        raise OverflowError(f"{what} left the double-precision range")
-    sums = [math.fsum(row) for row in terms.reshape(-1, table.shape[-1]).tolist()]
-    return np.array(sums).reshape(terms.shape[:-1])
+    size = table.shape[-1]
+    stack = weights.reshape(-1, size)
+    rows = max(1, _TERMS_PER_CHUNK // table.size)
+    sums = []
+    overflow = None
+    for start in range(0, stack.shape[0], rows):
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = table * stack[start : start + rows, np.newaxis]
+        if not np.isfinite(terms).all():
+            raise OverflowError(f"{what} left the double-precision range")
+        if overflow is None:
+            # a sum past the double range raises only once every term is checked
+            flat = memoryview(terms.reshape(-1))
+            try:
+                sums.extend(math.fsum(flat[i : i + size]) for i in range(0, terms.size, size))
+            except OverflowError as exc:
+                overflow = exc
+    if overflow is not None:
+        raise overflow
+    return np.array(sums).reshape(weights.shape[:-1] + table.shape[:1])

@@ -81,7 +81,13 @@ class MomentClassification:
 
 def _moment_sums(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """Compensated sums of nodes**k * weights, k < count: (count,) for one
-    weight row (N,), (rows, count) for a (rows, N) stack over the nodes."""
+    weight row (N,), (rows, count) for a (rows, N) stack over the nodes.
+
+    The (count, N) power table is formed whole.  The CLI asks for at most
+    30 moments, or 2m < n_max of at most n_max nodes, so the table holds
+    fewer doubles than the n_max x n_max eigenvectors that its n_max cap
+    already admits; _weighted_sums bounds everything else.
+    """
     with np.errstate(over="ignore"):
         powers = np.vander(nodes, count, increasing=True).T
     return _weighted_sums(powers, weights, f"|node|^k * weight for some k < {count}")
@@ -137,7 +143,7 @@ def check_moment_positivity(s: MomentSequence) -> MomentClassification:
     scale = np.sqrt(np.abs(np.diagonal(h)))
     for i in range(support, t_max):
         residual = np.abs(h[i, i:] - r[:i, i] @ r[:i, i:])
-        if np.any(residual > _ZERO_PIVOT_REL * scale[i] * scale[i:]):
+        if (residual > _ZERO_PIVOT_REL * scale[i] * scale[i:]).any():
             return MomentClassification(kind=INVALID, order=i + 1)
     return MomentClassification(kind=FINITE_SUPPORT, order=support)
 
@@ -196,9 +202,10 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
 
 
-# Cap on the (n, rows, nodes) basis that one sweep of _stieltjes holds; a
-# longer stack of weight rows is reconstructed in chunks of rows.  Each
-# row's arithmetic is the same whatever rows share its chunk.
+# Cap on what one sweep of _stieltjes holds: the (n, rows, nodes) basis and
+# its four (rows, nodes) work buffers; a longer stack of weight rows is
+# reconstructed in chunks of rows.  Each row's arithmetic is the same
+# whatever rows share its chunk.
 _BASIS_BYTES = 1 << 24
 
 _EPS = float(np.finfo(float).eps)
@@ -220,15 +227,17 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
     contiguous: step k reads each row's vectors basis[:k+1, i], laid out
     the same whatever n is, and decides from that row's earlier steps
     alone, so a leading block is bitwise the prefix of a larger
-    reconstruction.  The sweep runs on the nodes divided by the power of
-    two 2^e that brings max |node| into [1/2, 1), which is exact, and its
-    results are multiplied back by 2^e: so its norm floor reads relative
-    to 2^e, and the coefficients of 2^k times the nodes are 2^k times
-    these, bit for bit, unless an entry leaves the normal doubles.
+    reconstruction.  The rows are swept in chunks, so that the basis and
+    the sweep's four (rows, N) buffers of a chunk hold at most 16 MiB.
+    The sweep runs on the nodes divided by the power of two 2^e that
+    brings max |node| into [1/2, 1), which is exact, and its results are
+    multiplied back by 2^e: so its norm floor reads relative to 2^e, and
+    the coefficients of 2^k times the nodes are 2^k times these, bit for
+    bit, unless an entry leaves the normal doubles.
     """
     e = math.frexp(max(-nodes[0], nodes[-1]))[1]
     x = np.ldexp(nodes, -e)
-    rows_per_chunk = max(1, _BASIS_BYTES // (n * nodes.size * log_weights.itemsize))
+    rows_per_chunk = max(1, _BASIS_BYTES // ((n + 4) * nodes.size * log_weights.itemsize))
     diag = np.empty((log_weights.shape[0], n))
     offdiag = np.empty((log_weights.shape[0], n - 1))
     for start in range(0, log_weights.shape[0], rows_per_chunk):
@@ -239,7 +248,7 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
     with np.errstate(over="ignore"):
         np.ldexp(diag, e, out=diag)
         np.ldexp(offdiag, e, out=offdiag)
-    if not (np.all(np.isfinite(diag)) and np.all(np.isfinite(offdiag))):
+    if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise OverflowError("a recurrence center or norm left the double-precision range")
     return diag, offdiag
 
@@ -262,6 +271,11 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
 # earlier steps, so no other row, chunk or sweep length changes a row's bits.  The
 # final remainder's norm is the next off-diagonal.  With |x| < 1 every vector,
 # center and norm is bounded, so a norm below the floor is the only way out.
+# Besides the basis the sweep holds four (rows, N) buffers: the remainder v, the
+# three-term part, x in every row and the last norm in every entry of its row.
+# With the last two, x u_k, v / a_k and a_k u_k each run as one contiguous loop;
+# an operand broadcast along the short node axis makes numpy run one loop per
+# row, which at N = 16 costs about twice as much.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
     n = diag.shape[1]
@@ -272,22 +286,25 @@ def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag
     u *= 0.5
     np.exp(u, out=u)
     u /= np.sqrt(np.vecdot(u, u))[:, np.newaxis]
-    v, term = np.empty((2,) + log_w.shape)
+    v, term, nodes, scale = np.empty((4,) + log_w.shape)
+    nodes[:] = x
     # per row: the bounds m_k and m_{k-1}, the next one, the largest norm so
     # far and the last step's norm, which no off-diagonal holds; again marks
-    # the rows whose bound passed on the step before
+    # the rows whose bound passed on the step before, and due whether any does
     bound, prior, estimate, top, end = np.zeros((5, log_w.shape[0]))
     bound[:] = _EPS
     again = np.zeros(log_w.shape[0], dtype=bool)
+    due = False
     spread = x[-1] - x[0]
     noise = 2.0 * _EPS * max(-x[0], x[-1])
     for k in range(n):
         u = basis[k]
-        np.multiply(x, u, out=v)
+        np.multiply(nodes, u, out=v)
         alpha = np.vecdot(u, v, out=diag[:, k])
+        # a broadcast alpha: spreading it out would cost as much as the product
         v -= np.multiply(alpha[:, np.newaxis], u, out=term)
         if k:
-            v -= np.multiply(offdiag[:, k - 1, np.newaxis], basis[k - 1], out=term)
+            v -= np.multiply(scale, basis[k - 1], out=term)
         norm = np.sqrt(np.vecdot(v, v), out=offdiag[:, k] if k < n - 1 else end)
         # the next vector's bound, in place: m_{k-1} is not read again
         np.add(bound, bound, out=estimate)
@@ -297,9 +314,10 @@ def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag
         estimate += noise
         estimate /= norm
         trigger = estimate > _SEMIORTHOGONAL
-        project = trigger | again
-        np.greater(trigger, again, out=again)
-        if np.count_nonzero(project):
+        if due or trigger.any():
+            project = trigger | again
+            np.greater(trigger, again, out=again)
+            due = again.any()
             _reorthogonalize(basis[: k + 1], v, project, alpha, norm if k < n - 1 else None)
             np.copyto(estimate, _EPS, where=project)
         if k == n - 1:
@@ -311,7 +329,8 @@ def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag
             )
         np.maximum(top, norm, out=top)
         bound, prior, estimate = estimate, bound, prior
-        np.divide(v, norm[:, np.newaxis], out=basis[k + 1])
+        np.copyto(scale, norm[:, np.newaxis])
+        np.divide(v, scale, out=basis[k + 1])
 
 
 def _reorthogonalize(

@@ -142,5 +142,5 @@ def compare_trajectories(first: TodaTrajectory, second: TodaTrajectory) -> float
         raise ValueError("trajectories have different matrix sizes")
     if not np.array_equal(first.times, second.times):
         raise ValueError("trajectories are sampled on different grids")
-    diag_dev = np.max(np.abs(first.diag - second.diag))
-    return float(max(diag_dev, np.max(np.abs(first.offdiag - second.offdiag), initial=0.0)))
+    diag_dev = np.abs(first.diag - second.diag).max()
+    return float(max(diag_dev, np.abs(first.offdiag - second.offdiag).max(initial=0.0)))

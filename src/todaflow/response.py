@@ -50,7 +50,7 @@ def chebyshev_u(k: int, lam):
     k = _count("k", k, 0)
     arr = _real_array("lam", lam, np.ndim(lam))
     cur = next(itertools.islice(_chebyshev_rows(arr), k, None))
-    if not np.all(np.isfinite(cur)):
+    if not np.isfinite(cur).all():
         raise OverflowError(f"T_{k}(lam) left the double-precision range")
     return float(cur) if arr.ndim == 0 else cur
 

@@ -175,7 +175,7 @@ def _inf_norm(j: JacobiMatrix) -> float:
     rows = np.abs(j.diag)
     rows[:-1] += j.offdiag
     rows[1:] += j.offdiag
-    return float(np.max(rows))
+    return float(rows.max())
 
 
 def _truncation_sizes(m, n_max, prefix: str = "") -> tuple[int, list[int]]:
@@ -239,8 +239,8 @@ def solve_toda_semi_infinite(
         offdiag_hist.append(offdiag)
         if len(diag_hist) > 1:
             dev = max(
-                float(np.max(np.abs(diag_hist[-1] - diag_hist[-2]))),
-                float(np.max(np.abs(offdiag_hist[-1] - offdiag_hist[-2]))),
+                float(np.abs(diag_hist[-1] - diag_hist[-2]).max()),
+                float(np.abs(offdiag_hist[-1] - offdiag_hist[-2]).max()),
             )
             deviations.append(dev)
             if dev < tol:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import todaflow.jacobi
 import todaflow.moments
 from todaflow import (
     DegenerateMeasureError,
@@ -33,8 +34,8 @@ from todaflow import (
     weyl_evolution_residual,
     weyl_function,
 )
-from todaflow.flow import _evolve_block, _evolve_lattice, _evolved_moments
-from todaflow.jacobi import _spectral_measures, _unchecked
+from todaflow.flow import _evolve_block, _evolve_lattice, _evolved_moments, _tilted_log_weights
+from todaflow.jacobi import _spectral_measures, _unchecked, _weighted_sums
 
 PM1 = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
 
@@ -260,9 +261,10 @@ def test_evolve_block_does_not_depend_on_chunking(monkeypatch):
     times = np.linspace(0.0, 1.0, 41)
     for evolve in both_routes(j):
         diag, offdiag = evolve(times)
-        # a basis budget of three rows of 12 steps splits the 40 rows of the
-        # one-ended route into 14 chunks and the 80 rows of 7 steps of the
-        # two-ended route into 16
+        # a budget of three rows of 12 steps, which the sweep's four work
+        # buffers share with the basis, splits the 40 rows of the one-ended
+        # route into 20 chunks and the 80 rows of 7 steps of the two-ended
+        # route into 27
         with monkeypatch.context() as patch:
             patch.setattr(todaflow.moments, "_BASIS_BYTES", 3 * j.n * j.n * 8)
             chunked = evolve(times)
@@ -308,18 +310,19 @@ def test_each_row_is_its_own_sweep_where_rows_project_apart(monkeypatch):
 
 
 def test_rows_take_the_whole_basis_pass_only_on_some_steps(monkeypatch):
-    # the two-ended N = 16 sweep has 200 rows of 9 steps; it projected 343
-    # of those 1800 row-steps, and a random N = 64 one must project some
+    # the two-ended N = 16 sweep has 200 rows of 9 steps and projects 343 of
+    # those 1800 row-steps in 2 passes; the N = 64 one projects 1209 of 6600
+    # in 14 passes.  Both counts are the rule's own, so a sweep that skips
+    # its bookkeeping on quiet steps must take exactly the same decisions
     times = np.linspace(0.0, 1.0, 101)
-    for n in (16, 64):
+    for n, row_steps, passes in ((16, 343, 2), (64, 1209, 14)):
         j = random_jacobi(np.random.default_rng(0), n)
         with monkeypatch.context() as patch:
             calls = projected_row_steps(patch)
             solve_toda_finite(j, times)
-        projected = sum(count for count, _ in calls)
-        if n == 16:
-            assert projected < 0.5 * 2 * (times.size - 1) * (n // 2 + 1)
-        assert projected > 0
+        assert sum(count for count, _ in calls) == row_steps
+        assert len(calls) == passes
+        assert row_steps < 0.5 * 2 * (times.size - 1) * (n // 2 + 1)
 
 
 def test_evolve_block_memory_is_bounded():
@@ -337,6 +340,50 @@ def test_evolve_block_memory_is_bounded():
         assert diag.shape == (1001, 128)
         # a 16.8 MB basis chunk, the weight stack and the results
         assert peak < 40e6
+
+
+def test_evolved_moment_sums_hold_bounded_memory():
+    # 1000 moments of 1024 nodes at 11 times, as the report of a CLI run
+    # with m = 500 sums them: all 11 x 1000 x 1024 terms at once, listed as
+    # Python floats, peaked at 550 MB; the 8 MB power table stays whole
+    mu = eigendecompose(JacobiMatrix(np.zeros(1024), np.full(1023, 0.25)))
+    times = np.linspace(0.0, 1.0, 11)
+    tracemalloc.start()
+    try:
+        sums = _evolved_moments(mu, times, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6
+    # each entry is still one math.fsum over its row of terms
+    tilt = _tilted_log_weights(mu, times)
+    tilt -= tilt.max(axis=-1, keepdims=True)
+    weights = np.exp(tilt)
+    with np.errstate(over="ignore"):
+        powers = np.vander(mu.nodes, 1000, increasing=True).T
+    for i, k in ((0, 0), (0, 999), (5, 1), (10, 500), (10, 998)):
+        s0 = math.fsum(weights[i].tolist())
+        assert sums[i, k] == math.fsum((powers[k] * weights[i]).tolist()) / s0
+
+
+def test_moment_sums_chunks_do_not_change_the_sums(monkeypatch):
+    # semi_infinite_floor's report sums 6 moments of 64 nodes at 11 times,
+    # 66 rows of 64 terms: one chunk; summed a weight row at a time, the
+    # sums are the same, and a sum past the double range in the first chunk
+    # still gives way to an inf term in a later one, as when every term was
+    # checked before any sum
+    mu = eigendecompose(JacobiMatrix(np.full(64, 0.3), np.full(63, 0.9)))
+    times = np.linspace(0.0, 4.0, 11)
+    assert times.size * 6 * mu.nodes.size <= todaflow.jacobi._TERMS_PER_CHUNK
+    whole = _evolved_moments(mu, times, 6)
+    monkeypatch.setattr(todaflow.jacobi, "_TERMS_PER_CHUNK", 1)
+    np.testing.assert_array_equal(_evolved_moments(mu, times, 6), whole)
+    table = np.ones((1, 2))
+    big = np.array([[1e308, 1e308], [1.0, 1.0]])
+    with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
+        _weighted_sums(table, big, "a term")
+    with pytest.raises(OverflowError, match="a term left the double-precision range"):
+        _weighted_sums(table, np.vstack([big, [1.0, np.inf]]), "a term")
 
 
 def test_two_ended_top_rows_are_the_one_ended_block():
