@@ -9,12 +9,15 @@ eigenvector) sitting at each eigenvalue lambda_k.  Everything downstream
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 from .errors import EigenConvergenceError, PoleProximityError
 
@@ -31,6 +34,25 @@ __all__ = [
 _EIGEN_SEPARATION = 1e-12
 
 _POLE_TOL = 1e-10
+
+
+def _compiled_lapack():
+    # scipy's compiled LAPACK wrapper, loaded by itself: dstemr is all this
+    # package takes from scipy, and scipy.linalg's package init would cost
+    # about 200 ms and 27 MB at import.  `import scipy` sets up the shared
+    # library paths the wrapper needs.  The wrapper enters itself in
+    # sys.modules, so scipy.linalg, imported before or after, holds this
+    # same module.
+    name = "scipy.linalg._flapack"
+    spec = importlib.machinery.PathFinder.find_spec(name, [os.path.join(scipy.__path__[0], "linalg")])
+    if spec is None:
+        raise ImportError(f"scipy {scipy.__version__} has no {name}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+lapack = _compiled_lapack()
 
 
 def _finite_real(name: str, value, *, positive: bool = False) -> float:

@@ -18,7 +18,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DegenerateMeasureError, PositivityError
 from .jacobi import DiscreteMeasure, JacobiMatrix, _count, _freeze, _real_array, _weighted_sums
@@ -111,8 +110,7 @@ def hankel_matrix(s: MomentSequence, size: int) -> np.ndarray:
         raise ValueError(
             f"need {2 * size - 1} moments for a {size}x{size} Hankel matrix, have {len(s)}"
         )
-    v = s.values
-    return scipy.linalg.hankel(v[:size], v[size - 1 : 2 * size - 1])
+    return np.lib.stride_tricks.sliding_window_view(s.values[: 2 * size - 1], size).copy()
 
 
 def check_moment_positivity(s: MomentSequence) -> MomentClassification:
@@ -374,7 +372,8 @@ def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
         raise ValueError(
             f"need 2n={2 * n} moments (the last diagonal entry requires s_{2 * n - 1}), have {len(s)}"
         )
-    h = scipy.linalg.hankel(s.values[:n], s.values[n - 1 : 2 * n])
+    # row i of the read-only view is s_i..s_{i+n}
+    h = np.lib.stride_tricks.sliding_window_view(s.values[: 2 * n], n + 1)
     cond = float(np.linalg.cond(h[:, :n]))
     if cond > _CONDITION_WARN:
         warnings.warn(

@@ -107,13 +107,22 @@ def test_log_omega_examples():
     assert abs(log_omega(DiscreteMeasure([3.0], [1.0]), 2.0) - 12.0) < 1e-14
 
 
-def test_import_leaves_scipy_special_unloaded():
-    # log-sum-exp is taken in numpy; scipy.special would only add import
-    # time and memory to every run
+def test_import_and_solves_leave_scipy_special_and_linalg_unloaded():
+    # log-sum-exp is taken in numpy and dstemr comes from scipy's compiled
+    # wrapper alone; scipy.special or scipy.linalg's package init would only
+    # add import time and memory to every run, so neither may come in at
+    # import or lazily inside a solver
     env = dict(os.environ, PYTHONPATH=str(Path(todaflow.moments.__file__).parents[1]))
-    code = "import sys, todaflow, todaflow.cli; print('scipy.special' in sys.modules)"
+    code = """
+import sys, todaflow as td, todaflow.cli
+j = td.JacobiMatrix([0.0, 0.5, -0.5], [1.0, 0.5])
+td.solve_toda_finite(j, [0.0, 0.5, 1.0])
+td.solve_toda_semi_infinite(td.make_initial_data("linear_b"), [0.0, 0.5], 1, 1e-8, 16)
+td.jacobi_from_moments(td.moments_from_measure(td.eigendecompose(j), 6), 3)
+print(sorted(name for name in ("scipy.special", "scipy.linalg") if name in sys.modules))
+"""
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_evolve_moments_identity_at_t0():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import mpmath
 import numpy as np
 import pytest
@@ -342,3 +347,45 @@ def test_equality_is_identity(make):
     assert first == first
     assert first != second
     assert hash(first) == hash(first)
+
+
+@pytest.mark.parametrize("first", ["todaflow", "scipy.linalg"])
+def test_scipy_linalg_imports_beside_todaflow_and_runs_the_same_dstemr(first):
+    # todaflow loads scipy's compiled LAPACK wrapper without scipy.linalg's
+    # package init; in either import order scipy.linalg still imports, and
+    # its dstemr returns the arrays that todaflow's does, bit for bit
+    env = dict(os.environ, PYTHONPATH=str(Path(todaflow.jacobi.__file__).parents[1]))
+    code = f"""
+import importlib
+import numpy as np
+importlib.import_module({first!r})
+import todaflow.jacobi
+import scipy.linalg
+rng = np.random.default_rng(0)
+d = rng.uniform(-2, 2, 64)
+e = np.append(rng.uniform(0.5, 2, 63), 0.0)
+ours = todaflow.jacobi.lapack.dstemr(d, e.copy(), 0, 0.0, 0.0, 0, 0)
+theirs = scipy.linalg.lapack.dstemr(d, e.copy(), 0, 0.0, 0.0, 0, 0)
+print(ours[3], theirs[3], all(np.array_equal(x, y) for x, y in zip(ours, theirs)))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.split() == ["0", "0", "True"]
+
+
+def test_a_scipy_without_its_lapack_wrapper_fails_at_import():
+    env = dict(os.environ, PYTHONPATH=str(Path(todaflow.jacobi.__file__).parents[1]))
+    code = """
+import importlib.machinery
+find_spec = importlib.machinery.PathFinder.find_spec
+def hide_flapack(name, path=None, target=None):
+    return None if name == "scipy.linalg._flapack" else find_spec(name, path, target)
+importlib.machinery.PathFinder.find_spec = hide_flapack
+try:
+    import todaflow
+except ImportError as e:
+    print(e.name, "|", e)
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    name, message = proc.stdout.strip().split(" | ")
+    assert name == "scipy.linalg._flapack"
+    assert message.startswith("scipy ") and message.endswith(" has no scipy.linalg._flapack")

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import todaflow.moments
 from todaflow import (
@@ -119,6 +120,16 @@ def test_hankel_matrix_examples():
     for bad in (1.5, True, "2"):
         with pytest.raises(ValueError, match="^size:"):
             hankel_matrix(MomentSequence([1.0, 0.0, 1.0]), bad)
+
+
+def test_hankel_matrix_is_a_writable_copy_equal_to_scipys():
+    s = MomentSequence(np.random.default_rng(0).uniform(0.5, 2.0, 15))
+    for size in range(1, 9):
+        h = hankel_matrix(s, size)
+        reference = scipy.linalg.hankel(s.values[:size], s.values[size - 1 : 2 * size - 1])
+        assert h.flags.writeable and h.flags.owndata
+        assert h.dtype == reference.dtype and h.shape == reference.shape
+        assert h.tobytes() == reference.tobytes()
 
 
 def test_positivity_classification_examples():
