@@ -3,12 +3,13 @@
 The flow never moves the spectral nodes.  The weights evolve by an
 explicit exponential reweighting, normalized back to unit mass; the
 lattice coefficients at time t are then recovered from the evolved
-measure.  A whole lattice is rebuilt from both ends of the chain: the
-first-component measure, reweighted by e^{2 lambda t}, gives the top
-N // 2 + 1 rows, and the last-component measure, reweighted by
-e^{-2 lambda t} (reversing the index order reverses time), the bottom
-ones.  Both ends rebuild the diagonal entry b_{N // 2 + 1}, and
-OverlapError is raised where they disagree.  The evolved measures of a whole grid share
+measure.  A whole lattice is rebuilt from both ends of the chain, each
+running q = (N + 1) // 2 Lanczos steps: the first-component measure,
+reweighted by e^{2 lambda t}, gives the top q rows, and the
+last-component measure, reweighted by e^{-2 lambda t} (reversing the
+index order reverses time), the bottom ones.  The ends meet at the
+off-diagonal entry a_q, which both rebuild, and OverlapError is raised
+where they disagree.  The evolved measures of a whole grid share
 their nodes, so the log weights of both ends form one (2 (times - 1), N)
 stack that a single batched reconstruction turns into every grid row at
 once.  The reweighting runs on log weights, log w + 2 lambda t less its
@@ -54,8 +55,8 @@ __all__ = [
 _SPECTRAL_GAP = 0.5
 
 # Largest disagreement, relative to max |lambda|, between the two values of
-# b_p that the two ends of a reconstruction rebuild: right lattices read at
-# most 3.8e-11 up to random N = 1024, wrong ones 4.3e-2 and more (random
+# a_q that the two ends of a reconstruction rebuild: right lattices read at
+# most 2.4e-11 up to random N = 1024, wrong ones 2.2e-2 and more (random
 # N = 1536 and 2048; seeds 0-4 of each).
 _OVERLAP_REL = 1e-8
 
@@ -205,15 +206,16 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
     """Moment-method solution of the finite lattice on a time grid.
 
     Decomposes once, then reweights and reconstructs every grid time in
-    one batched sweep from both ends of the chain: the first-component
-    measure, tilted by e^{2 lam t}, rebuilds the top N // 2 + 1 rows and
-    the last-component measure, tilted by e^{-2 lam t}, the bottom ones.
+    one batched sweep of q = (N + 1) // 2 steps from both ends of the
+    chain: the first-component measure, tilted by e^{2 lam t}, rebuilds
+    b_1..b_q and a_1..a_q and the last-component measure, tilted by
+    e^{-2 lam t}, the rest.
     Nodes are never recomputed, so the spectrum of every state equals
     that of j0 exactly.  At t = 0 the pipeline is the identity and the
     initial matrix is returned as-is.
 
-    Raises OverlapError when the two ends disagree on b_{N // 2 + 1},
-    which both rebuild, as they do where the spectral data no longer
+    Raises OverlapError when the two ends disagree on a_q, which both
+    rebuild, as they do where the spectral data no longer
     determine the lattice in double precision (random N = 1536),
     DegenerateMeasureError when either end's measure runs out of support,
     and OverflowError where 2 t lam_1, 2 t lam_N or the spread
@@ -243,10 +245,12 @@ def _evolve_block(j0: JacobiMatrix, mu0: DiscreteMeasure, times: np.ndarray, siz
     arrays: j0's own leading block at t = 0, below it the blocks
     reconstructed from the reweighted measures of all later times in one
     batched sweep.  The first k Lanczos steps do the same arithmetic
-    whatever the requested size, so a leading block is bitwise equal to
-    the prefix of a longer one-ended reconstruction, and to the top rows
-    of _evolve_lattice's two-ended one, and it needs only the moments
-    s_0..s_{2 size-1}.
+    whatever the requested size, and the last one takes no whole-basis
+    pass, so a leading block is bitwise equal to the prefix of a longer
+    one-ended reconstruction but for its last center, which a pass there
+    would move by O(eps max |lambda|), and a block of (N + 1) // 2 rows
+    is bitwise the top of _evolve_lattice's two-ended lattice; it needs
+    only the moments s_0..s_{2 size-1}.
     """
     diag, offdiag = _initial_rows(j0, times, size)
     diag[1:], offdiag[1:] = _stieltjes(mu0.nodes, _tilted_log_weights(mu0, times[1:]), size)
@@ -264,32 +268,37 @@ def _evolve_lattice(j0: JacobiMatrix, first: DiscreteMeasure, last: DiscreteMeas
     evolves by e^{-2 lam t} and rebuilds the bottom of the chain, read
     upward, as the first-component one, evolving by e^{2 lam t},
     rebuilds the top (Hochstadt, Linear Algebra Appl. 8 (1974) 435).
-    Both stacks go through one batched sweep of p = N // 2 + 1 steps:
-    rows 1..p come from the front, exactly as _evolve_block's, and rows
-    p+1..N from the back, reversed.  Both ends rebuild b_p, and
-    OverlapError is raised where the two values differ by more than
-    1e-8 max |lambda|, as they do once double precision no longer
-    determines the lattice.
+    Both stacks go through one batched sweep of q = (N + 1) // 2 steps
+    that records q norms: b_1..b_q and a_1..a_q come from the front,
+    its centers and first q - 1 norms exactly as _evolve_block's, and
+    b_{q+1}..b_N and a_{q+1}..a_{N-1} from the back, reversed.  Both
+    ends rebuild a_q, and OverlapError is raised where the two values
+    differ by more than 1e-8 max |lambda|, as they do once double
+    precision no longer determines the lattice.  At N = 1 the lattice
+    is its eigenvalue, j0 at every time.
     """
     n, rows = j0.n, times.size - 1
-    p = n // 2 + 1
     # the front rows log w + 2 lam t above the back rows log w' - 2 lam t
     stack = np.concatenate((_tilted_log_weights(first, times[1:]), _tilted_log_weights(last, -times[1:])))
-    d, e = _stieltjes(first.nodes, stack, p)
-    mismatch = np.abs(d[:rows, p - 1] - d[rows:, n - p])
+    diag, offdiag = _initial_rows(j0, times, n)
+    if n == 1:
+        diag[1:] = j0.diag
+        return diag, offdiag
+    q = (n + 1) // 2
+    d, e = _stieltjes(first.nodes, stack, q, last_norm=True)
+    mismatch = np.abs(e[:rows, q - 1] - e[rows:, n - 1 - q])
     tol = _OVERLAP_REL * max(-first.nodes[0], first.nodes[-1])
     bad = np.flatnonzero(mismatch > tol)
     if bad.size:
         i = bad[0]
         raise OverlapError(
-            f"the two ends of the reconstruction disagree by {mismatch[i]:.3e} on b_{p} at "
+            f"the two ends of the reconstruction disagree by {mismatch[i]:.3e} on a_{q} at "
             f"t = {float(times[i + 1])!r} (tolerance {tol:.3e}, {_OVERLAP_REL:g} max |lambda|): the spectral "
             f"data do not determine this N = {n} lattice in double precision"
         )
-    diag, offdiag = _initial_rows(j0, times, n)
-    diag[1:, :p], offdiag[1:, : p - 1] = d[:rows], e[:rows]
-    diag[1:, p:] = d[rows:, : n - p][:, ::-1]
-    offdiag[1:, p - 1 :] = e[rows:, : n - p][:, ::-1]
+    diag[1:, :q], offdiag[1:, :q] = d[:rows], e[:rows]
+    diag[1:, q:] = d[rows:, : n - q][:, ::-1]
+    offdiag[1:, q:] = e[rows:, : n - 1 - q][:, ::-1]
     return diag, offdiag
 
 

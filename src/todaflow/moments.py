@@ -176,10 +176,12 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     vectors q sqrt(w) and projects onto the whole basis only on the steps
     where a bound on the lost orthogonality passes sqrt(eps), and on the
     step after (partial reorthogonalization), which keeps the round trip at
-    roundoff level for desk-scale n.  This is the one-row call of the
-    batched kernel that solve_toda_finite runs over all grid times and both
-    ends of the chain at once; it stays one-ended, so its first k
-    coefficients do not depend on n.
+    roundoff level for desk-scale n.  The last step forms no next vector:
+    it takes the center u . (lambda u) alone, with no remainder and no
+    pass.  This is the one-row call of the batched kernel that
+    solve_toda_finite runs over all grid times and both ends of the chain
+    at once; it stays one-ended, so its coefficients but the last center
+    do not depend on n.
 
     Raises
     ------
@@ -212,21 +214,26 @@ _EPS = float(np.finfo(float).eps)
 _SEMIORTHOGONAL = math.sqrt(_EPS)
 
 
-def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def _stieltjes(
+    nodes: np.ndarray, log_weights: np.ndarray, n: int, last_norm: bool = False
+) -> tuple[np.ndarray, np.ndarray]:
     """Recurrence coefficients of every weight row over the shared nodes.
 
     log_weights is a (rows, N) stack of finite log weight rows on the N
     nodes, each shifted as the caller likes (every row is normalized to
     unit mass first); returns (rows, n) diagonals and (rows, n-1)
     off-diagonals, row i being the Jacobi block of the measure
-    (nodes, exp(log_weights[i])).  The recurrence of jacobi_from_measure
-    runs over all rows at once, so its loop is over the n steps only.
-    The basis is stored as (n, rows, N), so that each step's vectors are
-    contiguous: step k reads each row's vectors basis[:k+1, i], laid out
-    the same whatever n is, and decides from that row's earlier steps
-    alone, so a leading block is bitwise the prefix of a larger
-    reconstruction.  The rows are swept in chunks, so that the basis and
-    the sweep's four (rows, N) buffers of a chunk hold at most 16 MiB.
+    (nodes, exp(log_weights[i])), or (rows, n) off-diagonals with
+    last_norm, the n-th being the norm of the last step's three-term
+    remainder.  The recurrence of jacobi_from_measure runs over all rows
+    at once, so its loop is over the n steps only.  The basis is stored
+    as (n, rows, N), so that each step's vectors are contiguous: step k
+    reads each row's vectors basis[:k+1, i], laid out the same whatever
+    n is, and decides from that row's earlier steps alone, so every
+    entry but the last step's is bitwise that of a larger
+    reconstruction, whose step there may add a whole-basis correction.
+    The rows are swept in chunks, so that the basis and the sweep's four
+    (rows, N) buffers of a chunk hold at most 16 MiB.
     The sweep runs on the nodes divided by the power of two 2^e that
     brings max |node| into [1/2, 1), which is exact, and its results are
     multiplied back by 2^e: so its norm floor reads relative to 2^e, and
@@ -237,7 +244,7 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
     x = np.ldexp(nodes, -e)
     rows_per_chunk = max(1, _BASIS_BYTES // ((n + 4) * nodes.size * log_weights.itemsize))
     diag = np.empty((log_weights.shape[0], n))
-    offdiag = np.empty((log_weights.shape[0], n - 1))
+    offdiag = np.empty((log_weights.shape[0], n if last_norm else n - 1))
     for start in range(0, log_weights.shape[0], rows_per_chunk):
         chunk = slice(start, start + rows_per_chunk)
         _stieltjes_sweep(x, log_weights[chunk], diag[chunk], offdiag[chunk])
@@ -267,8 +274,12 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
 # its center is alpha plus the second u_k coefficient.  Every other row keeps its
 # three-term remainder and center alpha.  The decision reads only the row's own
 # earlier steps, so no other row, chunk or sweep length changes a row's bits.  The
-# final remainder's norm is the next off-diagonal.  With |x| < 1 every vector,
-# center and norm is bounded, so a norm below the floor is the only way out.
+# remainder's norm is the next off-diagonal.  The last step forms no next vector, so
+# it takes no bound and no pass: its center is alpha, which a pass would move by
+# u_k . v = O(eps max|x|) only, as consecutive vectors stay locally orthogonal
+# (Paige), and with n norms asked for its norm is that of its three-term remainder;
+# with n - 1 it stops at the center.  With |x| < 1 every vector, center and norm is
+# bounded, so a norm below the floor is the only way out.
 # Besides the basis the sweep holds four (rows, N) buffers: the remainder v, the
 # three-term part, x in every row and the last norm in every entry of its row.
 # With the last two, x u_k, v / a_k and a_k u_k each run as one contiguous loop;
@@ -276,7 +287,7 @@ def _stieltjes(nodes: np.ndarray, log_weights: np.ndarray, n: int) -> tuple[np.n
 # row, which at N = 16 costs about twice as much.
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag: np.ndarray) -> None:
-    n = diag.shape[1]
+    n, norms = diag.shape[1], offdiag.shape[1]
     basis = np.empty((n,) + log_w.shape)
     # the rows are finite, so fmax is their max, and numpy reduces short rows
     # faster with it (5 against 16 us for 200 rows of 16)
@@ -286,10 +297,10 @@ def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag
     u /= np.sqrt(np.vecdot(u, u))[:, np.newaxis]
     v, term, nodes, scale = np.empty((4,) + log_w.shape)
     nodes[:] = x
-    # per row: the bounds m_k and m_{k-1}, the next one, the largest norm so
-    # far and the last step's norm, which no off-diagonal holds; again marks
-    # the rows whose bound passed on the step before, and due whether any does
-    bound, prior, estimate, top, end = np.zeros((5, log_w.shape[0]))
+    # per row: the bounds m_k and m_{k-1}, the next one and the largest norm
+    # so far; again marks the rows whose bound passed on the step before, and
+    # due whether any does
+    bound, prior, estimate, top = np.zeros((4, log_w.shape[0]))
     bound[:] = _EPS
     again = np.zeros(log_w.shape[0], dtype=bool)
     due = False
@@ -299,32 +310,35 @@ def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag
         u = basis[k]
         np.multiply(nodes, u, out=v)
         alpha = np.vecdot(u, v, out=diag[:, k])
+        if k == norms:
+            break
         # a broadcast alpha: spreading it out would cost as much as the product
         v -= np.multiply(alpha[:, np.newaxis], u, out=term)
         if k:
             v -= np.multiply(scale, basis[k - 1], out=term)
-        norm = np.sqrt(np.vecdot(v, v), out=offdiag[:, k] if k < n - 1 else end)
-        # the next vector's bound, in place: m_{k-1} is not read again
-        np.add(bound, bound, out=estimate)
-        estimate += prior
-        estimate *= top
-        estimate += np.multiply(bound, spread, out=prior)
-        estimate += noise
-        estimate /= norm
-        trigger = estimate > _SEMIORTHOGONAL
-        if due or trigger.any():
-            project = trigger | again
-            np.greater(trigger, again, out=again)
-            due = again.any()
-            _reorthogonalize(basis[: k + 1], v, project, alpha, norm if k < n - 1 else None)
-            np.copyto(estimate, _EPS, where=project)
-        if k == n - 1:
-            break
+        norm = np.sqrt(np.vecdot(v, v), out=offdiag[:, k])
+        if k < n - 1:
+            # the next vector's bound, in place: m_{k-1} is not read again
+            np.add(bound, bound, out=estimate)
+            estimate += prior
+            estimate *= top
+            estimate += np.multiply(bound, spread, out=prior)
+            estimate += noise
+            estimate /= norm
+            trigger = estimate > _SEMIORTHOGONAL
+            if due or trigger.any():
+                project = trigger | again
+                np.greater(trigger, again, out=again)
+                due = again.any()
+                _reorthogonalize(basis[: k + 1], v, project, alpha, norm)
+                np.copyto(estimate, _EPS, where=project)
         if np.fmin.reduce(norm) < _DEGENERATE_NORM:
             raise DegenerateMeasureError(
                 f"orthogonalization norm {norm[norm < _DEGENERATE_NORM][0]:.3e} below 1e-12 at step {k + 1}; "
-                f"measure is numerically supported on fewer than {n} points"
+                f"measure is numerically supported on fewer than {norms + 1} points"
             )
+        if k == n - 1:
+            break
         np.maximum(top, norm, out=top)
         bound, prior, estimate = estimate, bound, prior
         np.copyto(scale, norm[:, np.newaxis])
@@ -332,23 +346,22 @@ def _stieltjes_sweep(x: np.ndarray, log_w: np.ndarray, diag: np.ndarray, offdiag
 
 
 def _reorthogonalize(
-    span: np.ndarray, v: np.ndarray, project: np.ndarray, center: np.ndarray, norm: np.ndarray | None
+    span: np.ndarray, v: np.ndarray, project: np.ndarray, center: np.ndarray, norm: np.ndarray
 ) -> None:
     """The whole-basis pass of the rows marked in project, in place.
 
     span is the (k+1, rows, N) basis u_0..u_k and v the (rows, N)
-    remainders.  Each marked row adds its u_k coefficient to its center
-    and, unless norm is None (the last step), takes its projection off its
-    remainder and recomputes its norm.  The pass runs over every row but
-    writes only the marked ones, so unmarked rows keep their bits.
+    remainders.  Each marked row adds its u_k coefficient to its center,
+    takes its projection off its remainder and recomputes its norm.  The
+    pass runs over every row but writes only the marked ones, so unmarked
+    rows keep their bits.
     """
     span = span.transpose(1, 0, 2)
     column = v[:, :, np.newaxis]
     c = span @ column
     np.add(center, c[:, -1, 0], out=center, where=project)
-    if norm is not None:
-        np.subtract(column, span.transpose(0, 2, 1) @ c, out=column, where=project[:, np.newaxis, np.newaxis])
-        np.sqrt(np.vecdot(v, v), out=norm)
+    np.subtract(column, span.transpose(0, 2, 1) @ c, out=column, where=project[:, np.newaxis, np.newaxis])
+    np.sqrt(np.vecdot(v, v), out=norm)
 
 
 def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import todaflow.flow
 import todaflow.jacobi
 import todaflow.moments
 from todaflow import (
@@ -272,7 +273,7 @@ def test_evolve_block_does_not_depend_on_chunking(monkeypatch):
         diag, offdiag = evolve(times)
         # a budget of three rows of 12 steps, which the sweep's four work
         # buffers share with the basis, splits the 40 rows of the one-ended
-        # route into 20 chunks and the 80 rows of 7 steps of the two-ended
+        # route into 20 chunks and the 80 rows of 6 steps of the two-ended
         # route into 27
         with monkeypatch.context() as patch:
             patch.setattr(todaflow.moments, "_BASIS_BYTES", 3 * j.n * j.n * 8)
@@ -296,9 +297,9 @@ def projected_row_steps(monkeypatch):
 
 
 def test_each_row_is_its_own_sweep_where_rows_project_apart(monkeypatch):
-    # at N = 12 and 16 rows take the whole-basis pass on at most four late
+    # at N = 12 and 16 rows take the whole-basis pass on at most three late
     # steps, so the two tests above see little of a rule that read other
-    # rows; at N = 64 the rows split on 13 to 28 steps, and every row,
+    # rows; at N = 64 the rows split on 12 to 28 steps, and every row,
     # chunked or not, is still bitwise its sweep over the one time alone
     j = random_jacobi(np.random.default_rng(25), 64)
     times = np.linspace(0.0, 1.0, 41)
@@ -319,24 +320,24 @@ def test_each_row_is_its_own_sweep_where_rows_project_apart(monkeypatch):
 
 
 def test_rows_take_the_whole_basis_pass_only_on_some_steps(monkeypatch):
-    # the two-ended N = 16 sweep has 200 rows of 9 steps and projects 343 of
-    # those 1800 row-steps in 2 passes; the N = 64 one projects 1209 of 6600
-    # in 14 passes.  Both counts are the rule's own, so a sweep that skips
-    # its bookkeeping on quiet steps must take exactly the same decisions
+    # the two-ended N = 16 sweep has 200 rows of 8 steps and projects none
+    # of those 1600 row-steps; the N = 64 one projects 1200 of 6400 in 13
+    # passes.  Both counts are the rule's own, so a sweep that skips its
+    # bookkeeping on quiet steps must take exactly the same decisions
     times = np.linspace(0.0, 1.0, 101)
-    for n, row_steps, passes in ((16, 343, 2), (64, 1209, 14)):
+    for n, row_steps, passes in ((16, 0, 0), (64, 1200, 13)):
         j = random_jacobi(np.random.default_rng(0), n)
         with monkeypatch.context() as patch:
             calls = projected_row_steps(patch)
             solve_toda_finite(j, times)
         assert sum(count for count, _ in calls) == row_steps
         assert len(calls) == passes
-        assert row_steps < 0.5 * 2 * (times.size - 1) * (n // 2 + 1)
+        assert row_steps < 0.5 * 2 * (times.size - 1) * ((n + 1) // 2)
 
 
 def test_evolve_block_memory_is_bounded():
     # an unchunked (N, T, N) basis at N = 128, T = 1001 would take 131 MB,
-    # and the two-ended (2 T, N / 2 + 1, N) one 133 MB
+    # and the two-ended (2 T, N / 2, N) one 131 MB
     j = JacobiMatrix(np.zeros(128), np.full(127, 0.5))
     times = np.linspace(0.0, 1.0, 1001)
     for evolve in both_routes(j):
@@ -396,43 +397,82 @@ def test_moment_sums_chunks_do_not_change_the_sums(monkeypatch):
 
 
 def test_two_ended_top_rows_are_the_one_ended_block():
-    # rows 1..N // 2 + 1 come from the front end's sweep, bitwise those of
-    # the one-ended leading block; the rest agree with the one-ended full
-    # reconstruction to roundoff
+    # each end runs q = (N + 1) // 2 steps: the front's centers b_1..b_q are
+    # bitwise those of the one-ended leading q x q block and a_1..a_{q-1}
+    # its norms; the rest agree with the one-ended full reconstruction to
+    # roundoff, and a one-node lattice is j0 at every time
     times = np.linspace(0.0, 1.0, 11)
-    for n in (1, 2, 7, 16):
+    for n in (1, 2, 3, 7, 16, 17):
         j = random_jacobi(np.random.default_rng(n), n)
         first, last = _spectral_measures(j, last=True)
-        p = n // 2 + 1
+        q = (n + 1) // 2
         diag, offdiag = _evolve_lattice(j, first, last, times)
-        top_diag, top_offdiag = _evolve_block(j, first, times, p)
-        np.testing.assert_array_equal(diag[:, :p], top_diag)
-        np.testing.assert_array_equal(offdiag[:, : p - 1], top_offdiag)
+        top_diag, top_offdiag = _evolve_block(j, first, times, q)
+        np.testing.assert_array_equal(diag[:, :q], top_diag)
+        np.testing.assert_array_equal(offdiag[:, : q - 1], top_offdiag)
         full_diag, full_offdiag = _evolve_block(j, first, times, n)
         np.testing.assert_allclose(diag, full_diag, rtol=0, atol=1e-12)
         np.testing.assert_allclose(offdiag, full_offdiag, rtol=0, atol=1e-12)
+    j = random_jacobi(np.random.default_rng(1), 1)
+    traj = solve_toda_finite(j, times)
+    np.testing.assert_array_equal(traj.diag, np.tile(j.diag, (times.size, 1)))
+    assert traj.offdiag.shape == (times.size, 0)
+
+
+def test_two_ended_solve_takes_no_pass_at_its_last_step(monkeypatch):
+    # both ends run (N + 1) // 2 steps and record as many norms; the last
+    # step forms no next vector, so no whole-basis pass spans all of its
+    # basis (a pass on step k spans k vectors)
+    times = np.linspace(0.0, 1.0, 41)
+    stieltjes = todaflow.flow._stieltjes
+    reorthogonalize = todaflow.moments._reorthogonalize
+    for n in (2, 3, 16, 17, 64):
+        sweeps, spans = [], []
+
+        def sweeping(nodes, log_weights, steps, **options):
+            diag, offdiag = stieltjes(nodes, log_weights, steps, **options)
+            sweeps.append((steps, offdiag.shape[1]))
+            return diag, offdiag
+
+        def projecting(span, *rest):
+            spans.append(span.shape[0])
+            return reorthogonalize(span, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(todaflow.flow, "_stieltjes", sweeping)
+            patch.setattr(todaflow.moments, "_reorthogonalize", projecting)
+            solve_toda_finite(random_jacobi(np.random.default_rng(0), n), times)
+        q = (n + 1) // 2
+        assert sweeps == [(q, q)]
+        assert all(span < q for span in spans), (n, spans)
+        # the rule still projects on earlier steps where it must
+        assert spans or n < 17
 
 
 def test_overlap_check_catches_a_wrong_back_end():
     # the check can fail: the back end tilted by +2 lam t instead of
     # -2 lam t (log w' + 4 lam t, less the route's 2 lam t), or fed the
-    # front end's measure, rebuilds another lattice's bottom rows
-    j = random_jacobi(np.random.default_rng(24), 16)
-    first, last = _spectral_measures(j, last=True)
+    # front end's measure, rebuilds another lattice's bottom rows; both
+    # ends rebuild a_q, q = (N + 1) // 2
     t = 0.5
     times = np.array([0.0, t])
-    _evolve_lattice(j, first, last, times)
-    flipped = _unchecked(DiscreteMeasure, nodes=last.nodes, log_weights=last.log_weights + 4.0 * t * last.nodes)
-    for back in (flipped, first):
-        with pytest.raises(OverlapError, match="disagree by .* on b_9 at t = 0.5"):
-            _evolve_lattice(j, first, back, times)
+    for n, q in ((16, 8), (17, 9)):
+        j = random_jacobi(np.random.default_rng(24), n)
+        first, last = _spectral_measures(j, last=True)
+        _evolve_lattice(j, first, last, times)
+        flipped = _unchecked(
+            DiscreteMeasure, nodes=last.nodes, log_weights=last.log_weights + 4.0 * t * last.nodes
+        )
+        for back in (flipped, first):
+            with pytest.raises(OverlapError, match=f"disagree by .* on a_{q} at t = 0.5"):
+                _evolve_lattice(j, first, back, times)
 
 
 def test_large_time_reconstruction_still_raises():
     # the t = 50 weights span far more than double precision resolves;
     # the batched sweep must stay loud about it.  Each end runs
-    # N // 2 + 1 = 5 of the N = 8 steps, and its measure is supported on
-    # fewer points than that
+    # (N + 1) // 2 = 4 of the N = 8 steps and records 4 norms, for which
+    # its measure needs 5 points, and it is supported on fewer
     rng = np.random.default_rng(0)
     j = random_jacobi(rng, 8)
     with pytest.raises(DegenerateMeasureError, match="numerically supported on fewer than 5 points"):
@@ -485,14 +525,16 @@ def digest(*arrays):
 # LAPACK of scipy 1.17 on x86-64; another BLAS or LAPACK build may round
 # differently and must record its own).  The eigendecompose entries are as
 # the one-ended solver gave them, before the finite solver went two-ended;
-# the other four were recorded when the sweep went from complete to partial
-# reorthogonalization, from outputs within 1.6e-13 max |lambda| of the
-# complete kernel's
+# the semi-infinite ones were recorded when the sweep went from complete to
+# partial reorthogonalization, from outputs within 1.6e-13 max |lambda| of
+# the complete kernel's, and the jacobi_from_measure ones when the last
+# step stopped taking the whole-basis pass, from outputs within 1.2e-16
+# max |lambda| of the partial kernel's
 ONE_ENDED_DIGESTS = {
     "eigendecompose 16": "16d6d9cb05854457",
-    "jacobi_from_measure 16": "e51f3f63cc37cf53",
+    "jacobi_from_measure 16": "8aaefe52a75f2f0f",
     "eigendecompose 256": "08d46e86d76cbe0b",
-    "jacobi_from_measure 256": "6d5d5712cb3c1f03",
+    "jacobi_from_measure 256": "c5bbff7a2e778279",
     "eigendecompose 1024": "4aff867a68f339cc",
     "semi_infinite linear_b": "dd79b6d6501af891",
     "semi_infinite linear_b beta 0": "372e66d45cd83d77",
@@ -525,9 +567,12 @@ def test_one_ended_outputs_are_bitwise_unchanged():
 
 # SHA-256 prefixes of solve_toda_finite's diag and offdiag on random data,
 # seed 0, at 101 times on [0, 1] (same build caveat as above): N = 16 is the
-# finite_dense_grid benchmark's shape, N = 17 has an odd overlap row and
-# N = 64 has rows that project onto their whole basis
-TWO_ENDED_DIGESTS = {16: "030d1cfffbef232d", 17: "3117efeceb6f0029", 64: "f3750002a6742bf0"}
+# finite_dense_grid benchmark's shape, N = 17 has an odd number of rows and
+# N = 64 has rows that project onto their whole basis.  Recorded when the
+# two ends went to meet at a_q, q = (N + 1) // 2, from outputs within
+# 2.4e-15, 1.5e-15 and 1.8e-13 max |lambda| of those of the ends that met
+# at b_{N // 2 + 1}
+TWO_ENDED_DIGESTS = {16: "1fb991b5f98ae164", 17: "e0973617d89884be", 64: "ccbc57f0a509022b"}
 
 
 def test_two_ended_outputs_are_bitwise_unchanged():
