@@ -278,7 +278,8 @@ def _evolve_lattice(j0: JacobiMatrix, first: DiscreteMeasure, last: DiscreteMeas
     is its eigenvalue, j0 at every time.
     """
     n, rows = j0.n, times.size - 1
-    # the front rows log w + 2 lam t above the back rows log w' - 2 lam t
+    # the front rows log w + 2 lam t above the back rows log w' - 2 lam t,
+    # built at N = 1 too for their overflow check
     stack = np.concatenate((_tilted_log_weights(first, times[1:]), _tilted_log_weights(last, -times[1:])))
     diag, offdiag = _initial_rows(j0, times, n)
     if n == 1:
