@@ -27,7 +27,8 @@ are generator parameters that make some a_n <= 0 or some b_n infinite
 than the first truncation size min(max(2m+2, 8), n_max), whose message
 is the table's own ("options.n_max: table initial data exhausted at n=8:
 the table holds 4 entries; ...").  Every config error is a ValueError.
-Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure.
+Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure
+(a semi_infinite run that does not converge by n_max is one, and writes nothing).
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
 values printed with 17 significant digits so a written file re-reads to
 the exact same doubles.
@@ -82,8 +83,9 @@ _MODES = {
 MODES = tuple(_MODES)
 
 # Upper bounds on the sizes a config may ask for: a larger grid, matrix or
-# semi_infinite truncation (whose eigenvectors take n_max**2 doubles, 2.1 GB
-# at 16384), or a grid of more than 2**24 times x N (the solvers hold a few
+# semi_infinite truncation (one eigendecomposition peaks at about 50 N**2
+# bytes: 0.8 GB at N = 4096, 3.2 GB at 8192, so about 12.8 GB at 16384, which
+# was not run), or a grid of more than 2**24 times x N (the solvers hold a few
 # (steps + 1, N) arrays of doubles, 128 MB each at the bound), would only fail
 # later, in an allocation that names no field, and more RK4 steps in verify
 # mode would run for hours without a message.
@@ -265,7 +267,8 @@ def run(config: RunConfig, out_dir) -> list[Path]:
     (the trajectory or the k,s,r table, and the report) with nothing
     written, and only then writes the mode's first file and the report.
     So a run that fails, on its outputs or in its numerics, writes none
-    of its files.
+    of its files; a semi_infinite run that does not converge by n_max
+    raises NumericalError.
     """
     out_dir = Path(out_dir)
     first, report_path = (out_dir / name for name in config.output.values())
@@ -284,6 +287,12 @@ def run(config: RunConfig, out_dir) -> list[Path]:
     else:
         if config.mode == "semi_infinite":
             traj, stabilization = solve_toda_semi_infinite(config.initial, config.times, **config.options)
+            if not stabilization.converged:
+                last = f"{stabilization.deviations[-1]:.3e}" if stabilization.deviations else "none (one size ran)"
+                raise NumericalError(
+                    f"semi_infinite: not converged (stop_reason {stabilization.stop_reason!r}): last deviation "
+                    f"{last}, tol {config.options['tol']!r}, n_max {config.options['n_max']}"
+                )
             report.update(stabilization.to_dict())
         else:
             traj = solve_toda_finite(config.initial, config.times)

@@ -31,8 +31,10 @@ class PoleProximityError(NumericalError):
 
 
 class DegenerateMeasureError(NumericalError):
-    """Orthogonalization broke down: the measure is numerically supported
-    on fewer points than the requested matrix size."""
+    """The measure is numerically supported on fewer points than the
+    requested matrix size: an orthogonalization norm fell below its
+    floor (from a measure), or a Hankel pivot to 1e-5 of its diagonal
+    moment or below (from moments alone)."""
 
 
 class PositivityError(NumericalError):

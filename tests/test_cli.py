@@ -514,6 +514,34 @@ def test_overlap_failure_exits_2_and_writes_nothing(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+def test_unconverged_semi_infinite_run_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a_n = n, b = 0 blows up at t = pi/4: at n_max 32 the run would write
+    # b_1(0.8) = 37.03 and b_1(0.7) = 5.7957 (exact tan 1.4 = 5.7979)
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"generator": "table", "params": {"b": [0.0] * 32, "a": list(range(1, 33))}},
+        "grid": {"t_end": 0.8, "steps": 8},
+        "options": {"n_max": 32},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: NumericalError: semi_infinite: not converged (stop_reason 'n_max'): "
+        "last deviation 2.138e+01, tol 1e-08, n_max 32\n"
+    )
+    assert list(out.iterdir()) == []
+    # with one size there is no deviation to report
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"generator": "linear_b"},
+        "grid": {"t_end": 1.0, "steps": 2},
+        "options": {"n_max": 4},
+    })
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith("last deviation none (one size ran), tol 1e-08, n_max 4\n")
+    assert list(out.iterdir()) == []
+
+
 def test_semi_infinite_mode(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "mode": "semi_infinite",

@@ -190,3 +190,20 @@ def test_reductions_are_array_methods():
     # a.min(), np.isfinite(a).all(): one spelling, without the wrapper
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _wrapped_reductions(path)]
     assert not found, f"numpy reduction wrappers; call the array method instead: {found}"
+
+
+def _warnings_imports(path: Path) -> list[str]:
+    # import warnings, import warnings as w, from warnings import warn
+    return [
+        f"{path.name}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(alias.name == "warnings" for alias in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.module == "warnings")
+    ]
+
+
+def test_no_module_imports_warnings():
+    # numerical trouble raises a NumericalError or OverflowError; a warning
+    # can be filtered away, so the library issues none
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _warnings_imports(path)]
+    assert not found, f"warnings imported in the package: {found}"

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -338,12 +339,86 @@ def test_jacobi_from_moments_positivity_failure():
         jacobi_from_moments(MomentSequence([1.0, 0.0, -1.0, 0.0]), 2)
 
 
-def test_jacobi_from_moments_ill_conditioning_warning():
+def test_jacobi_from_moments_refuses_a_pivot_at_its_floor():
+    # 3.3e-6 off its lattice when it was returned with a warning
     rng = np.random.default_rng(5)
     j = random_jacobi(rng, 12)
     s = moments_from_measure(eigendecompose(j), 24)
-    with pytest.warns(UserWarning, match="condition"):
+    message = (
+        "Hankel row 9: pivot / s_16 = 1.648e-06, at or below the floor 1e-05; "
+        "the measure is numerically supported on fewer than 12 points"
+    )
+    with pytest.raises(DegenerateMeasureError, match=f"^{re.escape(message)}$"):
         jacobi_from_moments(s, 12)
+
+
+def _moment_test_lattices():
+    # (family, n, seed, lattice): the deterministic families once, the
+    # random ones (b drawn first) on seeds 0-2
+    for n in range(1, 17):
+        k = np.arange(1.0, n)
+        yield "free", n, 0, JacobiMatrix(np.zeros(n), np.ones(n - 1))
+        yield "a_n = n", n, 0, JacobiMatrix(np.zeros(n), k)
+        yield "hermite", n, 0, JacobiMatrix(np.zeros(n), np.sqrt(k / 2.0))
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            yield "narrow", n, seed, JacobiMatrix(rng.uniform(-0.5, 0.5, n), rng.uniform(0.3, 0.9, n - 1))
+            yield "random", n, seed, random_jacobi(np.random.default_rng(seed), n)
+
+
+def test_jacobi_from_moments_is_right_or_raises():
+    # every block returned is within 1e-8 of its lattice, relative to its
+    # largest entry; the SVD condition estimate let narrow n = 14 through
+    # 6.9e-6 off without a warning
+    refused = set()
+    for family, n, seed, j in _moment_test_lattices():
+        s = moments_from_measure(eigendecompose(j), 2 * n)
+        try:
+            got = jacobi_from_moments(s, n)
+        except DegenerateMeasureError:
+            refused.add((family, n, seed))
+            continue
+        # a zero lattice (n = 1, b = 0) is held to the absolute error
+        scale = max(np.abs(j.diag).max(), j.offdiag.max(initial=0.0)) or 1.0
+        error = max(np.abs(got.diag - j.diag).max(), np.abs(got.offdiag - j.offdiag).max(initial=0.0))
+        assert error <= 1e-8 * scale, (family, n, seed, error / scale)
+    assert ("narrow", 14, 0) in refused and ("free", 12, 0) not in refused
+    assert not any(n <= 6 for _, n, _ in refused)
+
+
+def test_positivity_of_a_sequence_whose_factor_overflows():
+    # s_4 < 0, but 0 * inf in the factor made the last pivot NaN, which
+    # passed the test `pivot <= floor`, and the sequence read as positive definite
+    s = MomentSequence([5.084642699363952e-216, 0.0, 4.343882359165498e254, 1.7633250638410918e249, -3.6065621767812175e177])
+    with pytest.raises(OverflowError, match="^Hankel row 3: the pivot is NaN"):
+        check_moment_positivity(s)
+
+
+def test_positivity_of_spread_random_sequences():
+    # moments over the whole double range, random signs and zeros: no
+    # RuntimeWarning (an error in this suite), and a sequence with a
+    # negative even moment is never positive definite or finite support
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for _ in range(3000):
+        size = int(rng.integers(3, 10))
+        values = 10.0 ** rng.uniform(-320, 308, size) * rng.choice([-1.0, 0.0, 1.0], size, p=[0.4, 0.2, 0.4])
+        values[0] = abs(values[0]) or 1.0
+        try:
+            c = check_moment_positivity(MomentSequence(values))
+        except OverflowError:
+            kinds.add("overflow")
+            continue
+        kinds.add(c.kind)
+        if c.kind != INVALID:
+            assert (values[::2] >= 0.0).all(), values
+    assert kinds == {POSITIVE_DEFINITE, FINITE_SUPPORT, INVALID, "overflow"}
+
+
+def test_jacobi_from_moments_overflow_is_numerical():
+    # a valid sequence whose b_2 lies past the double range
+    with pytest.raises(OverflowError, match="left the double-precision range"):
+        jacobi_from_moments(MomentSequence([1.0, 0.0, 1e-10, 1.7e308]), 2)
 
 
 def test_moment_and_measure_reconstructions_agree():
