@@ -23,10 +23,10 @@ grid is steps + 1 equal times on [0, t_end]; grid.steps is at most
 at most 16384, and (steps + 1) * N at most 2**24.  Any other field is
 rejected with a message naming it, and so, before any output is made,
 are generator parameters that make some a_n <= 0 or some b_n infinite
-(linear_b: |beta| * 2**52 + |gamma| must be finite) and a table shorter
-than the first truncation size min(max(2m+2, 8), n_max), whose message
-is the table's own ("options.n_max: table initial data exhausted at n=8:
-the table holds 4 entries; ...").  Every config error is a ValueError.
+(linear_b: |beta| * 2**52 + |gamma| must be finite), an n_max at most
+the first truncation size max(2m+2, 8), and a table shorter than the
+second, whose message is the table's own ("options.n_max: table initial
+data exhausted at n=16: ...").  Every config error is a ValueError.
 Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure
 (a semi_infinite run that does not converge by n_max is one, and writes nothing).
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
@@ -83,19 +83,19 @@ _MODES = {
 MODES = tuple(_MODES)
 
 # Upper bounds on the sizes a config may ask for: a larger grid, matrix or
-# semi_infinite truncation (one eigendecomposition peaks at about 50 N**2
-# bytes: 0.8 GB at N = 4096, 3.2 GB at 8192, so about 12.8 GB at 16384, which
-# was not run), or a grid of more than 2**24 times x N (the solvers hold a few
-# (steps + 1, N) arrays of doubles, 128 MB each at the bound), would only fail
-# later, in an allocation that names no field, and more RK4 steps in verify
-# mode would run for hours without a message.
+# semi_infinite truncation (one eigendecomposition of random data, both
+# ends, peaked at 209 MB at N = 4096, 636 MB at 8192 and 2257 MB at 16384:
+# about 8 N**2 bytes of eigenvectors), or a grid of more than 2**24 times x
+# N (the solvers hold a few (steps + 1, N) arrays of doubles, 128 MB each at
+# the bound), would only fail later, in an allocation that names no field,
+# and more RK4 steps in verify mode would run for hours without a message.
 _MAX_STEPS = 1_000_000
 _MAX_N = 16_384
 _MAX_GRID_VALUES = 2**24
 
 # option -> its value rule, called with the dotted field name.
-# semi_infinite mode then holds n_max to 2m+2 and verify mode dt to the
-# grid, by the rules solve_toda_semi_infinite and rk4_toda use
+# semi_infinite mode then holds n_max above max(2m+2, 8) and verify mode dt
+# to the grid, by the rules solve_toda_semi_infinite and rk4_toda use
 _OPTIONS = {
     "dt": lambda name, v: _finite_real(name, v, positive=True),
     "tol": lambda name, v: _finite_real(name, v, positive=True),
@@ -204,9 +204,9 @@ def load_config(path) -> RunConfig:
     _require(isinstance(initial, dict), "initial: must be an object")
     if mode == "semi_infinite":
         initial = _build_generator(initial)
-        # no run starts on a table shorter than its first truncation; a run
-        # that outgrows a table later fails then, as the table is exhausted
-        size = _truncation_sizes(options["m"], options["n_max"], "options.")[1][0]
+        # every run reaches its second truncation, which the table must hold;
+        # a run that outgrows a table later fails then, as it is exhausted
+        size = _truncation_sizes(options["m"], options["n_max"], "options.")[1][1]
         try:
             initial.coefficients(size)
         except ValueError as exc:
@@ -288,10 +288,9 @@ def run(config: RunConfig, out_dir) -> list[Path]:
         if config.mode == "semi_infinite":
             traj, stabilization = solve_toda_semi_infinite(config.initial, config.times, **config.options)
             if not stabilization.converged:
-                last = f"{stabilization.deviations[-1]:.3e}" if stabilization.deviations else "none (one size ran)"
                 raise NumericalError(
                     f"semi_infinite: not converged (stop_reason {stabilization.stop_reason!r}): last deviation "
-                    f"{last}, tol {config.options['tol']!r}, n_max {config.options['n_max']}"
+                    f"{stabilization.deviations[-1]:.3e}, tol {config.options['tol']!r}, n_max {config.options['n_max']}"
                 )
             report.update(stabilization.to_dict())
         else:

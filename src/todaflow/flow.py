@@ -227,36 +227,6 @@ def solve_toda_finite(j0: JacobiMatrix, times) -> TodaTrajectory:
     return _unchecked(TodaTrajectory, times=times, diag=diag, offdiag=offdiag)
 
 
-def _initial_rows(j0: JacobiMatrix, times: np.ndarray, size: int):
-    # (n_times, size) and (n_times, size-1) arrays holding j0's own leading
-    # block in their t = 0 row
-    diag = np.empty((times.size, size))
-    offdiag = np.empty((times.size, size - 1))
-    diag[0] = j0.diag[:size]
-    offdiag[0] = j0.offdiag[: size - 1]
-    return diag, offdiag
-
-
-def _evolve_block(j0: JacobiMatrix, mu0: DiscreteMeasure, times: np.ndarray, size: int):
-    """Leading size x size block of the lattice at every grid time, from the front end alone.
-
-    mu0 is the spectral measure of j0 and times a grid that starts at 0
-    and increases strictly.  Returns (n_times, size) and (n_times, size-1)
-    arrays: j0's own leading block at t = 0, below it the blocks
-    reconstructed from the reweighted measures of all later times in one
-    batched sweep.  The first k Lanczos steps do the same arithmetic
-    whatever the requested size, and the last one takes no whole-basis
-    pass, so a leading block is bitwise equal to the prefix of a longer
-    one-ended reconstruction but for its last center, which a pass there
-    would move by O(eps max |lambda|), and a block of (N + 1) // 2 rows
-    is bitwise the top of _evolve_lattice's two-ended lattice; it needs
-    only the moments s_0..s_{2 size-1}.
-    """
-    diag, offdiag = _initial_rows(j0, times, size)
-    diag[1:], offdiag[1:] = _stieltjes(mu0.nodes, _tilted_log_weights(mu0, times[1:]), size)
-    return diag, offdiag
-
-
 def _evolve_lattice(j0: JacobiMatrix, first: DiscreteMeasure, last: DiscreteMeasure, times: np.ndarray):
     """The whole lattice at every grid time, rebuilt from both ends of the chain.
 
@@ -270,7 +240,7 @@ def _evolve_lattice(j0: JacobiMatrix, first: DiscreteMeasure, last: DiscreteMeas
     rebuilds the top (Hochstadt, Linear Algebra Appl. 8 (1974) 435).
     Both stacks go through one batched sweep of q = (N + 1) // 2 steps
     that records q norms: b_1..b_q and a_1..a_q come from the front,
-    its centers and first q - 1 norms exactly as _evolve_block's, and
+    its centers and first q - 1 norms bitwise a one-ended sweep's, and
     b_{q+1}..b_N and a_{q+1}..a_{N-1} from the back, reversed.  Both
     ends rebuild a_q, and OverlapError is raised where the two values
     differ by more than 1e-8 max |lambda|, as they do once double
@@ -281,7 +251,8 @@ def _evolve_lattice(j0: JacobiMatrix, first: DiscreteMeasure, last: DiscreteMeas
     # the front rows log w + 2 lam t above the back rows log w' - 2 lam t,
     # built at N = 1 too for their overflow check
     stack = np.concatenate((_tilted_log_weights(first, times[1:]), _tilted_log_weights(last, -times[1:])))
-    diag, offdiag = _initial_rows(j0, times, n)
+    diag, offdiag = np.empty((times.size, n)), np.empty((times.size, n - 1))
+    diag[0], offdiag[0] = j0.diag, j0.offdiag
     if n == 1:
         diag[1:] = j0.diag
         return diag, offdiag

@@ -33,6 +33,7 @@ __all__ = [
 # breakdown, not physics.
 _EIGEN_SEPARATION = 1e-12
 
+# weyl_function's pole tolerance, relative to max |lambda| as above
 _POLE_TOL = 1e-10
 
 
@@ -306,9 +307,12 @@ def _first_log_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray, vec: np.nd
     if np.isfinite(log_weights).all():
         # MRRR set no component to 0
         return log_weights
-    lost = log_weights == -np.inf
-    if lost.any():
-        log_weights[lost] = _twisted_log_weights(d, e, lam[lost], vec[:, lost])
+    # 256 components at a time, so the pass holds (N, 256) arrays rather
+    # than (N, K) ones for all K lost components
+    lost = np.flatnonzero(log_weights == -np.inf)
+    for start in range(0, lost.size, 256):
+        cols = lost[start : start + 256]
+        log_weights[cols] = _twisted_log_weights(d, e, lam[cols], vec[:, cols])
     if not np.isfinite(log_weights).all():
         raise EigenConvergenceError("a log weight is not finite: the entries are beyond double precision")
     return log_weights
@@ -355,16 +359,26 @@ def weyl_function(j: JacobiMatrix, lam: float) -> float:
     Note the sign: this is the partial-fraction form; the resolvent matrix
     element ((J - lam I)^{-1} e_1, e_1) is its negative.
 
-    Raises PoleProximityError if lam is within 1e-10 of an eigenvalue.
+    Raises PoleProximityError if lam is within 1e-10 max |lam_k| of an
+    eigenvalue, a gap relative to the spectrum as for the separation
+    test of eigendecompose, so that 2^k J at 2^k lam gives 2^-k times
+    the value, bit for bit, while the terms are normal doubles; and
+    OverflowError if a term or the sum is beyond the double range.
     """
     lam = _finite_real("lam", lam)
     mu = eigendecompose(j)
-    gap = float(np.abs(lam - mu.nodes).min())
-    if gap < _POLE_TOL:
+    with np.errstate(over="ignore", divide="ignore"):
+        diff = lam - mu.nodes
+        terms = mu.weights / diff
+    gap = float(np.abs(diff).min())
+    tol = _POLE_TOL * float(np.abs(mu.nodes).max())
+    if gap <= tol:
         raise PoleProximityError(
-            f"lambda={lam!r} is within {gap:.3e} of an eigenvalue (tolerance {_POLE_TOL})"
+            f"lambda={lam!r} is within {gap:.3e} of an eigenvalue (tolerance {tol:.3e}, {_POLE_TOL:g} max |lambda|)"
         )
-    return float(math.fsum(mu.weights / (lam - mu.nodes)))
+    if not np.isfinite(terms).all():
+        raise OverflowError("a term sigma_k^2 / (lam - lam_k) is beyond the double range")
+    return float(math.fsum(terms))
 
 
 # the most terms _weighted_sums forms at once, unless one weight row has

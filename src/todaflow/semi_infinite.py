@@ -18,8 +18,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .flow import TodaTrajectory, _check_grid, _evolve_block, _evolved_moments
+from .flow import TodaTrajectory, _check_grid, _evolved_moments, _tilted_log_weights
 from .jacobi import JacobiMatrix, _count, _finite_real, _freeze, _real_array, _unchecked, eigendecompose
+from .moments import _stieltjes
 
 __all__ = [
     "SemiInfiniteInitialData",
@@ -139,7 +140,8 @@ class StabilizationReport:
 
     diag_history / offdiag_history hold, per truncation size, the
     (n_times, m) trajectories of the requested leading entries;
-    deviations[i] is the max-norm change between sizes i and i+1.
+    deviations[i] is the max-norm change between sizes i and i+1 (two
+    sizes or more run, so there is one at least).
     stop_reason says why the refinement ended: "tol" (a deviation fell
     below tol), "floor_limited" (a deviation reached the roundoff floor
     100 eps ||J_n||_inf of the truncation J_n just run, which counts as
@@ -180,15 +182,15 @@ def _inf_norm(j: JacobiMatrix) -> float:
 
 def _truncation_sizes(m, n_max, prefix: str = "") -> tuple[int, list[int]]:
     """m as an int, if m >= 1, and the truncation sizes the solver may
-    run, if n_max >= 2m+2: N1 = max(2m+2, 8) capped at n_max, doubled while
-    below n_max, then n_max itself.  prefix goes before both names in the
-    message."""
+    run, if n_max > N1 = max(2m+2, 8): N1, doubled while below n_max, then
+    n_max itself, so that every run can compare two sizes.  prefix goes
+    before both names in the message."""
     m = _count(f"{prefix}m", m, 1)
-    n_max = _count(f"{prefix}n_max", n_max, 2 * m + 2)
-    sizes = [min(max(2 * m + 2, 8), n_max)]
-    while sizes[-1] < n_max:
-        sizes.append(min(2 * sizes[-1], n_max))
-    return m, sizes
+    sizes = [max(2 * m + 2, 8)]
+    n_max = _count(f"{prefix}n_max", n_max, sizes[0] + 1)
+    while 2 * sizes[-1] < n_max:
+        sizes.append(2 * sizes[-1])
+    return m, sizes + [n_max]
 
 
 def solve_toda_semi_infinite(
@@ -201,10 +203,11 @@ def solve_toda_semi_infinite(
     """Doubling-truncation solve of the semi-infinite lattice.
 
     Decomposes the truncations of sizes N1, 2 N1, 4 N1, ... below n_max
-    and then n_max itself (N1 = max(2m+2, 8), capped at n_max) once
-    each and reconstructs only their leading (m+1) x (m+1) blocks over
-    the grid: these hold the first m entries of both coefficient
-    families and are bitwise the prefix of the full finite solution.
+    and then n_max itself (N1 = max(2m+2, 8) < n_max, so two sizes at
+    least) once each and reconstructs only their leading (m+1) x (m+1)
+    blocks over the grid, by m + 1 Lanczos steps from the top of the
+    chain: these hold the first m entries of both coefficient families
+    and are bitwise the prefix of the full finite solution.
     Stops once those entries move by less than tol, in max norm over the
     whole grid, between consecutive sizes, or by no more than the
     roundoff floor 100 eps ||J_n||_inf of the truncation J_n just run
@@ -212,9 +215,10 @@ def solve_toda_semi_infinite(
     floor a tighter tol cannot be met.
     Returns the last solution's leading m x m block together with the
     full refinement report.  Non-convergence is reported, not raised.
-    Raises OverflowError where 2 t lam_1, 2 t lam_N or the spread
-    2 t (lam_N - lam_1) is beyond the double range at the last grid time
-    t, lam being the eigenvalues of a truncation that runs.
+    Raises ValueError naming n_max when n_max <= N1, and OverflowError
+    where 2 t lam_1, 2 t lam_N or the spread 2 t (lam_N - lam_1) is
+    beyond the double range at the last grid time t, lam being the
+    eigenvalues of a truncation that runs.
     """
     times = _check_grid(times)
     tol = _finite_real("tol", tol, positive=True)
@@ -234,7 +238,8 @@ def solve_toda_semi_infinite(
         block = JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[:-1]])
         mu0 = eigendecompose(block)
         spectral_maxima.append(float(mu0.nodes[-1]))
-        diag, offdiag = _evolve_block(block, mu0, times, m + 1)
+        d, e = _stieltjes(mu0.nodes, _tilted_log_weights(mu0, times[1:]), m + 1)
+        diag, offdiag = np.vstack((block.diag[: m + 1], d)), np.vstack((block.offdiag[:m], e))
         diag_hist.append(diag[:, :m])
         offdiag_hist.append(offdiag)
         if len(diag_hist) > 1:

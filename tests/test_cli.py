@@ -308,9 +308,9 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
         "options": {"m": 2, "n_max": 4},
     })
     assert main(["--config", cfg, "--out", str(out)]) == 1
-    assert capsys.readouterr().err == "error: options.n_max: need an integer >= 6, got 4\n"
+    assert capsys.readouterr().err == "error: options.n_max: need an integer >= 9, got 4\n"
     assert not out.exists()
-    # a table must hold the first truncation, of size 8 at the default n_max 64
+    # a table must hold the second truncation, of size 16 at the default n_max 64
     cfg = write_config(tmp_path / "c.json", {
         "mode": "semi_infinite",
         "initial": {"generator": "table", "params": {"b": [0.0, 0.0, 0.0, 0.0], "a": [1.0, 1.0, 1.0]}},
@@ -318,7 +318,7 @@ def test_n_max_below_2m_plus_2_is_rejected_before_the_run(tmp_path, capsys):
     })
     assert main(["--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == (
-        "error: options.n_max: table initial data exhausted at n=8: the table holds 4 entries; "
+        "error: options.n_max: table initial data exhausted at n=16: the table holds 4 entries; "
         "provide more entries or lower n_max\n"
     )
     assert not out.exists()
@@ -530,16 +530,48 @@ def test_unconverged_semi_infinite_run_exits_2_and_writes_nothing(tmp_path, caps
         "last deviation 2.138e+01, tol 1e-08, n_max 32\n"
     )
     assert list(out.iterdir()) == []
-    # with one size there is no deviation to report
+    # one size could record no deviation, so such a run is refused at load
     cfg = write_config(tmp_path / "c.json", {
         "mode": "semi_infinite",
         "initial": {"generator": "linear_b"},
         "grid": {"t_end": 1.0, "steps": 2},
         "options": {"n_max": 4},
     })
-    assert main(["--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.endswith("last deviation none (one size ran), tol 1e-08, n_max 4\n")
-    assert list(out.iterdir()) == []
+    out = tmp_path / "one_size"
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: options.n_max: need an integer >= 9, got 4\n"
+    assert not out.exists()
+
+
+def test_n_max_at_the_first_size_is_refused_at_load(tmp_path, capsys):
+    # n_max 8 is the first size at m = 1, so the ladder would hold one size
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"generator": "linear_b", "params": {"alpha": 0.5}},
+        "grid": {"t_end": 1.0, "steps": 2},
+        "options": {"n_max": 8},
+    })
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: options.n_max: need an integer >= 9, got 8\n"
+    assert not out.exists()
+
+
+def test_table_shorter_than_the_second_size_is_refused_at_load(tmp_path, capsys):
+    # every run reaches size 16 at the default n_max 64, so a 12-entry table
+    # is refused before the first truncation runs or the output exists
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"generator": "table", "params": {"b": [0.0] * 12, "a": [0.5] * 12}},
+        "grid": {"t_end": 1.0, "steps": 2},
+    })
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: options.n_max: table initial data exhausted at n=16: the table holds 12 entries; "
+        "provide more entries or lower n_max\n"
+    )
+    assert not out.exists()
 
 
 def test_semi_infinite_mode(tmp_path):

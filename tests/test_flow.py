@@ -35,8 +35,9 @@ from todaflow import (
     weyl_evolution_residual,
     weyl_function,
 )
-from todaflow.flow import _evolve_block, _evolve_lattice, _evolved_moments, _tilted_log_weights
+from todaflow.flow import _evolve_lattice, _evolved_moments, _tilted_log_weights
 from todaflow.jacobi import _spectral_measures, _unchecked, _weighted_sums
+from todaflow.moments import _stieltjes
 
 PM1 = DiscreteMeasure([-1.0, 1.0], [0.5, 0.5])
 
@@ -240,12 +241,19 @@ def test_one_time_grid_returns_the_initial_state():
     np.testing.assert_array_equal(traj.offdiag, [j.offdiag])
 
 
+def one_ended(j, first, times, size):
+    # the leading size x size block at every grid time as the semi-infinite
+    # solver builds it: j's own at t = 0 above one front-end sweep of the rest
+    d, e = _stieltjes(first.nodes, _tilted_log_weights(first, times[1:]), size)
+    return np.vstack((j.diag[:size], d)), np.vstack((j.offdiag[: size - 1], e))
+
+
 def both_routes(j):
     # the grid -> (diag, offdiag) maps of the one-ended route, which the
     # semi-infinite windows take, and of the two-ended one of whole lattices
     first, last = _spectral_measures(j, last=True)
     return (
-        lambda times: _evolve_block(j, first, times, j.n),
+        lambda times: one_ended(j, first, times, j.n),
         lambda times: _evolve_lattice(j, first, last, times),
     )
 
@@ -407,10 +415,10 @@ def test_two_ended_top_rows_are_the_one_ended_block():
         first, last = _spectral_measures(j, last=True)
         q = (n + 1) // 2
         diag, offdiag = _evolve_lattice(j, first, last, times)
-        top_diag, top_offdiag = _evolve_block(j, first, times, q)
+        top_diag, top_offdiag = one_ended(j, first, times, q)
         np.testing.assert_array_equal(diag[:, :q], top_diag)
         np.testing.assert_array_equal(offdiag[:, : q - 1], top_offdiag)
-        full_diag, full_offdiag = _evolve_block(j, first, times, n)
+        full_diag, full_offdiag = one_ended(j, first, times, n)
         np.testing.assert_allclose(diag, full_diag, rtol=0, atol=1e-12)
         np.testing.assert_allclose(offdiag, full_offdiag, rtol=0, atol=1e-12)
     j = random_jacobi(np.random.default_rng(1), 1)
@@ -683,6 +691,9 @@ def test_finite_pipeline_is_covariant_under_powers_of_two(n):
     traj = solve_toda_finite(j, times)
     mu0 = eigendecompose(j)
     back = jacobi_from_measure(mu0, n)
+    # weyl_function at a point above the spectrum and one between its two lowest nodes
+    points = (mu0.nodes[-1] + 0.75, 0.5 * (mu0.nodes[0] + mu0.nodes[1]))
+    weyl = [weyl_function(j, point) for point in points]
     for k in (-1000, -60, 60, 1000):
         jk = JacobiMatrix(np.ldexp(j.diag, k), np.ldexp(j.offdiag, k))
         scaled = solve_toda_finite(jk, np.ldexp(times, -k))
@@ -694,6 +705,8 @@ def test_finite_pipeline_is_covariant_under_powers_of_two(n):
         scaled_back = jacobi_from_measure(mu, n)
         assert np.array_equal(scaled_back.diag, np.ldexp(back.diag, k)), k
         assert np.array_equal(scaled_back.offdiag, np.ldexp(back.offdiag, k)), k
+        for point, value in zip(points, weyl):
+            assert weyl_function(jk, np.ldexp(point, k)) == np.ldexp(value, -k), k
 
 
 @pytest.mark.parametrize(

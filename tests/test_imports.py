@@ -207,3 +207,23 @@ def test_no_module_imports_warnings():
     # can be filtered away, so the library issues none
     found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _warnings_imports(path)]
     assert not found, f"warnings imported in the package: {found}"
+
+
+def _python_floor() -> tuple[int, int]:
+    # pyproject.toml's requires-python floor, read with a regex, as tomllib
+    # is 3.11+
+    text = (PACKAGE.parent.parent / "pyproject.toml").read_text()
+    found = re.search(r'^requires-python\s*=\s*">=\s*(\d+)\.(\d+)"', text, re.MULTILINE)
+    assert found, "pyproject.toml declares no requires-python floor"
+    return int(found[1]), int(found[2])
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # syntax newer than the floor (except*, type statements) fails here,
+    # whatever interpreter runs the tests
+    floor = _python_floor()
+    for path in sorted(PACKAGE.glob("*.py")):
+        try:
+            ast.parse(path.read_text(), filename=path.name, feature_version=floor)
+        except SyntaxError as exc:
+            raise AssertionError(f"{path.name} needs a newer Python than {floor}: {exc}") from exc

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -22,7 +23,7 @@ from todaflow import (
     solve_toda_semi_infinite,
     weyl_function,
 )
-from todaflow.jacobi import _spectral_measures, _twisted_log_weights
+from todaflow.jacobi import _first_log_weights, _spectral_measures, _twisted_log_weights
 
 SQRT2 = np.sqrt(2.0)
 
@@ -252,6 +253,25 @@ def test_twisted_pass_agrees_with_the_mrrr_components():
     np.testing.assert_allclose(eigendecompose(j).log_weights, twisted, rtol=0, atol=1e-10)
 
 
+def test_twisted_repair_holds_bounded_memory():
+    # at random N = 1024 MRRR sets most first components to 0; repaired all
+    # at once, the pass held about six (N, K) arrays for the K lost ones
+    # (38 MB), and 256 at a time it holds 11 MB, bitwise the same weights
+    j = random_jacobi(np.random.default_rng(0), 1024)
+    lam, vec = eigh_tridiagonal(j.diag, j.offdiag, lapack_driver="stemr")
+    lost = vec[0] == 0.0
+    assert np.count_nonzero(lost) > 3 * 256
+    tracemalloc.start()
+    try:
+        log_weights = _first_log_weights(j.diag, j.offdiag, lam, vec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
+    whole = _twisted_log_weights(j.diag, j.offdiag, lam[lost], vec[:, lost])
+    np.testing.assert_array_equal(log_weights[lost], whole)
+
+
 def test_last_component_measure_is_that_of_the_reversed_chain():
     # random N = 256: MRRR sets over a hundred last components to 0 as
     # well; the twisted pass on the reversed chain recomputes them, and the
@@ -330,6 +350,28 @@ def test_weyl_function_pole_proximity():
         weyl_function(j, np.nan)
 
 
+def test_weyl_function_pole_tolerance_is_relative():
+    # the point 3 is as far from the spectrum of 2^-40 J, relative to it, as
+    # from that of J; an absolute tolerance of 1e-10 refused the scaled point
+    j = JacobiMatrix([0.0, 0.5, -0.3], [1.0, 0.7])
+    value = weyl_function(j, 3.0)
+    assert abs(value - 0.38839) < 1e-5
+    small = JacobiMatrix(np.ldexp(j.diag, -40), np.ldexp(j.offdiag, -40))
+    assert weyl_function(small, np.ldexp(3.0, -40)) == np.ldexp(value, 40)
+    # the gap is relative to max |lambda|, so lambda = 0 on J = [0] is still a pole
+    with pytest.raises(PoleProximityError, match="within 0.000e"):
+        weyl_function(JacobiMatrix([0.0], []), 0.0)
+
+
+def test_weyl_function_overflow_is_loud():
+    # nodes +-2^-1020 and a point 2^-1040 above the top one: outside the
+    # relative pole tolerance (about 2^-1053), but the term 0.5 / 2^-1040 is
+    # 2^1039, past the double range, which numpy would return as inf
+    j = JacobiMatrix([0.0, 0.0], [2.0**-1020])
+    with pytest.raises(OverflowError, match="beyond the double range"):
+        weyl_function(j, 2.0**-1020 + 2.0**-1040)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -337,7 +379,7 @@ def test_weyl_function_pole_proximity():
         lambda: DiscreteMeasure([0.0, 1.0], [0.5, 0.5]),
         lambda: TodaTrajectory([0.0, 1.0], [[0.0, 1.0]] * 2, [[1.0]] * 2),
         lambda: MomentSequence([1.0, 0.0, 1.0]),
-        lambda: solve_toda_semi_infinite(make_initial_data("linear_b"), [0.0, 1.0], 1, 1e-8, 8)[1],
+        lambda: solve_toda_semi_infinite(make_initial_data("linear_b"), [0.0, 1.0], 1, 1e-8, 16)[1],
     ],
     ids=["JacobiMatrix", "DiscreteMeasure", "TodaTrajectory", "MomentSequence", "StabilizationReport"],
 )

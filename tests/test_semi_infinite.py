@@ -127,6 +127,19 @@ def test_preconditions():
             solve_toda_semi_infinite(init, times, m, 1e-8, n_max)
 
 
+def test_n_max_at_the_first_size_is_rejected():
+    # N1 = max(2m+2, 8) is 8 at m = 1 and 2: n_max 8 would run that one size,
+    # which can measure no deviation; n_max 9 runs two
+    init = make_initial_data("linear_b", {"alpha": 0.5})
+    times = np.linspace(0.0, 1.0, 3)
+    for m in (1, 2):
+        with pytest.raises(ValueError, match=r"^n_max: need an integer >= 9, got 8$"):
+            solve_toda_semi_infinite(init, times, m, 1e-8, 8)
+        _, report = solve_toda_semi_infinite(init, times, m, 1e-8, 9)
+        assert report.truncation_sizes == (8, 9)
+        assert len(report.deviations) == 1
+
+
 def test_initial_entries_are_exact():
     init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
     traj, report = solve_toda_semi_infinite(init, np.linspace(0.0, 0.5, 3), 2, 1e-8, 64)
@@ -200,10 +213,10 @@ def test_roundoff_floor_stops_the_doubling():
 
 
 def test_report_dict_is_its_fields_as_json():
-    # one report where only one size ran (n_max = 8) and one where two did
+    # one report where two sizes ran and one where three did
     init = make_initial_data("linear_b", {"alpha": 0.5, "gamma": 2.0})
     times = np.linspace(0.0, 1.0, 5)
-    for m, n_max, runs in ((1, 8, 1), (2, 64, 2)):
+    for m, n_max, runs in ((2, 64, 2), (3, 64, 3)):
         _, report = solve_toda_semi_infinite(init, times, m, 1e-8, n_max)
         assert len(report.truncation_sizes) == runs
         d = json.loads(json.dumps(report.to_dict(), allow_nan=False))
