@@ -105,7 +105,7 @@ _OPTIONS = {
 }
 
 
-@dataclass
+@dataclass(eq=False)
 class RunConfig:
     """A validated run: all that run() needs but the output directory,
     resolved to library objects.

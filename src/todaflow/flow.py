@@ -35,7 +35,6 @@ from .jacobi import (
     _jacobi_arrays,
     _spectral_measures,
     _unchecked,
-    eigendecompose,
     weyl_function,
 )
 from .moments import MomentSequence, _moment_sums, _stieltjes
@@ -50,8 +49,8 @@ __all__ = [
     "weyl_evolution_residual",
 ]
 
-# The evolution law for the Weyl function requires a spectral gap; closer
-# evaluation points make the residual meaningless.
+# The Weyl evolution law needs lambda this many max |lambda| from the
+# spectrum; closer evaluation points make the residual meaningless.
 _SPECTRAL_GAP = 0.5
 
 # Largest disagreement, relative to max |lambda|, between the two values of
@@ -116,27 +115,24 @@ def _check_grid(times) -> np.ndarray:
 def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
     """Evolve spectral weights: w_k(t) proportional to w_k(0) e^{2 lam_k t}.
 
-    Nodes are unchanged; the weights are renormalized to unit mass.  The
-    reweighting runs on the log weights, log w_k + 2 lam_k t less its
-    maximum, so no weight is changed to keep it in range: one below the
-    double-precision range keeps its value in log_weights and reads 0 in
-    weights.  Raises OverflowError where 2 t lam_1, 2 t lam_N or the
-    spread 2 t (lam_N - lam_1) is beyond the double range (nodes
-    [-1, 1] at t = 8e307).
+    Nodes are unchanged; the log weights are log w_k + 2 lam_k t less
+    log_omega(mu0, t), so the weights carry unit mass and no weight is
+    changed to keep it in range: one below the double-precision range
+    keeps its value in log_weights and reads 0 in weights.  Raises
+    OverflowError where 2 t lam_1, 2 t lam_N or the spread
+    2 t (lam_N - lam_1) is beyond the double range (nodes [-1, 1] at
+    t = 8e307).
     """
-    tilt = _tilted_log_weights(mu0, _check_time(t))
-    tilt -= tilt.max()
-    return _unchecked(DiscreteMeasure, nodes=mu0.nodes, log_weights=tilt - np.log(np.exp(tilt).sum()))
+    t = _check_time(t)
+    return _unchecked(DiscreteMeasure, nodes=mu0.nodes, log_weights=_tilted_log_weights(mu0, t) - log_omega(mu0, t))
 
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
-    """log of Omega(t) = integral e^{2 lambda t} dmu0, via log-sum-exp.
+    """log Omega(t), Omega(t) = integral e^{2 lambda t} dmu0: the s_0 that evolve_moments divides by.
 
     Raises OverflowError where moser_evolve does.
     """
-    tilt = _tilted_log_weights(mu0, _check_time(t))
-    top = tilt.max()
-    return float(top + np.log(np.exp(tilt - top).sum()))
+    return float(_evolved_moments(mu0, _check_time(t), 1)[1])
 
 
 def _tilted_log_weights(mu0: DiscreteMeasure, times) -> np.ndarray:
@@ -164,16 +160,16 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
     """
     t = _check_time(t)
     count = _count("count", count, 1)
-    return MomentSequence(values=_evolved_moments(mu0, t, count))
+    return MomentSequence(values=_evolved_moments(mu0, t, count)[0])
 
 
-def _evolved_moments(mu0: DiscreteMeasure, times, count: int) -> np.ndarray:
-    # s_0..s_{count-1} of the evolved measure, a row per time for an array
-    # of times; each row is divided by its own s_0, so s_0 = 1 exactly
+def _evolved_moments(mu0: DiscreteMeasure, times, count: int) -> tuple[np.ndarray, np.ndarray]:
+    # a row and an entry per time for an array of times: s_0..s_{count-1} of
+    # the evolved measure over its compensated s_0, and log Omega = shift + log s_0
     tilt = _tilted_log_weights(mu0, times)
-    tilt -= tilt.max(axis=-1, keepdims=True)
-    sums = _moment_sums(mu0.nodes, np.exp(tilt, out=tilt), count)
-    return sums / sums[..., :1]
+    top = tilt.max(axis=-1, keepdims=True)
+    sums = _moment_sums(mu0.nodes, np.exp(tilt - top), count)
+    return sums / sums[..., :1], (top + np.log(sums[..., :1]))[..., 0]
 
 
 def _central_step(t, h) -> tuple[float, float]:
@@ -196,8 +192,8 @@ def moment_recurrence_residual(mu0: DiscreteMeasure, t: float, count: int, h: fl
     """
     t, h = _central_step(t, h)
     count = _count("count", count, 2)
-    dlog = (log_omega(mu0, t + h) - log_omega(mu0, t - h)) / (2.0 * h)
-    s_plus, s_minus, s_mid = _evolved_moments(mu0, np.array([t + h, t - h, t]), count)
+    (s_plus, s_minus, s_mid), (log_plus, log_minus, _) = _evolved_moments(mu0, np.array([t + h, t - h, t]), count)
+    dlog = (log_plus - log_minus) / (2.0 * h)
     sdot = (s_plus - s_minus) / (2.0 * h)
     return np.abs(sdot[:-1] + dlog * s_mid[:-1] - 2.0 * s_mid[1:])
 
@@ -281,18 +277,22 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
     = sum_k w_k / (lam_k - lam), i.e. the negative of weyl_function; with
     the opposite (partial-fraction) sign the defect is identically 4 at
     N = 1 instead of 0.  The convention was fixed by the closed-form N = 2
-    check in the test suite.  O(h^2) in the step.
+    check in the test suite.  O(h^2) in the step.  Decomposes j0 once.
+    Raises PoleProximityError where lam is within 0.5 max |lambda| of the
+    spectrum: relative, so 2^k j0 at 2^k lam, 2^-k t, 2^-k h reads the same.
     """
     t, h = _central_step(t, h)
     lam = _finite_real("lam", lam)
-    gap = float(np.abs(lam - eigendecompose(j0).nodes).min())
-    if gap < _SPECTRAL_GAP:
+    first, last = _spectral_measures(j0, last=True)
+    gap = float(np.abs(lam - first.nodes).min())
+    tol = _SPECTRAL_GAP * max(-first.nodes[0], first.nodes[-1])
+    if gap < tol:
         raise PoleProximityError(
-            f"lambda={lam!r} is within {gap:.3e} of the spectrum; need separation >= {_SPECTRAL_GAP}"
+            f"lambda={lam!r} is within {gap:.3e} of the spectrum; need {_SPECTRAL_GAP:g} max |lambda| = {tol:.3e}"
         )
-    grid = np.unique(np.array([0.0, t - h, t, t + h]))
+    diag, offdiag = _evolve_lattice(j0, first, last, np.unique(np.array([0.0, t - h, t, t + h])))
     # the states at t - h (t = h: the initial one), t and t + h
-    states = solve_toda_finite(j0, grid).states[-3:]
+    states = [JacobiMatrix(d, e) for d, e in zip(diag[-3:], offdiag[-3:])]
     m_minus, m_mid, m_plus = (-weyl_function(state, lam) for state in states)
     dm = (m_plus - m_minus) / (2.0 * h)
     return abs(dm - 2.0 * (1.0 - (states[1].diag[0] - lam) * m_mid))

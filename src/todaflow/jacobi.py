@@ -357,7 +357,7 @@ def weyl_function(j: JacobiMatrix, lam: float) -> float:
     """Stieltjes transform sum_k sigma_k^2 / (lam - lam_k) of the spectral measure.
 
     Note the sign: this is the partial-fraction form; the resolvent matrix
-    element ((J - lam I)^{-1} e_1, e_1) is its negative.
+    element ((J - lam I)^{-1} e_1, e_1) is its negative.  Summed as a zeroth moment.
 
     Raises PoleProximityError if lam is within 1e-10 max |lam_k| of an
     eigenvalue, a gap relative to the spectrum as for the separation
@@ -376,9 +376,7 @@ def weyl_function(j: JacobiMatrix, lam: float) -> float:
         raise PoleProximityError(
             f"lambda={lam!r} is within {gap:.3e} of an eigenvalue (tolerance {tol:.3e}, {_POLE_TOL:g} max |lambda|)"
         )
-    if not np.isfinite(terms).all():
-        raise OverflowError("a term sigma_k^2 / (lam - lam_k) is beyond the double range")
-    return float(math.fsum(terms))
+    return float(_weighted_sums(np.ones((1, j.n)), terms, "a term sigma_k^2 / (lam - lam_k)")[0])
 
 
 # the most terms _weighted_sums forms at once, unless one weight row has

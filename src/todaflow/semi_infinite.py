@@ -111,10 +111,12 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteI
     that alpha / n does not underflow to 0) and every entry of a table's
     a > 0, so that every a_n > 0; linear_b needs |beta| * 2**52 + |gamma|
     finite, so that every b_n with n < 2**52 is finite.  Defaults:
-    alpha = 1.0, beta = 0.0, gamma = 0.0.  A message about one parameter
-    starts with its name.  A table raises ValueError when it is asked
-    for an entry past its end, naming its length.
+    alpha = 1.0, beta = 0.0, gamma = 0.0.  params is a dict or None, and
+    a message about it or one parameter starts with that name.  A table
+    raises ValueError when asked for an entry past its end, naming its length.
     """
+    if not (params is None or isinstance(params, dict)):
+        raise ValueError(f"params: need a dict of the generator's parameters or None, got {params!r}")
     params = dict(params or {})
     if name == "table":
         for key in ("a", "b"):
@@ -256,7 +258,7 @@ def solve_toda_semi_infinite(
                 break
 
     # mu0 is the spectral measure of the largest truncation that ran
-    moments = _evolved_moments(mu0, times, 2 * m)
+    moments = _evolved_moments(mu0, times, 2 * m)[0]
     report = StabilizationReport(
         entries=m,
         times=times,

@@ -109,6 +109,18 @@ def test_log_omega_examples():
     assert abs(log_omega(DiscreteMeasure([3.0], [1.0]), 2.0) - 12.0) < 1e-14
 
 
+def test_moser_log_weights_are_the_tilt_less_log_omega():
+    # Omega comes from one accumulator: the evolved log weights are the tilt
+    # less log_omega, bit for bit, and log_omega is evolve_moments' s_0 shift
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        mu = eigendecompose(random_jacobi(rng, int(rng.integers(2, 40))))
+        for t in (0.3, 1.0, 5.0, 50.0):
+            expected = _tilted_log_weights(mu, t) - log_omega(mu, t)
+            np.testing.assert_array_equal(moser_evolve(mu, t).log_weights, expected)
+            assert log_omega(mu, t) == _evolved_moments(mu, t, 1)[1]
+
+
 def test_import_and_solves_leave_scipy_special_and_linalg_unloaded():
     # log-sum-exp is taken in numpy and dstemr comes from scipy's compiled
     # wrapper alone; scipy.special or scipy.linalg's package init would only
@@ -171,7 +183,7 @@ def test_stacked_moments_equal_the_one_time_call():
     rng = np.random.default_rng(23)
     mu = eigendecompose(random_jacobi(rng, 9))
     times = np.concatenate((np.linspace(0.0, 2.0, 21), [50.0]))
-    stacked = _evolved_moments(mu, times, 7)
+    stacked = _evolved_moments(mu, times, 7)[0]
     assert stacked.shape == (times.size, 7)
     for i, t in enumerate(times):
         np.testing.assert_array_equal(stacked[i], evolve_moments(mu, t, 7).values)
@@ -368,7 +380,7 @@ def test_evolved_moment_sums_hold_bounded_memory():
     times = np.linspace(0.0, 1.0, 11)
     tracemalloc.start()
     try:
-        sums = _evolved_moments(mu, times, 1000)
+        sums = _evolved_moments(mu, times, 1000)[0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -393,9 +405,9 @@ def test_moment_sums_chunks_do_not_change_the_sums(monkeypatch):
     mu = eigendecompose(JacobiMatrix(np.full(64, 0.3), np.full(63, 0.9)))
     times = np.linspace(0.0, 4.0, 11)
     assert times.size * 6 * mu.nodes.size <= todaflow.jacobi._TERMS_PER_CHUNK
-    whole = _evolved_moments(mu, times, 6)
+    whole = _evolved_moments(mu, times, 6)[0]
     monkeypatch.setattr(todaflow.jacobi, "_TERMS_PER_CHUNK", 1)
-    np.testing.assert_array_equal(_evolved_moments(mu, times, 6), whole)
+    np.testing.assert_array_equal(_evolved_moments(mu, times, 6)[0], whole)
     table = np.ones((1, 2))
     big = np.array([[1e308, 1e308], [1.0, 1.0]])
     with pytest.raises(OverflowError, match="intermediate overflow in fsum"):
@@ -694,6 +706,9 @@ def test_finite_pipeline_is_covariant_under_powers_of_two(n):
     # weyl_function at a point above the spectrum and one between its two lowest nodes
     points = (mu0.nodes[-1] + 0.75, 0.5 * (mu0.nodes[0] + mu0.nodes[1]))
     weyl = [weyl_function(j, point) for point in points]
+    # the Weyl-law probe at a point max |lambda| above the spectrum
+    lam = mu0.nodes[-1] + max(-mu0.nodes[0], mu0.nodes[-1])
+    residual = weyl_evolution_residual(j, lam, 0.5, 1e-3)
     for k in (-1000, -60, 60, 1000):
         jk = JacobiMatrix(np.ldexp(j.diag, k), np.ldexp(j.offdiag, k))
         scaled = solve_toda_finite(jk, np.ldexp(times, -k))
@@ -707,6 +722,7 @@ def test_finite_pipeline_is_covariant_under_powers_of_two(n):
         assert np.array_equal(scaled_back.offdiag, np.ldexp(back.offdiag, k)), k
         for point, value in zip(points, weyl):
             assert weyl_function(jk, np.ldexp(point, k)) == np.ldexp(value, -k), k
+        assert weyl_evolution_residual(jk, np.ldexp(lam, k), np.ldexp(0.5, -k), np.ldexp(1e-3, -k)) == residual, k
 
 
 @pytest.mark.parametrize(
@@ -786,6 +802,32 @@ def test_weight_ode_holds_along_the_flow():
     assert np.max(np.abs(lhs - rhs)) < 1e-6
 
 
+def test_probes_decompose_and_tilt_once(monkeypatch):
+    # the Weyl-law probe decomposes j0 once, for its gap test and its lattice,
+    # and each of the three states once; the moment probe reads s_k and
+    # log Omega at t - h, t and t + h from one three-row tilt
+    calls = {"dstemr": 0, "tilt": 0}
+    dstemr, tilt = todaflow.jacobi.lapack.dstemr, todaflow.flow._tilted_log_weights
+
+    def counted_dstemr(*args):
+        calls["dstemr"] += 1
+        return dstemr(*args)
+
+    def counted_tilt(*args):
+        calls["tilt"] += 1
+        return tilt(*args)
+
+    monkeypatch.setattr(todaflow.jacobi.lapack, "dstemr", counted_dstemr)
+    monkeypatch.setattr(todaflow.flow, "_tilted_log_weights", counted_tilt)
+    j = random_jacobi(np.random.default_rng(8), 8)
+    weyl_evolution_residual(j, 10.0, 0.5, 1e-3)
+    assert calls["dstemr"] == 4
+    mu = eigendecompose(j)
+    calls["tilt"] = 0
+    moment_recurrence_residual(mu, 0.5, 4, 1e-3)
+    assert calls["tilt"] == 1
+
+
 def test_weyl_evolution_residual_1x1():
     # for N = 1 the matrix is constant and the law reduces to 0 = 0
     assert weyl_evolution_residual(JacobiMatrix([0.5], []), 3.0, 0.5, 1e-4) < 1e-12
@@ -824,6 +866,14 @@ def test_weyl_evolution_residual_requires_spectral_gap():
     j = JacobiMatrix([0.0, 0.0], [1.0])
     with pytest.raises(PoleProximityError):
         weyl_evolution_residual(j, 1.2, 0.5, 1e-4)
+    # the gap is relative to max |lambda|: 2^-40 J at 3 * 2^-40 is as far
+    # from its spectrum as J at 3, and 2^-40 J at 1.2 * 2^-40 as near
+    small = JacobiMatrix([0.0, 0.0], [2.0**-40])
+    assert weyl_evolution_residual(small, 3.0 * 2.0**-40, 0.5 * 2.0**40, 1e-4 * 2.0**40) == weyl_evolution_residual(
+        j, 3.0, 0.5, 1e-4
+    )
+    with pytest.raises(PoleProximityError):
+        weyl_evolution_residual(small, 1.2 * 2.0**-40, 0.5 * 2.0**40, 1e-4 * 2.0**40)
     with pytest.raises(ValueError, match="finite"):
         weyl_evolution_residual(j, math.nan, 1.0, 0.1)
 

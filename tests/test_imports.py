@@ -227,3 +227,64 @@ def test_every_module_parses_at_the_declared_python_floor():
             ast.parse(path.read_text(), filename=path.name, feature_version=floor)
         except SyntaxError as exc:
             raise AssertionError(f"{path.name} needs a newer Python than {floor}: {exc}") from exc
+
+
+def _ndarray_dataclasses_compared_by_field(path: Path) -> list[str]:
+    # classes decorated @dataclass without eq=False that annotate a field
+    # with np.ndarray (also inside Optional[...] or tuple[...])
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            func = call.func if call else decorator
+            if not (isinstance(func, ast.Name) and func.id == "dataclass"):
+                continue
+            eq_false = call is not None and any(
+                keyword.arg == "eq" and isinstance(keyword.value, ast.Constant) and keyword.value.value is False
+                for keyword in call.keywords
+            )
+            holds_array = any(
+                isinstance(part, ast.Attribute) and part.attr == "ndarray"
+                for field in node.body
+                if isinstance(field, ast.AnnAssign)
+                for part in ast.walk(field.annotation)
+            )
+            if holds_array and not eq_false:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    return found
+
+
+def test_dataclasses_holding_arrays_compare_by_identity():
+    # a field-by-field == on numpy arrays raises "the truth value of an
+    # array ... is ambiguous", so such a class passes eq=False
+    found = [entry for path in sorted(PACKAGE.glob("*.py")) for entry in _ndarray_dataclasses_compared_by_field(path)]
+    assert not found, f"dataclasses with array fields and a field-by-field ==: {found}"
+
+
+def _fsum_calls(tree: ast.AST) -> set[tuple[int, int]]:
+    # (line, column) of every math.fsum(...) or bare fsum(...) call under tree
+    return {
+        (node.lineno, node.col_offset)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            (isinstance(node.func, ast.Attribute) and node.func.attr == "fsum")
+            or (isinstance(node.func, ast.Name) and node.func.id == "fsum")
+        )
+    }
+
+
+def test_fsum_is_called_only_by_the_one_accumulator():
+    # every compensated sum of the package goes through jacobi._weighted_sums
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls = _fsum_calls(tree)
+        for node in tree.body:
+            if path.name == "jacobi.py" and isinstance(node, ast.FunctionDef) and node.name == "_weighted_sums":
+                assert calls & _fsum_calls(node), "_weighted_sums calls math.fsum no longer"
+                calls -= _fsum_calls(node)
+        found += [f"{path.name}:{line}" for line, _ in sorted(calls)]
+    assert not found, f"math.fsum outside jacobi._weighted_sums: {found}"

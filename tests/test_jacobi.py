@@ -23,6 +23,7 @@ from todaflow import (
     solve_toda_semi_infinite,
     weyl_function,
 )
+from todaflow.cli import RunConfig
 from todaflow.jacobi import _first_log_weights, _spectral_measures, _twisted_log_weights
 
 SQRT2 = np.sqrt(2.0)
@@ -368,7 +369,7 @@ def test_weyl_function_overflow_is_loud():
     # relative pole tolerance (about 2^-1053), but the term 0.5 / 2^-1040 is
     # 2^1039, past the double range, which numpy would return as inf
     j = JacobiMatrix([0.0, 0.0], [2.0**-1020])
-    with pytest.raises(OverflowError, match="beyond the double range"):
+    with pytest.raises(OverflowError, match="left the double-precision range"):
         weyl_function(j, 2.0**-1020 + 2.0**-1040)
 
 
@@ -380,8 +381,9 @@ def test_weyl_function_overflow_is_loud():
         lambda: TodaTrajectory([0.0, 1.0], [[0.0, 1.0]] * 2, [[1.0]] * 2),
         lambda: MomentSequence([1.0, 0.0, 1.0]),
         lambda: solve_toda_semi_infinite(make_initial_data("linear_b"), [0.0, 1.0], 1, 1e-8, 16)[1],
+        lambda: RunConfig("finite", np.linspace(0.0, 1.0, 3), JacobiMatrix([0.0, 1.0], [1.0]), {}, {}),
     ],
-    ids=["JacobiMatrix", "DiscreteMeasure", "TodaTrajectory", "MomentSequence", "StabilizationReport"],
+    ids=["JacobiMatrix", "DiscreteMeasure", "TodaTrajectory", "MomentSequence", "StabilizationReport", "RunConfig"],
 )
 def test_equality_is_identity(make):
     # the fields hold numpy arrays, which a field-by-field == cannot compare

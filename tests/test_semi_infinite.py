@@ -77,6 +77,14 @@ def test_generator_builtins():
         make_initial_data("decay", {"alpha": 1e-310})
 
 
+@pytest.mark.parametrize("params", [5, "ab", [("alpha", 2.0)], 0, []])
+def test_make_initial_data_takes_a_dict_or_none(params):
+    # params is a dict or None; anything else is a bad argument named as params
+    with pytest.raises(ValueError, match="^params: need a dict"):
+        make_initial_data("linear_b", params)
+    assert make_initial_data("linear_b", None).coefficients(3) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("params", [{"a": [], "b": 5}, {"a": [[1.0]], "b": [[1.0, 2.0]]}])
 def test_table_rejects_non_1d_arrays_at_construction(params):
     with pytest.raises(ValueError, match="1-d"):
