@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import NumericalError
 from .flow import TodaTrajectory, solve_toda_finite
-from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arrays, eigendecompose
+from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arrays, _unchecked, eigendecompose
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import _grid_steps, compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_measure
@@ -147,12 +147,12 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
         _known_fields(params, ("n", "seed"), "initial.random.")
         n = _count("initial.random.n", params.get("n"), 1, _MAX_N)
         rng = np.random.default_rng(_count("initial.random.seed", params.get("seed", 0), 0))
-        return JacobiMatrix(diag=rng.uniform(-2.0, 2.0, n), offdiag=rng.uniform(0.5, 2.0, n - 1))
+        return _unchecked(JacobiMatrix, diag=rng.uniform(-2.0, 2.0, n), offdiag=rng.uniform(0.5, 2.0, n - 1))
     _require("b" in initial, "initial.b: required for explicit initial data")
     _known_fields(initial, ("b", "a"), "initial.")
     b, a = _jacobi_arrays(initial["b"], initial.get("a", []), 1, names=("initial.b", "initial.a"))
     _require(b.size <= _MAX_N, f"initial.b: need at most {_MAX_N} entries, got {b.size}")
-    return JacobiMatrix(diag=b, offdiag=a)
+    return _unchecked(JacobiMatrix, diag=b, offdiag=a)
 
 
 def _build_generator(initial: dict) -> SemiInfiniteInitialData:

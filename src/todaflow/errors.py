@@ -33,8 +33,8 @@ class PoleProximityError(NumericalError):
 class DegenerateMeasureError(NumericalError):
     """The measure is numerically supported on fewer points than the
     requested matrix size: an orthogonalization norm fell below its
-    floor (from a measure), or a Hankel pivot to 1e-5 of its diagonal
-    moment or below (from moments alone)."""
+    floor or to 0 (from a measure), or a Hankel pivot to 1e-5 of its
+    diagonal moment or below (from moments alone)."""
 
 
 class PositivityError(NumericalError):

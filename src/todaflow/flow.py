@@ -87,7 +87,7 @@ class TodaTrajectory:
     @property
     def states(self) -> tuple[JacobiMatrix, ...]:
         """One JacobiMatrix per grid time, built from the rows on each access."""
-        return tuple(JacobiMatrix(diag=d, offdiag=e) for d, e in zip(self.diag, self.offdiag))
+        return tuple(_unchecked(JacobiMatrix, diag=d, offdiag=e) for d, e in zip(self.diag, self.offdiag))
 
     def diag_array(self) -> np.ndarray:
         """Writable (n_times, N) copy of the diagonal entries."""
@@ -124,7 +124,8 @@ def moser_evolve(mu0: DiscreteMeasure, t: float) -> DiscreteMeasure:
     t = 8e307).
     """
     t = _check_time(t)
-    return _unchecked(DiscreteMeasure, nodes=mu0.nodes, log_weights=_tilted_log_weights(mu0, t) - log_omega(mu0, t))
+    log_weights = _tilted_log_weights(mu0, t) - _evolved_moments(mu0, t, 1)[1]
+    return _unchecked(DiscreteMeasure, nodes=mu0.nodes, log_weights=log_weights)
 
 
 def log_omega(mu0: DiscreteMeasure, t: float) -> float:
@@ -160,7 +161,7 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
     """
     t = _check_time(t)
     count = _count("count", count, 1)
-    return MomentSequence(values=_evolved_moments(mu0, t, count)[0])
+    return _unchecked(MomentSequence, values=_evolved_moments(mu0, t, count)[0])
 
 
 def _evolved_moments(mu0: DiscreteMeasure, times, count: int) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +293,7 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
         )
     diag, offdiag = _evolve_lattice(j0, first, last, np.unique(np.array([0.0, t - h, t, t + h])))
     # the states at t - h (t = h: the initial one), t and t + h
-    states = [JacobiMatrix(d, e) for d, e in zip(diag[-3:], offdiag[-3:])]
+    states = [_unchecked(JacobiMatrix, diag=d, offdiag=e) for d, e in zip(diag[-3:], offdiag[-3:])]
     m_minus, m_mid, m_plus = (-weyl_function(state, lam) for state in states)
     dm = (m_plus - m_minus) / (2.0 * h)
     return abs(dm - 2.0 * (1.0 - (states[1].diag[0] - lam) * m_mid))

@@ -94,12 +94,17 @@ _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
 def _hides_bool(values, ndim: int) -> bool:
-    # a bool inside the (nested) lists or tuples of an ndim-d array
+    # a bool inside the (nested) lists or tuples of an ndim-d array, as a
+    # scalar or as a bool array among them; a flat list is scanned by one
+    # map(type), and its entries again only if an array is among them
     if not isinstance(values, (list, tuple)):
-        return False
-    if ndim == 1:
-        return not _BOOL_TYPES.isdisjoint(map(type, values))
-    return any(_hides_bool(row, ndim - 1) for row in values)
+        return isinstance(values, np.ndarray) and values.dtype.kind == "b"
+    if ndim > 1:
+        return any(_hides_bool(row, ndim - 1) for row in values)
+    types = set(map(type, values))
+    return not _BOOL_TYPES.isdisjoint(types) or (
+        any(issubclass(t, np.ndarray) for t in types) and any(_hides_bool(v, 0) for v in values)
+    )
 
 
 def _real_array(name: str, values, ndim: int, *, positive: bool = False) -> np.ndarray:
@@ -107,7 +112,8 @@ def _real_array(name: str, values, ndim: int, *, positive: bool = False) -> np.n
     each greater than 0 when positive is set.
 
     Only integer and float dtypes pass: strings, bools (also inside a list
-    of numbers), complex and object entries are rejected, never converted.
+    of numbers, as a bool or a bool array), complex and object entries are
+    rejected, never converted.
     Messages start with name.
     """
     try:
@@ -168,8 +174,8 @@ def _freeze(instance, **arrays: np.ndarray) -> None:
 
 
 def _unchecked(cls, **arrays: np.ndarray):
-    # a cls built without its checks, the solvers' constructor: the caller
-    # guarantees what they test and hands over arrays that nothing else writes to
+    # cls built without its checks, for every value the library makes: its
+    # maker guarantees what they test and hands over arrays nothing else writes to
     instance = object.__new__(cls)
     _freeze(instance, **arrays)
     return instance
@@ -304,12 +310,9 @@ def _first_log_weights(d: np.ndarray, e: np.ndarray, lam: np.ndarray, vec: np.nd
     # 2 log|vec[0, k]|, the components MRRR set to 0 recomputed in logs
     with np.errstate(divide="ignore"):
         log_weights = 2.0 * np.log(np.abs(vec[0]))
-    if np.isfinite(log_weights).all():
-        # MRRR set no component to 0
-        return log_weights
     # 256 components at a time, so the pass holds (N, 256) arrays rather
     # than (N, K) ones for all K lost components
-    lost = np.flatnonzero(log_weights == -np.inf)
+    lost = (log_weights == -np.inf).nonzero()[0]
     for start in range(0, lost.size, 256):
         cols = lost[start : start + 256]
         log_weights[cols] = _twisted_log_weights(d, e, lam[cols], vec[:, cols])

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateMeasureError, PositivityError
-from .jacobi import DiscreteMeasure, JacobiMatrix, _count, _freeze, _real_array, _weighted_sums
+from .jacobi import DiscreteMeasure, JacobiMatrix, _count, _freeze, _real_array, _unchecked, _weighted_sums
 
 __all__ = [
     "MomentSequence",
@@ -98,8 +98,7 @@ def moments_from_measure(mu: DiscreteMeasure, count: int) -> MomentSequence:
 
     Raises OverflowError if any term exceeds the floating-point range.
     """
-    count = _count("count", count, 1)
-    return MomentSequence(values=_moment_sums(mu.nodes, mu.weights, count))
+    return _unchecked(MomentSequence, values=_moment_sums(mu.nodes, mu.weights, _count("count", count, 1)))
 
 
 def hankel_matrix(s: MomentSequence, size: int) -> np.ndarray:
@@ -194,6 +193,7 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
         when weights below about 1e-616 of the total drop out).  The floor
         is relative, so scaling the nodes by a power of two scales the
         result by it, bit for bit; the message names the norm over 2^e.
+        Also if a norm underflows to 0 multiplied back by 2^e (subnormal nodes).
     OverflowError
         If an entry is beyond the double range (none exceeds max |node|
         in exact arithmetic).
@@ -201,7 +201,7 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     # at most one coefficient pair per node
     n = _count("n", n, 1, mu.nodes.size)
     diag, offdiag = _stieltjes(mu.nodes, mu.log_weights[np.newaxis], n)
-    return JacobiMatrix(diag=diag[0], offdiag=offdiag[0])
+    return _unchecked(JacobiMatrix, diag=diag[0], offdiag=offdiag[0])
 
 
 # Cap on what one sweep of _stieltjes holds: the (n, rows, nodes) basis and
@@ -240,7 +240,9 @@ def _stieltjes(
     brings max |node| into [1/2, 1), which is exact, and its results are
     multiplied back by 2^e: so its norm floor reads relative to 2^e, and
     the coefficients of 2^k times the nodes are 2^k times these, bit for
-    bit, unless an entry leaves the normal doubles.
+    bit, unless an entry leaves the normal doubles.  Callers build values of
+    the results unchecked: an entry rounded past the double range raises
+    OverflowError, and a norm that underflows to 0 DegenerateMeasureError.
     """
     e = math.frexp(max(-nodes[0], nodes[-1]))[1]
     x = np.ldexp(nodes, -e)
@@ -250,13 +252,13 @@ def _stieltjes(
     for start in range(0, log_weights.shape[0], rows_per_chunk):
         chunk = slice(start, start + rows_per_chunk)
         _stieltjes_sweep(x, log_weights[chunk], diag[chunk], offdiag[chunk])
-    # no entry exceeds max |node| in exact arithmetic, so only rounding at
-    # the top of the double range could carry one past it
     with np.errstate(over="ignore"):
         np.ldexp(diag, e, out=diag)
         np.ldexp(offdiag, e, out=offdiag)
     if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise OverflowError("a recurrence center or norm left the double-precision range")
+    if not offdiag.all():
+        raise DegenerateMeasureError(f"a norm above the floor underflowed to 0 when multiplied back by 2^{e}")
     return diag, offdiag
 
 
@@ -401,14 +403,14 @@ def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
     diag, offdiag = np.diff(np.diagonal(r, 1) / pivots, prepend=0.0), pivots[1:] / pivots[:-1]
     if not (np.isfinite(diag).all() and np.isfinite(offdiag).all()):
         raise OverflowError("a recurrence center or a ratio of Hankel pivots left the double-precision range")
-    return JacobiMatrix(diag=diag, offdiag=offdiag)
+    return _unchecked(JacobiMatrix, diag=diag, offdiag=offdiag)
 
 
 def moment_bilinear_form(s: MomentSequence, f, g) -> float:
     """<F, G> = sum_{n,m} s_{n+m} f_n g_m for monomial-basis coefficients, one compensated
     sum; raises OverflowError if a product s_{n+m} f_n or a term exceeds the floating-point range."""
-    f = _real_array("f", np.atleast_1d(f), 1)
-    g = _real_array("g", np.atleast_1d(g), 1)
+    f = _real_array("f", f if np.ndim(f) else [f], 1)
+    g = _real_array("g", g if np.ndim(g) else [g], 1)
     size = max(f.size, g.size)
     if len(s) < 2 * size - 1:
         raise ValueError(

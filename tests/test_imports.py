@@ -288,3 +288,38 @@ def test_fsum_is_called_only_by_the_one_accumulator():
                 calls -= _fsum_calls(node)
         found += [f"{path.name}:{line}" for line, _ in sorted(calls)]
     assert not found, f"math.fsum outside jacobi._weighted_sums: {found}"
+
+
+# the value types whose constructors check what they are given, and the
+# functions whose calls of them check a caller's coefficient function
+_CHECKED_TYPES = frozenset(("JacobiMatrix", "DiscreteMeasure", "TodaTrajectory", "MomentSequence"))
+_OUTSIDE_DATA = frozenset(("SemiInfiniteInitialData.truncation", "solve_toda_semi_infinite"))
+
+
+def _checked_constructions(node: ast.AST, scope: str) -> list[tuple[str, int]]:
+    # (enclosing qualified name, line) of each call of a value type under
+    # node, its functions and classes named by their dotted path
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            found += _checked_constructions(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call):
+            func = child.func
+            if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) in _CHECKED_TYPES:
+                found.append((scope, child.lineno))
+        found += _checked_constructions(child, scope)
+    return found
+
+
+def test_values_the_library_makes_are_built_unchecked():
+    # a value type's checks run where outside data enters; every value the
+    # library makes itself goes through jacobi._unchecked
+    calls = [
+        (path.name, scope, line)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for scope, line in _checked_constructions(ast.parse(path.read_text()), "")
+    ]
+    assert _OUTSIDE_DATA <= {scope for _, scope, _ in calls}, "the lint no longer sees the checked constructions"
+    found = [f"{module}:{line} in {scope or 'module'}" for module, scope, line in calls if scope not in _OUTSIDE_DATA]
+    assert not found, f"checked constructions of values the library makes; use jacobi._unchecked: {found}"

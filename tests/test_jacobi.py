@@ -17,9 +17,13 @@ from todaflow import (
     MomentSequence,
     PoleProximityError,
     TodaTrajectory,
+    chebyshev_u,
     eigendecompose,
     make_initial_data,
+    moment_bilinear_form,
     moments_from_measure,
+    rk4_toda,
+    solve_toda_finite,
     solve_toda_semi_infinite,
     weyl_function,
 )
@@ -82,6 +86,36 @@ def test_measure_construction_rejects_bad_input():
     for nodes, weights in not_real:
         with pytest.raises(ValueError, match="real numbers"):
             DiscreteMeasure(nodes=nodes, weights=weights)
+
+
+def test_every_public_array_argument_rejects_a_hidden_bool_array():
+    # numpy reads a bool array among numbers, or as a row among rows, as
+    # 1.0 and 0.0; each public array argument is given one in a list
+    hidden = np.array(True)
+    j = JacobiMatrix(diag=[0.0, 0.5], offdiag=[1.0])
+    s = MomentSequence([1.0, 0.5, 1.0])
+    calls = [
+        ("diag", lambda: JacobiMatrix(diag=[1.0, hidden], offdiag=[1.0])),
+        ("offdiag", lambda: JacobiMatrix(diag=[0.0, 0.5], offdiag=(hidden,))),
+        ("nodes", lambda: DiscreteMeasure(nodes=[-1.0, hidden], weights=[0.5, 0.5])),
+        ("weights", lambda: DiscreteMeasure(nodes=[0.0, 1.0], weights=[0.5, hidden])),
+        ("values", lambda: MomentSequence([1.0, hidden])),
+        ("times", lambda: TodaTrajectory(times=[0.0, hidden], diag=[[0.0, 0.5]] * 2, offdiag=[[1.0]] * 2)),
+        ("diag", lambda: TodaTrajectory(times=[0, 1], diag=[[1.0, 2.0], np.array([True, False])], offdiag=[[1.0]] * 2)),
+        ("offdiag", lambda: TodaTrajectory(times=[0, 1], diag=[[0.0, 0.5]] * 2, offdiag=[[1.0], [hidden]])),
+        ("f", lambda: moment_bilinear_form(s, [1.0, True], [1.0])),
+        ("f", lambda: moment_bilinear_form(s, hidden, [1.0])),
+        ("g", lambda: moment_bilinear_form(s, [1.0], [0.5, hidden])),
+        ("lam", lambda: chebyshev_u(2, [0.5, hidden])),
+        ("times", lambda: solve_toda_finite(j, [0.0, hidden])),
+        ("times", lambda: rk4_toda(j, [0.0, hidden], 0.5)),
+        ("times", lambda: solve_toda_semi_infinite(make_initial_data("linear_b"), [0.0, hidden], 1, 1e-8, 64)),
+        ("a", lambda: make_initial_data("table", {"a": [1.0, hidden], "b": [0.0, 0.5]})),
+        ("b", lambda: make_initial_data("table", {"a": [1.0], "b": [0.0, hidden]})),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name}: need real numbers, got (true/false|bool) entries"):
+            call()
 
 
 def test_nodes_whose_difference_overflows_construct_without_a_warning():

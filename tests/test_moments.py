@@ -14,6 +14,7 @@ from todaflow import (
     DiscreteMeasure,
     JacobiMatrix,
     MomentSequence,
+    NumericalError,
     PositivityError,
     check_moment_positivity,
     eigendecompose,
@@ -230,6 +231,37 @@ def test_a_center_scaled_past_the_double_range_raises(monkeypatch):
     top = 1.7976931348623157e308
     with pytest.raises(OverflowError, match="^a recurrence center or norm left the double-precision range$"):
         jacobi_from_measure(DiscreteMeasure([-top, top], [0.5, 0.5]), 2)
+
+
+def test_a_norm_that_underflows_when_scaled_back_raises():
+    # the sweep runs on the nodes times 2^1048 and its norm a_1 is 0.0 once
+    # multiplied back; 0 is no off-diagonal of a Jacobi matrix
+    mu = DiscreteMeasure(np.array([1.0, 2.0, 3.0]) * 1e-316, [1.0, 1e-16, 1e-30])
+    with pytest.raises(DegenerateMeasureError, match="^a norm above the floor underflowed to 0"):
+        jacobi_from_measure(mu, 3)
+
+
+def test_subnormal_nodes_never_give_a_nonpositive_off_diagonal():
+    # 2^k times the nodes, down to the smallest subnormal: a reconstruction
+    # returns positive norms or raises, from a measure and from a lattice
+    def raises(make):
+        try:
+            offdiag = make().offdiag
+        except NumericalError:
+            return True
+        assert (offdiag > 0.0).all()
+        return False
+
+    mu = DiscreteMeasure([1.0, 2.0, 3.0], [1.0, 1e-16, 1e-30])
+    j = jacobi_from_measure(mu, 3)
+    raised = 0
+    for k in range(-1000, -1075, -1):
+        raised += raises(lambda: jacobi_from_measure(DiscreteMeasure(np.ldexp(mu.nodes, k), mu.weights), 3))
+        offdiag = np.ldexp(j.offdiag, k)
+        if offdiag.all():
+            times = np.ldexp([0.0, 1.0, 2.0], min(-k, 1000))
+            raises(lambda: solve_toda_finite(JacobiMatrix(np.ldexp(j.diag, k), offdiag), times))
+    assert raised
 
 
 def lanczos_reference(mu, n):
