@@ -14,7 +14,7 @@ with stop_reason n_max instead of returning a number.
 
 import numpy as np
 
-from todaflow import SemiInfiniteInitialData, make_initial_data, solve_toda_semi_infinite
+from todaflow import make_initial_data, solve_toda_semi_infinite
 
 times = np.linspace(0.0, 1.0, 6)
 
@@ -41,7 +41,7 @@ print(f"top eigenvalue per truncation: {['%.2f' % x for x in report.spectral_max
 print(f"converged: {report.converged} ({report.stop_reason}), b_1(3) = {traj.diag[-1, 0]:.10f}")
 
 print("\n=== no solution: a_n = n, b_n = 0 at t = 0.8, past the blow-up at pi/4 ===")
-blowup = SemiInfiniteInitialData(lambda n: (float(n), 0.0))
+blowup = lambda n: (float(n), 0.0)
 _, report = solve_toda_semi_infinite(blowup, [0.0, 0.8], m=1, tol=1e-8, n_max=1024)
 print(f"truncations: {report.truncation_sizes}")
 print(f"b_1(0.8) per truncation: {['%.1f' % h[-1, 0] for h in report.diag_history]}")

@@ -43,7 +43,7 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -53,13 +53,7 @@ from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arr
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import _grid_steps, compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_measure
-from .semi_infinite import (
-    _GENERATORS,
-    SemiInfiniteInitialData,
-    _truncation_sizes,
-    make_initial_data,
-    solve_toda_semi_infinite,
-)
+from .semi_infinite import _GENERATORS, _truncation_sizes, make_initial_data, solve_toda_semi_infinite
 
 __all__ = [
     "RunConfig",
@@ -110,13 +104,14 @@ class RunConfig:
     """A validated run: all that run() needs but the output directory,
     resolved to library objects.
 
-    initial is a JacobiMatrix, or SemiInfiniteInitialData in semi_infinite mode;
+    initial is a JacobiMatrix, or in semi_infinite mode the coefficient
+    function n -> (a_n, b_n) that make_initial_data returns;
     times is None in response mode; options and output are filled from _MODES.
     """
 
     mode: str
     times: Optional[np.ndarray]
-    initial: JacobiMatrix | SemiInfiniteInitialData
+    initial: JacobiMatrix | Callable[[int], tuple[float, float]]
     options: dict
     output: dict
 
@@ -155,7 +150,7 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
     return _unchecked(JacobiMatrix, diag=b, offdiag=a)
 
 
-def _build_generator(initial: dict) -> SemiInfiniteInitialData:
+def _build_generator(initial: dict) -> Callable[[int], tuple[float, float]]:
     _known_fields(initial, ("generator", "params"), "initial.")
     name, params = initial.get("generator"), initial.get("params", {})
     _require(name in ("table", *_GENERATORS), f"initial.generator: unknown initial-data generator {name!r}")
@@ -208,7 +203,7 @@ def load_config(path) -> RunConfig:
         # a run that outgrows a table later fails then, as it is exhausted
         size = _truncation_sizes(options["m"], options["n_max"], "options.")[1][1]
         try:
-            initial.coefficients(size)
+            initial(size)
         except ValueError as exc:
             raise ValueError(f"options.n_max: {exc}") from exc
     else:

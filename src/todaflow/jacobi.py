@@ -107,9 +107,10 @@ def _hides_bool(values, ndim: int) -> bool:
     )
 
 
-def _real_array(name: str, values, ndim: int, *, positive: bool = False) -> np.ndarray:
-    """Read-only float copy of an ndim-d array of finite real numbers,
-    each greater than 0 when positive is set.
+def _real_array(name: str, values, ndim: int | None, *, positive: bool = False) -> np.ndarray:
+    """Read-only float copy of an ndim-d array (any number of axes when
+    ndim is None) of finite real numbers, each greater than 0 when
+    positive is set.
 
     Only integer and float dtypes pass: strings, bools (also inside a list
     of numbers, as a bool or a bool array), complex and object entries are
@@ -119,9 +120,12 @@ def _real_array(name: str, values, ndim: int, *, positive: bool = False) -> np.n
     try:
         arr = np.asarray(values)
     except ValueError as exc:
-        raise ValueError(f"{name}: need a {ndim}-d array, got a ragged nesting") from exc
+        wanted = "a rectangular" if ndim is None else f"a {ndim}-d"
+        raise ValueError(f"{name}: need {wanted} array, got a ragged nesting") from exc
     if arr.dtype.kind not in "iuf":
         raise ValueError(f"{name}: need real numbers, got {arr.dtype} entries")
+    if ndim is None:
+        ndim = arr.ndim
     if arr.ndim != ndim:
         raise ValueError(f"{name}: need a {ndim}-d array, got {arr.ndim}-d")
     if _hides_bool(values, ndim):
@@ -303,6 +307,13 @@ def _spectral_measures(j: JacobiMatrix, last: bool) -> tuple[DiscreteMeasure, ..
     if math.frexp(top)[1] + exponent > np.finfo(float).maxexp:
         raise OverflowError("an eigenvalue is beyond the double range")
     lam = np.ldexp(lam, exponent)
+    # scaling back is exact for normal doubles; below them neighbouring
+    # eigenvalues can round to one double
+    if not (lam[1:] > lam[:-1]).all():
+        raise EigenConvergenceError(
+            "computed eigenvalues round together below the smallest normal double; "
+            "the nodes would not increase strictly"
+        )
     return tuple(_unchecked(DiscreteMeasure, nodes=lam, log_weights=w) for w in log_weights)
 
 

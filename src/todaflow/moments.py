@@ -128,7 +128,8 @@ def check_moment_positivity(s: MomentSequence) -> MomentClassification:
     [1, 0, 0, 0, 1]).
     """
     t_max = (len(s) + 1) // 2
-    h = hankel_matrix(s, t_max)
+    # the largest Hankel block, as a read-only view: row i is s_i..s_{i+t_max-1}
+    h = np.lib.stride_tricks.sliding_window_view(s.values[: 2 * t_max - 1], t_max)
     r, support, pivot = _hankel_cholesky(h, _ZERO_PIVOT_REL)
     if support == t_max:
         return MomentClassification(kind=POSITIVE_DEFINITE, order=t_max)
@@ -406,11 +407,18 @@ def jacobi_from_moments(s: MomentSequence, n: int) -> JacobiMatrix:
     return _unchecked(JacobiMatrix, diag=diag, offdiag=offdiag)
 
 
+def _polynomial(name: str, coefficients) -> np.ndarray:
+    # monomial coefficients as a 1-d array, a scalar as a one-entry one
+    arr = _real_array(name, coefficients, None)
+    if arr.ndim > 1:
+        raise ValueError(f"{name}: need a 1-d array, got {arr.ndim}-d")
+    return arr.reshape(-1)
+
+
 def moment_bilinear_form(s: MomentSequence, f, g) -> float:
     """<F, G> = sum_{n,m} s_{n+m} f_n g_m for monomial-basis coefficients, one compensated
     sum; raises OverflowError if a product s_{n+m} f_n or a term exceeds the floating-point range."""
-    f = _real_array("f", f if np.ndim(f) else [f], 1)
-    g = _real_array("g", g if np.ndim(g) else [g], 1)
+    f, g = _polynomial("f", f), _polynomial("g", g)
     size = max(f.size, g.size)
     if len(s) < 2 * size - 1:
         raise ValueError(

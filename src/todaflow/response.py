@@ -48,7 +48,7 @@ def chebyshev_u(k: int, lam):
     beyond the double range.
     """
     k = _count("k", k, 0)
-    arr = _real_array("lam", lam, np.ndim(lam))
+    arr = _real_array("lam", lam, None)
     cur = next(itertools.islice(_chebyshev_rows(arr), k, None))
     if not np.isfinite(cur).all():
         raise OverflowError(f"T_{k}(lam) left the double-precision range")

@@ -23,10 +23,10 @@ from .jacobi import JacobiMatrix, _count, _finite_real, _freeze, _real_array, _u
 from .moments import _stieltjes
 
 __all__ = [
-    "SemiInfiniteInitialData",
     "StabilizationReport",
     "make_initial_data",
     "solve_toda_semi_infinite",
+    "truncation",
 ]
 
 # A deviation at most this many eps * ||J_n||_inf is roundoff in the
@@ -35,21 +35,11 @@ __all__ = [
 _FLOOR_ULPS = 100.0
 
 
-@dataclass(frozen=True)
-class SemiInfiniteInitialData:
-    """Initial lattice data (a_n, b_n) for every n >= 1.
-
-    coefficients(n) must return the pair (a_n, b_n) with a_n > 0 for any
-    n >= 1 it is asked for.
-    """
-
-    coefficients: Callable[[int], tuple[float, float]]
-
-    def truncation(self, n: int) -> JacobiMatrix:
-        """Leading n x n Jacobi block of the initial operator."""
-        n = _count("n", n, 1)
-        pairs = [self.coefficients(k) for k in range(1, n + 1)]
-        return JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[: n - 1]])
+def truncation(coefficients: Callable[[int], tuple[float, float]], n: int) -> JacobiMatrix:
+    """Leading n x n Jacobi block of the initial data n -> (a_n, b_n)."""
+    n = _count("n", n, 1)
+    pairs = [coefficients(k) for k in range(1, n + 1)]
+    return JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[: n - 1]])
 
 
 def _linear_b(alpha: float, beta: float, gamma: float):
@@ -99,8 +89,9 @@ _GENERATORS = {
 }
 
 
-def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteInitialData:
-    """Named built-in generators for initial data.
+def make_initial_data(name: str, params: Optional[dict] = None) -> Callable[[int], tuple[float, float]]:
+    """Named built-in generators of initial data, returned as the
+    coefficient function n -> (a_n, b_n), n >= 1.
 
     "linear_b":  b_n = beta * n + gamma, a_n = alpha (constant data at beta = 0)
     "decay":     b_n = gamma,            a_n = alpha / n
@@ -133,7 +124,7 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> SemiInfiniteI
         raise ValueError(f"unknown initial-data generator {name!r}")
     if params:
         raise ValueError(f"{next(iter(params))}: not a parameter of the {name} generator")
-    return SemiInfiniteInitialData(coefficients=coeff)
+    return coeff
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,7 +187,7 @@ def _truncation_sizes(m, n_max, prefix: str = "") -> tuple[int, list[int]]:
 
 
 def solve_toda_semi_infinite(
-    init: SemiInfiniteInitialData,
+    init: Callable[[int], tuple[float, float]],
     times,
     m: int,
     tol: float,
@@ -204,6 +195,10 @@ def solve_toda_semi_infinite(
 ) -> tuple[TodaTrajectory, StabilizationReport]:
     """Doubling-truncation solve of the semi-infinite lattice.
 
+    init is the initial data as its coefficient function: init(n) returns
+    the pair (a_n, b_n), with b_n finite and a_n > 0, for every n >= 1 it
+    is asked for; each block is built checked, so a pair that breaks this
+    raises ValueError.
     Decomposes the truncations of sizes N1, 2 N1, 4 N1, ... below n_max
     and then n_max itself (N1 = max(2m+2, 8) < n_max, so two sizes at
     least) once each and reconstructs only their leading (m+1) x (m+1)
@@ -236,7 +231,7 @@ def solve_toda_semi_infinite(
     # coefficient is fetched once
     pairs: list[tuple[float, float]] = []
     for n in sizes:
-        pairs += [init.coefficients(k) for k in range(len(pairs) + 1, n + 1)]
+        pairs += [init(k) for k in range(len(pairs) + 1, n + 1)]
         block = JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[:-1]])
         mu0 = eigendecompose(block)
         spectral_maxima.append(float(mu0.nodes[-1]))

@@ -29,6 +29,7 @@ from todaflow import (
     rk4_toda,
     solve_toda_finite,
     solve_toda_semi_infinite,
+    truncation,
     weyl_evolution_residual,
 )
 
@@ -172,7 +173,7 @@ def test_criterion_8_semi_infinite_unbounded_data():
     windows = {}
     spectral_tops = {}
     for n in (16, 32, 64):
-        block = init.truncation(n)
+        block = truncation(init, n)
         spectral_tops[n] = float(eigendecompose(block).nodes[-1])
         traj = solve_toda_finite(block, GRID_01)
         windows[n] = np.concatenate(

@@ -15,6 +15,7 @@ from todaflow import (
     EigenConvergenceError,
     JacobiMatrix,
     MomentSequence,
+    NumericalError,
     PoleProximityError,
     TodaTrajectory,
     chebyshev_u,
@@ -116,6 +117,24 @@ def test_every_public_array_argument_rejects_a_hidden_bool_array():
     for name, call in calls:
         with pytest.raises(ValueError, match=f"^{name}: need real numbers, got (true/false|bool) entries"):
             call()
+
+
+def test_ragged_arguments_are_named():
+    # numpy's own message on a ragged list names no parameter
+    s = MomentSequence([1.0, 0.5, 1.0])
+    ragged = [1.0, [2.0, 3.0]]
+    calls = [
+        ("f", lambda: moment_bilinear_form(s, ragged, [1.0])),
+        ("g", lambda: moment_bilinear_form(s, [1.0], ragged)),
+        ("lam", lambda: chebyshev_u(2, ragged)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"^{name}: need a rectangular array, got a ragged nesting$"):
+            call()
+    # a scalar stays a scalar point and a one-entry polynomial
+    value = chebyshev_u(3, 0.5)
+    assert type(value) is float and value == -0.75
+    assert moment_bilinear_form(s, 2.0, [1.0, 1.0]) == 3.0
 
 
 def test_nodes_whose_difference_overflows_construct_without_a_warning():
@@ -229,6 +248,27 @@ def test_eigenvalues_near_the_double_range():
     # 1.7e308 + 1e308 is beyond it
     with pytest.raises(OverflowError, match="beyond the double range"):
         eigendecompose(JacobiMatrix(diag=[1.7e308, 1.7e308], offdiag=[1e308]))
+
+
+def test_subnormal_nodes_increase_strictly_or_raise():
+    # random N = 3-19 lattices scaled by 2^k: at subnormal scale neighbouring
+    # eigenvalues can round to one double, and eigendecompose then raises
+    # rather than return nodes its own type refuses
+    rng = np.random.default_rng(0)
+    outcomes = {"returned": 0, "raised": 0}
+    for _ in range(1000):
+        n = int(rng.integers(3, 20))
+        b, a = rng.uniform(-2.0, 2.0, n), rng.uniform(0.5, 2.0, n - 1)
+        for k in (-1040, -1050, -1060, -1066, -1070):
+            j = JacobiMatrix(diag=np.ldexp(b, k), offdiag=np.ldexp(a, k))
+            try:
+                mu = eigendecompose(j)
+            except NumericalError:
+                outcomes["raised"] += 1
+                continue
+            assert (np.diff(mu.nodes) > 0).all(), (n, k)
+            outcomes["returned"] += 1
+    assert outcomes["raised"] and outcomes["returned"], outcomes
 
 
 def mpmath_log_weights(j, digits):

@@ -7,37 +7,37 @@ import pytest
 
 from todaflow import (
     NumericalError,
-    SemiInfiniteInitialData,
     eigendecompose,
     evolve_moments,
     jacobi_from_measure,
     make_initial_data,
     solve_toda_finite,
     solve_toda_semi_infinite,
+    truncation,
 )
 
 
 def test_generator_builtins():
     init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
-    assert init.coefficients(3) == (1.0, -3.0)
-    block = init.truncation(4)
+    assert init(3) == (1.0, -3.0)
+    block = truncation(init, 4)
     np.testing.assert_array_equal(block.diag, [-1.0, -2.0, -3.0, -4.0])
     np.testing.assert_array_equal(block.offdiag, [1.0, 1.0, 1.0])
 
     init = make_initial_data("linear_b", {"alpha": 0.5, "gamma": 2.0})
-    assert init.coefficients(10) == (0.5, 2.0)
+    assert init(10) == (0.5, 2.0)
 
     init = make_initial_data("decay", {"alpha": 2.0})
-    assert init.coefficients(4) == (0.5, 0.0)
+    assert init(4) == (0.5, 0.0)
 
     init = make_initial_data("table", {"a": [1.0, 2.0], "b": [0.0, 1.0, 2.0]})
-    block = init.truncation(3)
+    block = truncation(init, 3)
     np.testing.assert_array_equal(block.offdiag, [1.0, 2.0])
     with pytest.raises(ValueError):
-        init.truncation(4)
+        truncation(init, 4)
     for bad in (2.0, True, "2"):
         with pytest.raises(ValueError, match="^n:"):
-            init.truncation(bad)
+            truncation(init, bad)
 
     with pytest.raises(ValueError):
         make_initial_data("nonsense")
@@ -82,7 +82,7 @@ def test_make_initial_data_takes_a_dict_or_none(params):
     # params is a dict or None; anything else is a bad argument named as params
     with pytest.raises(ValueError, match="^params: need a dict"):
         make_initial_data("linear_b", params)
-    assert make_initial_data("linear_b", None).coefficients(3) == (1.0, 0.0)
+    assert make_initial_data("linear_b", None)(3) == (1.0, 0.0)
 
 
 @pytest.mark.parametrize("params", [{"a": [], "b": 5}, {"a": [[1.0]], "b": [[1.0, 2.0]]}])
@@ -92,9 +92,9 @@ def test_table_rejects_non_1d_arrays_at_construction(params):
 
 
 def test_truncation_rejects_nonpositive_a():
-    init = SemiInfiniteInitialData(lambda n: (-1.0, 0.0))
+    init = lambda n: (-1.0, 0.0)
     with pytest.raises(ValueError):
-        init.truncation(3)
+        truncation(init, 3)
 
 
 def test_each_coefficient_is_fetched_once():
@@ -105,10 +105,10 @@ def test_each_coefficient_is_fetched_once():
 
     def coefficients(n):
         asked.append(n)
-        return table.coefficients(n)
+        return table(n)
 
     with pytest.raises(ValueError, match="table initial data exhausted at n=21"):
-        solve_toda_semi_infinite(SemiInfiniteInitialData(coefficients), np.linspace(0.0, 1.0, 3), 1, 1e-14, 64)
+        solve_toda_semi_infinite(coefficients, np.linspace(0.0, 1.0, 3), 1, 1e-14, 64)
     assert asked == list(range(1, 22))
 
 
@@ -181,7 +181,7 @@ def test_bounded_data_agrees_with_direct_finite_solve():
     traj, report = solve_toda_semi_infinite(init, times, 1, 1e-8, 64)
     assert report.converged
     assert report.stop_reason == "tol"
-    reference = solve_toda_finite(init.truncation(32), times)
+    reference = solve_toda_finite(truncation(init, 32), times)
     ref_b = reference.diag_array()[:, :1]
     got_b = traj.diag_array()
     assert np.max(np.abs(ref_b - got_b)) < 1e-8
@@ -191,7 +191,7 @@ def test_window_matches_full_solution():
     init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
     times = np.linspace(0.0, 1.0, 4)
     traj, report = solve_toda_semi_infinite(init, times, 3, 1e-10, 32)
-    full = solve_toda_finite(init.truncation(report.truncation_sizes[-1]), times)
+    full = solve_toda_finite(truncation(init, report.truncation_sizes[-1]), times)
     # the leading block takes the same Lanczos steps as the full reconstruction
     np.testing.assert_array_equal(traj.diag_array(), full.diag_array()[:, :3])
     np.testing.assert_array_equal(traj.offdiag_array(), full.offdiag_array()[:, :2])
@@ -269,7 +269,7 @@ def test_unbounded_above_data_converges():
 def test_one_time_grid_returns_the_leading_block():
     init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
     traj, report = solve_toda_semi_infinite(init, [0.0], 3, 1e-8, 64)
-    block = init.truncation(3)
+    block = truncation(init, 3)
     np.testing.assert_array_equal(traj.diag, [block.diag])
     np.testing.assert_array_equal(traj.offdiag, [block.offdiag])
     assert report.converged
@@ -279,7 +279,7 @@ def test_weights_below_the_double_range_rebuild():
     # the N = 128 truncation of b_n = +n has weights down to 1e-430, which
     # read 0 as doubles; the reconstruction starts from their square roots
     # and rebuilds the block to roundoff
-    j = make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0}).truncation(128)
+    j = truncation(make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0}), 128)
     mu = eigendecompose(j)
     assert np.min(mu.log_weights) < -900.0
     back = jacobi_from_measure(mu, 128)
@@ -292,7 +292,7 @@ def test_underflowed_weights_raise_instead_of_rebuilding():
     # keep their value as logs but whose square roots read 0 as doubles: its
     # full block cannot be rebuilt, and that must raise, never return NaN or
     # a wrong block
-    mu = eigendecompose(make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0}).truncation(192))
+    mu = eigendecompose(truncation(make_initial_data("linear_b", {"beta": 1.0, "alpha": 1.0}), 192))
     assert np.all(np.isfinite(mu.log_weights))
     assert np.min(mu.log_weights) < -1600.0
     with pytest.raises(NumericalError):
@@ -310,7 +310,7 @@ def test_report_moments_are_those_of_the_largest_truncation():
     init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
     times = np.linspace(0.0, 1.0, 6)
     _, report = solve_toda_semi_infinite(init, times, 2, 1e-8, 64)
-    mu0 = eigendecompose(init.truncation(report.truncation_sizes[-1]))
+    mu0 = eigendecompose(truncation(init, report.truncation_sizes[-1]))
     for i, t in enumerate(times):
         np.testing.assert_array_equal(report.moments[i], evolve_moments(mu0, t, 4).values)
 
@@ -352,7 +352,7 @@ EXACT_FLOWS = {
 def test_unbounded_data_matches_exact_flow(family, t_end, steps, m):
     initial, flow = EXACT_FLOWS[family]
     times = np.linspace(0.0, t_end, steps + 1)
-    traj, report = solve_toda_semi_infinite(SemiInfiniteInitialData(initial), times, m, 1e-14, 1024)
+    traj, report = solve_toda_semi_infinite(initial, times, m, 1e-14, 1024)
     assert report.converged
     b, a = (np.broadcast_to(x, (times.size, m)) for x in flow(np.arange(1, m + 1), times[:, np.newaxis]))
     exact = np.hstack([b, a[:, :-1]])
@@ -366,7 +366,7 @@ def test_no_solution_past_blow_up_is_not_converged():
     # data settle.  Both runs start from the same a_n, so the Carleman sums
     # sum 1/a_n cannot tell them apart; the b_1 history can.
     initial, _ = EXACT_FLOWS["meixner_pollaczek"]
-    data = SemiInfiniteInitialData(initial)
+    data = initial
     _, report = solve_toda_semi_infinite(data, [0.0, 0.8], 1, 1e-14, 256)
     assert report.converged is False
     assert report.stop_reason == "n_max"
