@@ -35,7 +35,8 @@ from .jacobi import (
     _jacobi_arrays,
     _spectral_measures,
     _unchecked,
-    weyl_function,
+    _weyl_sum,
+    eigendecompose,
 )
 from .moments import MomentSequence, _moment_sums, _stieltjes
 
@@ -292,8 +293,9 @@ def weyl_evolution_residual(j0: JacobiMatrix, lam: float, t: float, h: float) ->
             f"lambda={lam!r} is within {gap:.3e} of the spectrum; need {_SPECTRAL_GAP:g} max |lambda| = {tol:.3e}"
         )
     diag, offdiag = _evolve_lattice(j0, first, last, np.unique(np.array([0.0, t - h, t, t + h])))
-    # the states at t - h (t = h: the initial one), t and t + h
+    # the states at t - h (t = h: j0, whose measure is first), t and t + h
     states = [_unchecked(JacobiMatrix, diag=d, offdiag=e) for d, e in zip(diag[-3:], offdiag[-3:])]
-    m_minus, m_mid, m_plus = (-weyl_function(state, lam) for state in states)
+    measures = [first if t == h else eigendecompose(states[0]), *map(eigendecompose, states[1:])]
+    m_minus, m_mid, m_plus = (-_weyl_sum(mu, lam) for mu in measures)
     dm = (m_plus - m_minus) / (2.0 * h)
     return abs(dm - 2.0 * (1.0 - (states[1].diag[0] - lam) * m_mid))

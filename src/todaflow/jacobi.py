@@ -380,7 +380,11 @@ def weyl_function(j: JacobiMatrix, lam: float) -> float:
     OverflowError if a term or the sum is beyond the double range.
     """
     lam = _finite_real("lam", lam)
-    mu = eigendecompose(j)
+    return _weyl_sum(eigendecompose(j), lam)
+
+
+def _weyl_sum(mu: DiscreteMeasure, lam: float) -> float:
+    # weyl_function of the matrix whose spectral measure is mu, at a checked lam
     with np.errstate(over="ignore", divide="ignore"):
         diff = lam - mu.nodes
         terms = mu.weights / diff
@@ -390,7 +394,7 @@ def weyl_function(j: JacobiMatrix, lam: float) -> float:
         raise PoleProximityError(
             f"lambda={lam!r} is within {gap:.3e} of an eigenvalue (tolerance {tol:.3e}, {_POLE_TOL:g} max |lambda|)"
         )
-    return float(_weighted_sums(np.ones((1, j.n)), terms, "a term sigma_k^2 / (lam - lam_k)")[0])
+    return float(_weighted_sums(np.ones((1, mu.nodes.size)), terms, "a term sigma_k^2 / (lam - lam_k)")[0])
 
 
 # the most terms _weighted_sums forms at once, unless one weight row has

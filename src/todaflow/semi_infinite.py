@@ -131,10 +131,10 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> Callable[[int
 class StabilizationReport:
     """Everything observed while refining the truncation.
 
-    diag_history / offdiag_history hold, per truncation size, the
-    (n_times, m) trajectories of the requested leading entries;
-    deviations[i] is the max-norm change between sizes i and i+1 (two
-    sizes or more run, so there is one at least).
+    diag_history / offdiag_history are (sizes run, n_times, m) arrays:
+    page i holds the trajectories of the requested leading entries of
+    truncation_sizes[i]; deviations[i] is the max-norm change between
+    pages i and i+1 (two sizes or more run, so there is one at least).
     stop_reason says why the refinement ended: "tol" (a deviation fell
     below tol), "floor_limited" (a deviation reached the roundoff floor
     100 eps ||J_n||_inf of the truncation J_n just run, which counts as
@@ -149,16 +149,14 @@ class StabilizationReport:
     deviations: tuple[float, ...]
     converged: bool
     stop_reason: str
-    diag_history: tuple[np.ndarray, ...]
-    offdiag_history: tuple[np.ndarray, ...]
+    diag_history: np.ndarray
+    offdiag_history: np.ndarray
     spectral_maxima: tuple[float, ...]
     moments: np.ndarray
 
     def __post_init__(self):
-        # read-only by the value types' rule; the history entries in place
-        _freeze(self, times=self.times, moments=self.moments)
-        for entry in self.diag_history + self.offdiag_history:
-            entry.flags.writeable = False
+        _freeze(self, times=self.times, diag_history=self.diag_history, offdiag_history=self.offdiag_history,
+                moments=self.moments)
 
     def to_dict(self) -> dict:
         """JSON-ready representation: every field in class order, arrays and
@@ -197,8 +195,8 @@ def solve_toda_semi_infinite(
 
     init is the initial data as its coefficient function: init(n) returns
     the pair (a_n, b_n), with b_n finite and a_n > 0, for every n >= 1 it
-    is asked for; each block is built checked, so a pair that breaks this
-    raises ValueError.
+    is asked for; each block is built checked by truncation, so a pair
+    that breaks this raises ValueError.
     Decomposes the truncations of sizes N1, 2 N1, 4 N1, ... below n_max
     and then n_max itself (N1 = max(2m+2, 8) < n_max, so two sizes at
     least) once each and reconstructs only their leading (m+1) x (m+1)
@@ -211,7 +209,8 @@ def solve_toda_semi_infinite(
     (reported as converged, stop_reason "floor_limited"): past that
     floor a tighter tol cannot be met.
     Returns the last solution's leading m x m block together with the
-    full refinement report.  Non-convergence is reported, not raised.
+    full refinement report, whose histories hold one (n_times, m) page
+    per size run.  Non-convergence is reported, not raised.
     Raises ValueError naming n_max when n_max <= N1, and OverflowError
     where 2 t lam_1, 2 t lam_N or the spread 2 t (lam_N - lam_1) is
     beyond the double range at the last grid time t, lam being the
@@ -222,28 +221,24 @@ def solve_toda_semi_infinite(
     m, sizes = _truncation_sizes(m, n_max)
 
     deviations: list[float] = []
-    diag_hist: list[np.ndarray] = []
-    offdiag_hist: list[np.ndarray] = []
     spectral_maxima: list[float] = []
     stop_reason = "n_max"
+    # page i holds sizes[i]'s leading entries; pages of sizes that never run are never written
+    diag_hist, offdiag_hist = np.empty((2, len(sizes), times.size, m))
 
     # (a_k, b_k) for k = 1..n of the largest truncation so far: each
     # coefficient is fetched once
     pairs: list[tuple[float, float]] = []
-    for n in sizes:
+    for i, n in enumerate(sizes):
         pairs += [init(k) for k in range(len(pairs) + 1, n + 1)]
-        block = JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[:-1]])
+        block = truncation(lambda k: pairs[k - 1], n)
         mu0 = eigendecompose(block)
         spectral_maxima.append(float(mu0.nodes[-1]))
         d, e = _stieltjes(mu0.nodes, _tilted_log_weights(mu0, times[1:]), m + 1)
-        diag, offdiag = np.vstack((block.diag[: m + 1], d)), np.vstack((block.offdiag[:m], e))
-        diag_hist.append(diag[:, :m])
-        offdiag_hist.append(offdiag)
-        if len(diag_hist) > 1:
-            dev = max(
-                float(np.abs(diag_hist[-1] - diag_hist[-2]).max()),
-                float(np.abs(offdiag_hist[-1] - offdiag_hist[-2]).max()),
-            )
+        diag_hist[i, 0], offdiag_hist[i, 0] = block.diag[:m], block.offdiag[:m]
+        diag_hist[i, 1:], offdiag_hist[i, 1:] = d[:, :m], e
+        if i:
+            dev = max(float(np.abs(hist[i] - hist[i - 1]).max()) for hist in (diag_hist, offdiag_hist))
             deviations.append(dev)
             if dev < tol:
                 stop_reason = "tol"
@@ -257,15 +252,15 @@ def solve_toda_semi_infinite(
     report = StabilizationReport(
         entries=m,
         times=times,
-        truncation_sizes=tuple(sizes[: len(diag_hist)]),
+        truncation_sizes=tuple(sizes[: i + 1]),
         deviations=tuple(deviations),
         converged=stop_reason != "n_max",
         stop_reason=stop_reason,
-        diag_history=tuple(diag_hist),
-        offdiag_history=tuple(offdiag_hist),
+        diag_history=diag_hist[: i + 1],
+        offdiag_history=offdiag_hist[: i + 1],
         spectral_maxima=tuple(spectral_maxima),
         moments=moments,
     )
-    # copies: diag_history[-1] is another view of the same rows
-    window = _unchecked(TodaTrajectory, times=times, diag=diag[:, :m].copy(), offdiag=offdiag[:, : m - 1].copy())
+    # copies, so that the window shares no memory with the report
+    window = _unchecked(TodaTrajectory, times=times, diag=diag_hist[i].copy(), offdiag=offdiag_hist[i, :, : m - 1].copy())
     return window, report

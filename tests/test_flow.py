@@ -828,6 +828,22 @@ def test_probes_decompose_and_tilt_once(monkeypatch):
     assert calls["tilt"] == 1
 
 
+def test_weyl_probe_at_t_equal_h_reads_j0s_measure(monkeypatch):
+    # at t = h the state at t - h is j0, which the probe has decomposed
+    # already: one dstemr call for j0 and one for each of t and t + h
+    calls = []
+    dstemr = todaflow.jacobi.lapack.dstemr
+
+    def counted_dstemr(*args):
+        calls.append(args)
+        return dstemr(*args)
+
+    monkeypatch.setattr(todaflow.jacobi.lapack, "dstemr", counted_dstemr)
+    j = JacobiMatrix([0.0, 0.5, -0.3], [1.0, 0.7])
+    weyl_evolution_residual(j, 10.0, 1e-3, 1e-3)
+    assert len(calls) == 3
+
+
 def test_weyl_evolution_residual_1x1():
     # for N = 1 the matrix is constant and the law reduces to 0 = 0
     assert weyl_evolution_residual(JacobiMatrix([0.5], []), 3.0, 0.5, 1e-4) < 1e-12

@@ -291,9 +291,9 @@ def test_fsum_is_called_only_by_the_one_accumulator():
 
 
 # the value types whose constructors check what they are given, and the
-# functions whose calls of them check a caller's coefficient function
+# function whose call of them checks a caller's coefficient function
 _CHECKED_TYPES = frozenset(("JacobiMatrix", "DiscreteMeasure", "TodaTrajectory", "MomentSequence"))
-_OUTSIDE_DATA = frozenset(("truncation", "solve_toda_semi_infinite"))
+_OUTSIDE_DATA = frozenset(("truncation",))
 
 
 def _checked_constructions(node: ast.AST, scope: str) -> list[tuple[str, int]]:

@@ -1,3 +1,4 @@
+import importlib.machinery
 import os
 import subprocess
 import sys
@@ -507,3 +508,11 @@ except ImportError as e:
     name, message = proc.stdout.strip().split(" | ")
     assert name == "scipy.linalg._flapack"
     assert message.startswith("scipy ") and message.endswith(" has no scipy.linalg._flapack")
+
+
+def test_a_missing_lapack_wrapper_raises_an_import_error_naming_it(monkeypatch):
+    # the same raise in process, where the loader is called again
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args: None)
+    with pytest.raises(ImportError, match=r"^scipy \S+ has no scipy\.linalg\._flapack$") as exc:
+        todaflow.jacobi._compiled_lapack()
+    assert exc.value.name == "scipy.linalg._flapack"

@@ -476,6 +476,11 @@ def test_bilinear_form_examples():
         moment_bilinear_form(s, [1.0, 0.0, 1.0], [1.0])
 
 
+def test_bilinear_form_refuses_a_2d_polynomial():
+    with pytest.raises(ValueError, match="^f: need a 1-d array, got 2-d$"):
+        moment_bilinear_form(MomentSequence([1.0, 0.0, 1.0]), [[1.0, 2.0]], [1.0])
+
+
 def test_bilinear_form_is_the_measure_integral():
     rng = np.random.default_rng(31)
     for _ in range(10):

@@ -242,6 +242,19 @@ def test_report_dict_is_its_fields_as_json():
                 np.testing.assert_array_equal(np.array(entry), history)
 
 
+def test_histories_are_one_readonly_array_per_family():
+    # sizes 8, 16 and 32 run and 64 does not: one (sizes run, times, m)
+    # array per coefficient family, its last page the window
+    times = np.linspace(0.0, 1.0, 5)
+    window, report = solve_toda_semi_infinite(make_initial_data("linear_b", {"beta": -1.0}), times, 3, 1e-10, 64)
+    assert report.truncation_sizes == (8, 16, 32)
+    for history in (report.diag_history, report.offdiag_history):
+        assert type(history) is np.ndarray and not history.flags.writeable
+        assert history.shape == (3, times.size, 3)
+    np.testing.assert_array_equal(report.diag_history[-1], window.diag)
+    np.testing.assert_array_equal(report.offdiag_history[-1, :, :2], window.offdiag)
+
+
 def test_spectrum_escaping_upward_is_flagged():
     # b_n = +n has no upper spectral bound, so eigenvalue maxima grow with
     # the truncation.  The flow still exists (b_1(3) = 20.8878708832), but
