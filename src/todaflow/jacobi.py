@@ -397,42 +397,22 @@ def _weyl_sum(mu: DiscreteMeasure, lam: float) -> float:
     return float(_weighted_sums(np.ones((1, mu.nodes.size)), terms, "a term sigma_k^2 / (lam - lam_k)")[0])
 
 
-# the most terms _weighted_sums forms at once, unless one weight row has
-# more: 8 MiB of doubles
-_TERMS_PER_CHUNK = 1 << 20
-
-
 def _weighted_sums(table: np.ndarray, weights: np.ndarray, what: str) -> np.ndarray:
     """Compensated sums over the nodes of table[k, j] * weights[..., j].
 
     table is (count, N); the sums are (count,) for one weight row (N,) and
     (rows, count) for a (rows, N) stack.  Every term must be finite, else
     OverflowError names what left the double-precision range: the moment
-    and response accumulator of the library.  The terms are formed and
-    checked for as many weight rows at a time as fit in 2^20 terms (at
-    least one), and math.fsum reads each row of terms straight from their
-    buffer, so beyond table itself it holds at most 8 MiB of terms or one
-    row's table.size.  Each sum is one math.fsum over its row whatever the
-    chunks, and the errors are those of checking every term before summing
-    any.
+    and response accumulator of the library.  All the terms are formed and
+    checked before any is summed, and math.fsum reads each row of terms
+    straight from their buffer, so it holds table.size terms per weight
+    row: a caller with a long stack passes it in chunks.
     """
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = table * weights[..., np.newaxis, :]
+    if not np.isfinite(terms).all():
+        raise OverflowError(f"{what} left the double-precision range")
     size = table.shape[-1]
-    stack = weights.reshape(-1, size)
-    rows = max(1, _TERMS_PER_CHUNK // table.size)
-    sums = []
-    overflow = None
-    for start in range(0, stack.shape[0], rows):
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = table * stack[start : start + rows, np.newaxis]
-        if not np.isfinite(terms).all():
-            raise OverflowError(f"{what} left the double-precision range")
-        if overflow is None:
-            # a sum past the double range raises only once every term is checked
-            flat = memoryview(terms.reshape(-1))
-            try:
-                sums.extend(math.fsum(flat[i : i + size]) for i in range(0, terms.size, size))
-            except OverflowError as exc:
-                overflow = exc
-    if overflow is not None:
-        raise overflow
-    return np.array(sums).reshape(weights.shape[:-1] + table.shape[:1])
+    flat = memoryview(terms.reshape(-1))
+    sums = [math.fsum(flat[i : i + size]) for i in range(0, terms.size, size)]
+    return np.array(sums).reshape(terms.shape[:-1])

@@ -77,6 +77,14 @@ class MomentClassification:
     order: int
 
 
+# The working set of a stack of weight rows: each row's arithmetic is the
+# same whatever rows share its chunk, so a longer stack is taken in chunks
+# of rows that hold at most this many bytes.  One sweep of _stieltjes holds
+# the (n, rows, nodes) basis and its four (rows, nodes) work buffers, and
+# one call of _weighted_sums from _moment_sums the (rows, count, nodes) terms.
+_CHUNK_BYTES = 1 << 24
+
+
 def _moment_sums(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarray:
     """Compensated sums of nodes**k * weights, k < count: (count,) for one
     weight row (N,), (rows, count) for a (rows, N) stack over the nodes.
@@ -84,11 +92,22 @@ def _moment_sums(nodes: np.ndarray, weights: np.ndarray, count: int) -> np.ndarr
     The (count, N) power table is formed whole.  The CLI asks for at most
     30 moments, or 2m < n_max of at most n_max nodes, so the table holds
     fewer doubles than the n_max x n_max eigenvectors that its n_max cap
-    already admits; _weighted_sums bounds everything else.
+    already admits.  The weight rows go to _weighted_sums in chunks of as
+    many as keep their terms within _CHUNK_BYTES (at least one).
     """
     with np.errstate(over="ignore"):
         powers = np.vander(nodes, count, increasing=True).T
-    return _weighted_sums(powers, weights, f"|node|^k * weight for some k < {count}")
+    what = f"|node|^k * weight for some k < {count}"
+    stack = weights.reshape(-1, nodes.size)
+    sums = np.empty((stack.shape[0], count))
+    # Chunking cannot change which error is raised: the one stacked caller,
+    # _evolved_moments, passes weights exp(tilt - max) <= 1, so a term is
+    # non-finite in one row only if its power is, and then it is in every
+    # row; the first chunk's check finds it before any chunk is summed.
+    rows = max(1, _CHUNK_BYTES // powers.nbytes)
+    for start in range(0, stack.shape[0], rows):
+        sums[start : start + rows] = _weighted_sums(powers, stack[start : start + rows], what)
+    return sums.reshape(weights.shape[:-1] + (count,))
 
 
 def moments_from_measure(mu: DiscreteMeasure, count: int) -> MomentSequence:
@@ -205,12 +224,6 @@ def jacobi_from_measure(mu: DiscreteMeasure, n: int) -> JacobiMatrix:
     return _unchecked(JacobiMatrix, diag=diag[0], offdiag=offdiag[0])
 
 
-# Cap on what one sweep of _stieltjes holds: the (n, rows, nodes) basis and
-# its four (rows, nodes) work buffers; a longer stack of weight rows is
-# reconstructed in chunks of rows.  Each row's arithmetic is the same
-# whatever rows share its chunk.
-_BASIS_BYTES = 1 << 24
-
 _EPS = float(np.finfo(float).eps)
 
 # semiorthogonality: the bound past which a row takes the whole-basis pass
@@ -236,7 +249,7 @@ def _stieltjes(
     entry but the last step's is bitwise that of a larger
     reconstruction, whose step there may add a whole-basis correction.
     The rows are swept in chunks, so that the basis and the sweep's four
-    (rows, N) buffers of a chunk hold at most 16 MiB.
+    (rows, N) buffers of a chunk hold at most _CHUNK_BYTES, 16 MiB.
     The sweep runs on the nodes divided by the power of two 2^e that
     brings max |node| into [1/2, 1), which is exact, and its results are
     multiplied back by 2^e: so its norm floor reads relative to 2^e, and
@@ -247,7 +260,7 @@ def _stieltjes(
     """
     e = math.frexp(max(-nodes[0], nodes[-1]))[1]
     x = np.ldexp(nodes, -e)
-    rows_per_chunk = max(1, _BASIS_BYTES // ((n + 4) * nodes.size * log_weights.itemsize))
+    rows_per_chunk = max(1, _CHUNK_BYTES // ((n + 4) * nodes.size * log_weights.itemsize))
     diag = np.empty((log_weights.shape[0], n))
     offdiag = np.empty((log_weights.shape[0], n if last_norm else n - 1))
     for start in range(0, log_weights.shape[0], rows_per_chunk):

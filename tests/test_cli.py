@@ -68,6 +68,18 @@ def test_verify_mode_reports_oracle_deviation(tmp_path):
     assert report["deviation"] < 1e-6
 
 
+def test_run_lists_the_written_paths(tmp_path, capsys):
+    # without --quiet, main prints the trajectory path, then the report path
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "verify",
+        "initial": {"random": {"n": 5, "seed": 12}},
+        "grid": {"t_end": 1.0, "steps": 10},
+        "options": {"dt": 1e-3},
+    })
+    assert main(["--config", cfg, "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out == f"{tmp_path / 'trajectory.csv'}\n{tmp_path / 'report.json'}\n"
+
+
 def test_csv_round_trips_exactly(tmp_path):
     cfg = write_config(tmp_path / "c.json", {
         "mode": "finite",

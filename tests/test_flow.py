@@ -296,7 +296,7 @@ def test_evolve_block_does_not_depend_on_chunking(monkeypatch):
         # route into 20 chunks and the 80 rows of 6 steps of the two-ended
         # route into 27
         with monkeypatch.context() as patch:
-            patch.setattr(todaflow.moments, "_BASIS_BYTES", 3 * j.n * j.n * 8)
+            patch.setattr(todaflow.moments, "_CHUNK_BYTES", 3 * j.n * j.n * 8)
             chunked = evolve(times)
         np.testing.assert_array_equal(chunked[0], diag)
         np.testing.assert_array_equal(chunked[1], offdiag)
@@ -329,7 +329,7 @@ def test_each_row_is_its_own_sweep_where_rows_project_apart(monkeypatch):
             diag, offdiag = evolve(times)
         assert any(0 < projected < rows for projected, rows in calls)
         with monkeypatch.context() as patch:
-            patch.setattr(todaflow.moments, "_BASIS_BYTES", 3 * j.n * j.n * 8)
+            patch.setattr(todaflow.moments, "_CHUNK_BYTES", 3 * j.n * j.n * 8)
             chunked = evolve(times)
         np.testing.assert_array_equal(chunked[0], diag)
         np.testing.assert_array_equal(chunked[1], offdiag)
@@ -399,14 +399,14 @@ def test_evolved_moment_sums_hold_bounded_memory():
 def test_moment_sums_chunks_do_not_change_the_sums(monkeypatch):
     # semi_infinite_floor's report sums 6 moments of 64 nodes at 11 times,
     # 66 rows of 64 terms: one chunk; summed a weight row at a time, the
-    # sums are the same, and a sum past the double range in the first chunk
-    # still gives way to an inf term in a later one, as when every term was
-    # checked before any sum
+    # sums are the same, and _weighted_sums checks every term of its stack
+    # before it sums any, so a sum past the double range in the first row
+    # still gives way to an inf term in a later one
     mu = eigendecompose(JacobiMatrix(np.full(64, 0.3), np.full(63, 0.9)))
     times = np.linspace(0.0, 4.0, 11)
-    assert times.size * 6 * mu.nodes.size <= todaflow.jacobi._TERMS_PER_CHUNK
+    assert times.size * 6 * mu.nodes.size * 8 <= todaflow.moments._CHUNK_BYTES
     whole = _evolved_moments(mu, times, 6)[0]
-    monkeypatch.setattr(todaflow.jacobi, "_TERMS_PER_CHUNK", 1)
+    monkeypatch.setattr(todaflow.moments, "_CHUNK_BYTES", 1)
     np.testing.assert_array_equal(_evolved_moments(mu, times, 6)[0], whole)
     table = np.ones((1, 2))
     big = np.array([[1e308, 1e308], [1.0, 1.0]])
@@ -414,6 +414,31 @@ def test_moment_sums_chunks_do_not_change_the_sums(monkeypatch):
         _weighted_sums(table, big, "a term")
     with pytest.raises(OverflowError, match="a term left the double-precision range"):
         _weighted_sums(table, np.vstack([big, [1.0, np.inf]]), "a term")
+
+
+@pytest.mark.parametrize(
+    "nodes, weights, times, count, message",
+    [
+        (
+            np.array([-2.0, 0.5, 3.0]) * 1e154,
+            [0.2, 0.3, 0.5],
+            np.linspace(0.0, 1e-300, 7),
+            3,
+            r"\|node\|\^k \* weight for some k < 3 left the double-precision range",
+        ),
+        ([1e308, 1.5e308], [0.5, 0.5], np.array([0.0, 1e-320, 2e-320]), 2, "intermediate overflow in fsum"),
+    ],
+)
+def test_moment_sums_chunks_do_not_change_the_error(monkeypatch, nodes, weights, times, count, message):
+    # the stacked weights are at most 1, so a term leaves the double range
+    # in every row or in none: a row per chunk raises what one chunk does
+    mu = DiscreteMeasure(nodes, weights)
+    with pytest.raises(OverflowError) as whole:
+        _evolved_moments(mu, times, count)
+    monkeypatch.setattr(todaflow.moments, "_CHUNK_BYTES", 1)
+    with pytest.raises(OverflowError, match=message) as chunked:
+        _evolved_moments(mu, times, count)
+    assert str(chunked.value) == str(whole.value)
 
 
 def test_two_ended_top_rows_are_the_one_ended_block():
