@@ -11,6 +11,7 @@ eigenvalue of each truncation is recorded (spectral_maxima), not tested.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -36,10 +37,10 @@ _FLOOR_ULPS = 100.0
 
 
 def truncation(coefficients: Callable[[int], tuple[float, float]], n: int) -> JacobiMatrix:
-    """Leading n x n Jacobi block of the initial data n -> (a_n, b_n)."""
-    n = _count("n", n, 1)
-    pairs = [coefficients(k) for k in range(1, n + 1)]
-    return JacobiMatrix(diag=[p[1] for p in pairs], offdiag=[p[0] for p in pairs[: n - 1]])
+    """Leading n x n Jacobi block of the initial data k -> (a_k, b_k), read
+    at k = 1..n in order; a value of other than two entries raises ValueError."""
+    a, b = zip(*map(coefficients, range(1, _count("n", n, 1) + 1)), strict=True)
+    return JacobiMatrix(diag=b, offdiag=a[:-1])
 
 
 def _linear_b(alpha: float, beta: float, gamma: float):
@@ -72,7 +73,9 @@ def _table(a, b):
     a = np.append(a, [1.0] * (b.size - a.size))
 
     def coeff(n: int) -> tuple[float, float]:
-        if n > b.size:
+        if not 1 <= n <= b.size:
+            if n < 1:
+                raise ValueError(f"n: table initial data starts at n=1, got n={n}")
             raise ValueError(
                 f"table initial data exhausted at n={n}: the table holds {b.size} entries; "
                 "provide more entries or lower n_max"
@@ -104,7 +107,8 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> Callable[[int
     finite, so that every b_n with n < 2**52 is finite.  Defaults:
     alpha = 1.0, beta = 0.0, gamma = 0.0.  params is a dict or None, and
     a message about it or one parameter starts with that name.  A table
-    raises ValueError when asked for an entry past its end, naming its length.
+    raises ValueError when asked for an entry past its end, naming its length,
+    or for n < 1.
     """
     if not (params is None or isinstance(params, dict)):
         raise ValueError(f"params: need a dict of the generator's parameters or None, got {params!r}")
@@ -195,8 +199,9 @@ def solve_toda_semi_infinite(
 
     init is the initial data as its coefficient function: init(n) returns
     the pair (a_n, b_n), with b_n finite and a_n > 0, for every n >= 1 it
-    is asked for; each block is built checked by truncation, so a pair
-    that breaks this raises ValueError.
+    is asked for, once each; each block is built checked by truncation,
+    so a pair that breaks this, or a value of other than two entries,
+    raises ValueError.
     Decomposes the truncations of sizes N1, 2 N1, 4 N1, ... below n_max
     and then n_max itself (N1 = max(2m+2, 8) < n_max, so two sizes at
     least) once each and reconstructs only their leading (m+1) x (m+1)
@@ -226,12 +231,9 @@ def solve_toda_semi_infinite(
     # page i holds sizes[i]'s leading entries; pages of sizes that never run are never written
     diag_hist, offdiag_hist = np.empty((2, len(sizes), times.size, m))
 
-    # (a_k, b_k) for k = 1..n of the largest truncation so far: each
-    # coefficient is fetched once
-    pairs: list[tuple[float, float]] = []
+    fetch = functools.cache(init)  # the cache fetches each coefficient once
     for i, n in enumerate(sizes):
-        pairs += [init(k) for k in range(len(pairs) + 1, n + 1)]
-        block = truncation(lambda k: pairs[k - 1], n)
+        block = truncation(fetch, n)
         mu0 = eigendecompose(block)
         spectral_maxima.append(float(mu0.nodes[-1]))
         d, e = _stieltjes(mu0.nodes, _tilted_log_weights(mu0, times[1:]), m + 1)

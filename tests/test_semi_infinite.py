@@ -91,10 +91,34 @@ def test_table_rejects_non_1d_arrays_at_construction(params):
         make_initial_data("table", params)
 
 
+def test_table_starts_at_n_1():
+    # numpy would read n = 0 and n = -1 from the end of the table
+    init = make_initial_data("table", {"a": [1.0, 2.0], "b": [3.0, 4.0, 5.0]})
+    for n in (0, -1):
+        with pytest.raises(ValueError, match=rf"^n: table initial data starts at n=1, got n={n}$"):
+            init(n)
+    assert init(1) == (1.0, 3.0)
+    assert init(3) == (1.0, 5.0)
+    with pytest.raises(ValueError, match="^table initial data exhausted at n=4: the table holds 3 entries; "):
+        init(4)
+
+
 def test_truncation_rejects_nonpositive_a():
     init = lambda n: (-1.0, 0.0)
     with pytest.raises(ValueError):
         truncation(init, 3)
+
+
+@pytest.mark.parametrize(
+    "coefficients",
+    [lambda k: (1.0,), lambda k: (1.0, 2.0, 3.0), lambda k: (1.0, 2.0, 3.0) if k == 2 else (1.0, 2.0)],
+    ids=["short", "long", "one_long"],
+)
+def test_values_that_are_not_pairs_raise(coefficients):
+    with pytest.raises(ValueError):
+        truncation(coefficients, 3)
+    with pytest.raises(ValueError):
+        solve_toda_semi_infinite(coefficients, [0.0, 0.5], 1, 1e-8, 16)
 
 
 def test_each_coefficient_is_fetched_once():
@@ -187,14 +211,29 @@ def test_bounded_data_agrees_with_direct_finite_solve():
     assert np.max(np.abs(ref_b - got_b)) < 1e-8
 
 
-def test_window_matches_full_solution():
-    init = make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0})
+def _random_table():
+    rng = np.random.default_rng(3)
+    b = rng.uniform(-2.0, 2.0, 64)  # drawn before a
+    return make_initial_data("table", {"a": rng.uniform(0.5, 2.0, 64), "b": b})
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize(
+    "init",
+    [
+        make_initial_data("linear_b", {"beta": -1.0, "alpha": 1.0}),
+        make_initial_data("decay", {"alpha": 2.0}),
+        _random_table(),
+    ],
+    ids=["linear_b", "decay", "table"],
+)
+def test_window_matches_full_solution(init, m):
     times = np.linspace(0.0, 1.0, 4)
-    traj, report = solve_toda_semi_infinite(init, times, 3, 1e-10, 32)
+    traj, report = solve_toda_semi_infinite(init, times, m, 1e-10, 64)
     full = solve_toda_finite(truncation(init, report.truncation_sizes[-1]), times)
     # the leading block takes the same Lanczos steps as the full reconstruction
-    np.testing.assert_array_equal(traj.diag_array(), full.diag_array()[:, :3])
-    np.testing.assert_array_equal(traj.offdiag_array(), full.offdiag_array()[:, :2])
+    np.testing.assert_array_equal(traj.diag_array(), full.diag_array()[:, :m])
+    np.testing.assert_array_equal(traj.offdiag_array(), full.offdiag_array()[:, : m - 1])
 
 
 def test_roundoff_floor_stops_the_doubling():
