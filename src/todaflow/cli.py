@@ -26,7 +26,8 @@ are generator parameters that make some a_n <= 0 or some b_n infinite
 (linear_b: |beta| * 2**52 + |gamma| must be finite), an n_max at most
 the first truncation size max(2m+2, 8), and a table shorter than the
 second, whose message is the table's own ("options.n_max: table initial
-data exhausted at n=16: ...").  Every config error is a ValueError.
+data exhausted at n=16: ..."), as it is when a table runs out later in
+the run.  Every config error is a ValueError.
 Exit codes: 0 success, 1 config/validation or write failure, 2 numerical failure
 (a semi_infinite run that does not converge by n_max is one, and writes nothing).
 Trajectory CSV: header "t,b1,...,bN,a1,...,a{N-1}", one row per grid time,
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import json
 import os
 import sys
@@ -53,7 +55,7 @@ from .jacobi import JacobiMatrix, _count, _finite_real, _increasing, _jacobi_arr
 from .moments import check_moment_positivity, moments_from_measure
 from .oracle import _grid_steps, compare_trajectories, rk4_toda
 from .response import _K_MAX, response_from_measure
-from .semi_infinite import _GENERATORS, _truncation_sizes, make_initial_data, solve_toda_semi_infinite
+from .semi_infinite import _truncation_sizes, make_initial_data, solve_toda_semi_infinite
 
 __all__ = [
     "RunConfig",
@@ -105,7 +107,8 @@ class RunConfig:
     resolved to library objects.
 
     initial is a JacobiMatrix, or in semi_infinite mode the coefficient
-    function n -> (a_n, b_n) that make_initial_data returns;
+    function n -> (a_n, b_n) that make_initial_data returns, whose errors
+    name options.n_max;
     times is None in response mode; options and output are filled from _MODES.
     """
 
@@ -119,6 +122,14 @@ class RunConfig:
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise ValueError(message)
+
+
+def _field(prefix: str, call, *args):
+    # call(*args); prefix, a config path, goes before a ValueError's message
+    try:
+        return call(*args)
+    except ValueError as exc:
+        raise ValueError(prefix + str(exc)) from exc
 
 
 def _known_fields(obj: dict, fields, prefix: str) -> None:
@@ -152,14 +163,12 @@ def _build_matrix(initial: dict) -> JacobiMatrix:
 
 def _build_generator(initial: dict) -> Callable[[int], tuple[float, float]]:
     _known_fields(initial, ("generator", "params"), "initial.")
-    name, params = initial.get("generator"), initial.get("params", {})
-    _require(name in ("table", *_GENERATORS), f"initial.generator: unknown initial-data generator {name!r}")
+    params = initial.get("params", {})
+    # make_initial_data also takes None; a config gives an object
     _require(isinstance(params, dict), "initial.params: must be an object")
-    try:
-        return make_initial_data(name, params)
-    except ValueError as exc:
-        # make_initial_data starts each message with the parameter's name
-        raise ValueError("initial.params." + str(exc)) from exc
+    coefficients = _field("initial.", make_initial_data, initial.get("generator"), params)
+    # a table asked past its end, at the load probe or in the run, names n_max
+    return functools.partial(_field, "options.n_max: ", coefficients)
 
 
 def load_config(path) -> RunConfig:
@@ -200,12 +209,8 @@ def load_config(path) -> RunConfig:
     if mode == "semi_infinite":
         initial = _build_generator(initial)
         # every run reaches its second truncation, which the table must hold;
-        # a run that outgrows a table later fails then, as it is exhausted
-        size = _truncation_sizes(options["m"], options["n_max"], "options.")[1][1]
-        try:
-            initial(size)
-        except ValueError as exc:
-            raise ValueError(f"options.n_max: {exc}") from exc
+        # a run that outgrows a table later fails then, with the same message
+        initial(_field("options.", _truncation_sizes, options["m"], options["n_max"])[1][1])
     else:
         initial = _build_matrix(initial)
     if reads_grid:
@@ -215,7 +220,7 @@ def load_config(path) -> RunConfig:
             f"grid.steps: need (steps + 1) * N <= {_MAX_GRID_VALUES}, got {steps + 1} * {n}",
         )
     if mode == "verify":
-        oracle_steps = sum(_grid_steps(times, options["dt"], "options.dt"))
+        oracle_steps = sum(_field("options.", _grid_steps, times, options["dt"]))
         _require(
             oracle_steps <= _MAX_STEPS,
             f"options.dt: {options['dt']!r} makes {oracle_steps} RK4 steps over the grid, more than {_MAX_STEPS}",

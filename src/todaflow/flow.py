@@ -158,7 +158,9 @@ def evolve_moments(mu0: DiscreteMeasure, t: float, count: int) -> MomentSequence
     and denominator sharing one exponent shift and each accumulated by
     compensated summation.  Equal to
     moments_from_measure(moser_evolve(mu0, t), count) up to roundoff,
-    with s_0 = 1 exactly.  Raises OverflowError where moser_evolve does.
+    with s_0 = 1 exactly.  Raises OverflowError where moser_evolve does,
+    and where a term lam^k w of a sum, k < count, leaves the double range,
+    which moser_evolve never forms (nodes near 1e100 at count 5).
     """
     t = _check_time(t)
     count = _count("count", count, 1)

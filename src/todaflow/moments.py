@@ -28,7 +28,6 @@ __all__ = [
     "FINITE_SUPPORT",
     "INVALID",
     "moments_from_measure",
-    "hankel_matrix",
     "check_moment_positivity",
     "jacobi_from_measure",
     "jacobi_from_moments",
@@ -118,16 +117,6 @@ def moments_from_measure(mu: DiscreteMeasure, count: int) -> MomentSequence:
     Raises OverflowError if any term exceeds the floating-point range.
     """
     return _unchecked(MomentSequence, values=_moment_sums(mu.nodes, mu.weights, _count("count", count, 1)))
-
-
-def hankel_matrix(s: MomentSequence, size: int) -> np.ndarray:
-    """Dense size x size Hankel matrix with entries s_{i+j} (0-based)."""
-    size = _count("size", size, 1)
-    if len(s) < 2 * size - 1:
-        raise ValueError(
-            f"need {2 * size - 1} moments for a {size}x{size} Hankel matrix, have {len(s)}"
-        )
-    return np.lib.stride_tricks.sliding_window_view(s.values[: 2 * size - 1], size).copy()
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -24,13 +24,13 @@ _BLOWUP_LIMIT = 1e8
 _GRID_DIVISION_TOL = 1e-12
 
 
-def _grid_steps(times: np.ndarray, dt: float, name: str = "dt") -> list[int]:
+def _grid_steps(times: np.ndarray, dt: float) -> list[int]:
     # steps of dt per grid spacing, if dt divides each within 1e-12
     spans = []
     for width in np.diff(times).tolist():
         steps = round(width / dt)
         if steps < 1 or abs(steps * dt - width) > _GRID_DIVISION_TOL:
-            raise ValueError(f"{name}: {dt!r} does not divide the grid spacing {width!r} within 1e-12")
+            raise ValueError(f"dt: {dt!r} does not divide the grid spacing {width!r} within 1e-12")
         spans.append(steps)
     return spans
 

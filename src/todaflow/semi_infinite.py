@@ -47,7 +47,7 @@ def _linear_b(alpha: float, beta: float, gamma: float):
     # as for decay, every n < 2**52 must give a finite b_n
     if not math.isfinite(abs(beta) * 2.0**52 + abs(gamma)):
         raise ValueError(
-            f"beta: need |beta| * 2**52 + |gamma| finite, so that every b_n = beta * n + gamma "
+            f"params.beta: need |beta| * 2**52 + |gamma| finite, so that every b_n = beta * n + gamma "
             f"is finite, got beta = {beta!r}, gamma = {gamma!r}"
         )
     return lambda n: (alpha, beta * n + gamma)
@@ -58,16 +58,16 @@ def _decay(alpha: float, gamma: float):
     # a subnormal one can round to a_n = 0 at a size a run reaches
     if alpha < sys.float_info.min:
         raise ValueError(
-            f"alpha: need at least {sys.float_info.min!r}, the smallest normal double, "
+            f"params.alpha: need at least {sys.float_info.min!r}, the smallest normal double, "
             f"so that every a_n = alpha / n > 0, got {alpha!r}"
         )
     return lambda n: (alpha / n, gamma)
 
 
 def _table(a, b):
-    a, b = _real_array("a", a, 1, positive=True), _real_array("b", b, 1)
+    a, b = _real_array("params.a", a, 1, positive=True), _real_array("params.b", b, 1)
     if a.size != b.size - 1 and a.size != b.size:
-        raise ValueError(f"a: need len(a) = len(b) - 1 or len(b), got {a.size} for len(b) = {b.size}")
+        raise ValueError(f"params.a: need len(a) = len(b) - 1 or len(b), got {a.size} for len(b) = {b.size}")
     # a_{len(b)} lies outside every truncated block, so a missing one is
     # padded with any positive placeholder
     a = np.append(a, [1.0] * (b.size - a.size))
@@ -92,7 +92,7 @@ _GENERATORS = {
 }
 
 
-def make_initial_data(name: str, params: Optional[dict] = None) -> Callable[[int], tuple[float, float]]:
+def make_initial_data(generator: str, params: Optional[dict] = None) -> Callable[[int], tuple[float, float]]:
     """Named built-in generators of initial data, returned as the
     coefficient function n -> (a_n, b_n), n >= 1.
 
@@ -105,29 +105,29 @@ def make_initial_data(name: str, params: Optional[dict] = None) -> Callable[[int
     that alpha / n does not underflow to 0) and every entry of a table's
     a > 0, so that every a_n > 0; linear_b needs |beta| * 2**52 + |gamma|
     finite, so that every b_n with n < 2**52 is finite.  Defaults:
-    alpha = 1.0, beta = 0.0, gamma = 0.0.  params is a dict or None, and
-    a message about it or one parameter starts with that name.  A table
-    raises ValueError when asked for an entry past its end, naming its length,
-    or for n < 1.
+    alpha = 1.0, beta = 0.0, gamma = 0.0.  params is a dict or None.  Each
+    message starts with its argument: "generator:", "params:" or
+    "params.<key>:".  A table's function raises ValueError when asked for
+    an entry past its end, naming its length, or for n < 1.
     """
     if not (params is None or isinstance(params, dict)):
         raise ValueError(f"params: need a dict of the generator's parameters or None, got {params!r}")
     params = dict(params or {})
-    if name == "table":
+    if generator == "table":
         for key in ("a", "b"):
             if key not in params:
-                raise ValueError(f"{key}: the table generator needs arrays a and b")
+                raise ValueError(f"params.{key}: the table generator needs arrays a and b")
         coeff = _table(params.pop("a"), params.pop("b"))
-    elif isinstance(name, str) and name in _GENERATORS:
-        defaults, make = _GENERATORS[name]
+    elif isinstance(generator, str) and generator in _GENERATORS:
+        defaults, make = _GENERATORS[generator]
         coeff = make(**{
-            key: _finite_real(key, params.pop(key, value), positive=key == "alpha")
+            key: _finite_real(f"params.{key}", params.pop(key, value), positive=key == "alpha")
             for key, value in defaults.items()
         })
     else:
-        raise ValueError(f"unknown initial-data generator {name!r}")
+        raise ValueError(f"generator: unknown initial-data generator {generator!r}")
     if params:
-        raise ValueError(f"{next(iter(params))}: not a parameter of the {name} generator")
+        raise ValueError(f"params.{next(iter(params))}: not a parameter of the {generator} generator")
     return coeff
 
 
@@ -175,14 +175,13 @@ def _inf_norm(j: JacobiMatrix) -> float:
     return float(rows.max())
 
 
-def _truncation_sizes(m, n_max, prefix: str = "") -> tuple[int, list[int]]:
+def _truncation_sizes(m, n_max) -> tuple[int, list[int]]:
     """m as an int, if m >= 1, and the truncation sizes the solver may
     run, if n_max > N1 = max(2m+2, 8): N1, doubled while below n_max, then
-    n_max itself, so that every run can compare two sizes.  prefix goes
-    before both names in the message."""
-    m = _count(f"{prefix}m", m, 1)
+    n_max itself, so that every run can compare two sizes."""
+    m = _count("m", m, 1)
     sizes = [max(2 * m + 2, 8)]
-    n_max = _count(f"{prefix}n_max", n_max, sizes[0] + 1)
+    n_max = _count("n_max", n_max, sizes[0] + 1)
     while 2 * sizes[-1] < n_max:
         sizes.append(2 * sizes[-1])
     return m, sizes + [n_max]
@@ -215,11 +214,16 @@ def solve_toda_semi_infinite(
     floor a tighter tol cannot be met.
     Returns the last solution's leading m x m block together with the
     full refinement report, whose histories hold one (n_times, m) page
-    per size run.  Non-convergence is reported, not raised.
-    Raises ValueError naming n_max when n_max <= N1, and OverflowError
+    per size run.  Non-convergence is reported, not raised; a breakdown
+    is raised.  Raises ValueError naming n_max when n_max <= N1;
+    DegenerateMeasureError where the weights of a truncation that runs,
+    evolved to a grid time, are numerically supported on fewer than
+    m + 1 nodes (linear_b, beta = 1, m = 3 at t = 30); and OverflowError
     where 2 t lam_1, 2 t lam_N or the spread 2 t (lam_N - lam_1) is
     beyond the double range at the last grid time t, lam being the
-    eigenvalues of a truncation that runs.
+    eigenvalues of a truncation that runs, or where a term |lam|^k w,
+    k < 2m, of the report's moments leaves it (linear_b, alpha = 1e40,
+    m = 8).
     """
     times = _check_grid(times)
     tol = _finite_real("tol", tol, positive=True)

@@ -555,6 +555,42 @@ def test_unconverged_semi_infinite_run_exits_2_and_writes_nothing(tmp_path, caps
     assert not out.exists()
 
 
+def test_semi_infinite_run_that_breaks_down_exits_2_and_writes_nothing(tmp_path, capsys):
+    # a_n = 1e40: the report's moments leave the double range at the end of the run
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"generator": "linear_b", "params": {"alpha": 1e40}},
+        "grid": {"t_end": 1e-41, "steps": 1},
+        "options": {"m": 8},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "numerical failure: OverflowError: |node|^k * weight for some k < 16 left the double-precision range\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_table_that_runs_out_during_the_run_names_n_max(tmp_path, capsys):
+    # a 20-entry table holds the second size, 16, so it passes the load
+    # probe, and runs out when this run needs size 32
+    rng = np.random.default_rng(4)
+    cfg = write_config(tmp_path / "c.json", {
+        "mode": "semi_infinite",
+        "initial": {"generator": "table", "params": {
+            "a": rng.uniform(0.5, 2.0, 19).tolist(), "b": rng.uniform(-2.0, 2.0, 20).tolist()}},
+        "grid": {"t_end": 1.0, "steps": 2},
+        "options": {"m": 1, "tol": 1e-14, "n_max": 64},
+    })
+    out = tmp_path / "out"
+    assert main(["--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: options.n_max: table initial data exhausted at n=21: the table holds 20 entries; "
+        "provide more entries or lower n_max\n"
+    )
+    assert list(out.iterdir()) == []
+
+
 def test_n_max_at_the_first_size_is_refused_at_load(tmp_path, capsys):
     # n_max 8 is the first size at m = 1, so the ladder would hold one size
     out = tmp_path / "out"

@@ -170,6 +170,15 @@ def test_evolve_moments_matches_moser_route():
         np.testing.assert_allclose(direct, via_measure, atol=1e-11)
 
 
+def test_evolve_moments_raises_where_a_term_leaves_the_double_range():
+    # moser_evolve forms no power of a node, so it returns on these nodes
+    # near 1e100, whose 4th powers are past the double range
+    mu = eigendecompose(JacobiMatrix([1e100, 2e100, 3e100], [1e99, 1e99]))
+    assert np.all(np.isfinite(moser_evolve(mu, 0.0).weights))
+    with pytest.raises(OverflowError, match=r"^\|node\|\^k \* weight for some k < 5 left the double-precision range$"):
+        evolve_moments(mu, 0.0, 5)
+
+
 def test_s0_is_exactly_one():
     rng = np.random.default_rng(14)
     j = random_jacobi(rng, 5)

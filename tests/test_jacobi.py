@@ -112,8 +112,8 @@ def test_every_public_array_argument_rejects_a_hidden_bool_array():
         ("times", lambda: solve_toda_finite(j, [0.0, hidden])),
         ("times", lambda: rk4_toda(j, [0.0, hidden], 0.5)),
         ("times", lambda: solve_toda_semi_infinite(make_initial_data("linear_b"), [0.0, hidden], 1, 1e-8, 64)),
-        ("a", lambda: make_initial_data("table", {"a": [1.0, hidden], "b": [0.0, 0.5]})),
-        ("b", lambda: make_initial_data("table", {"a": [1.0], "b": [0.0, hidden]})),
+        ("params.a", lambda: make_initial_data("table", {"a": [1.0, hidden], "b": [0.0, 0.5]})),
+        ("params.b", lambda: make_initial_data("table", {"a": [1.0], "b": [0.0, hidden]})),
     ]
     for name, call in calls:
         with pytest.raises(ValueError, match=f"^{name}: need real numbers, got (true/false|bool) entries"):

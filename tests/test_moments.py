@@ -18,7 +18,6 @@ from todaflow import (
     PositivityError,
     check_moment_positivity,
     eigendecompose,
-    hankel_matrix,
     jacobi_from_measure,
     jacobi_from_moments,
     make_initial_data,
@@ -109,36 +108,11 @@ def test_lattices_far_from_unit_scale_solve():
     np.testing.assert_allclose(windows[0].offdiag / 1e-14, windows[1].offdiag, rtol=0, atol=1e-14)
 
 
-def test_hankel_matrix_examples():
-    h = hankel_matrix(MomentSequence([1.0, 0.0, 1.0]), 2)
-    np.testing.assert_array_equal(h, [[1.0, 0.0], [0.0, 1.0]])
-    h = hankel_matrix(MomentSequence([1.0, 3.0, 9.0]), 2)
-    np.testing.assert_array_equal(h, [[1.0, 3.0], [3.0, 9.0]])
-    assert abs(np.linalg.det(h)) < 1e-14
-    h = hankel_matrix(MomentSequence([1.0, 0.0, 1.0, 0.0, 2.0]), 3)
-    np.testing.assert_array_equal(h, [[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]])
-    with pytest.raises(ValueError):
-        hankel_matrix(MomentSequence([1.0, 0.0, 1.0]), 3)
-    for bad in (1.5, True, "2"):
-        with pytest.raises(ValueError, match="^size:"):
-            hankel_matrix(MomentSequence([1.0, 0.0, 1.0]), bad)
-
-
-def test_hankel_matrix_is_a_writable_copy_equal_to_scipys():
-    s = MomentSequence(np.random.default_rng(0).uniform(0.5, 2.0, 15))
-    for size in range(1, 9):
-        h = hankel_matrix(s, size)
-        reference = scipy.linalg.hankel(s.values[:size], s.values[size - 1 : 2 * size - 1])
-        assert h.flags.writeable and h.flags.owndata
-        assert h.dtype == reference.dtype and h.shape == reference.shape
-        assert h.tobytes() == reference.tobytes()
-
-
 def test_positivity_classification_examples():
     c = check_moment_positivity(MomentSequence([1.0, 0.0, 1.0, 0.0, 2.0]))
     assert c.kind == POSITIVE_DEFINITE
     # independent oracle: numpy Cholesky succeeds on the 3x3 Hankel
-    np.linalg.cholesky(hankel_matrix(MomentSequence([1.0, 0.0, 1.0, 0.0, 2.0]), 3))
+    np.linalg.cholesky(scipy.linalg.hankel([1.0, 0.0, 1.0], [1.0, 0.0, 2.0]))
 
     c = check_moment_positivity(MomentSequence([1.0, 3.0, 9.0]))
     assert (c.kind, c.order) == (FINITE_SUPPORT, 1)

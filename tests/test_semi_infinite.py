@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from todaflow import (
+    DegenerateMeasureError,
     NumericalError,
     eigendecompose,
     evolve_moments,
@@ -70,10 +71,10 @@ def test_generator_builtins():
     for name, params in rejected:
         with pytest.raises(ValueError):
             make_initial_data(name, params)
-    with pytest.raises(ValueError, match=r"^a: need len\(a\) = len\(b\) - 1 or len\(b\), got 1 for len\(b\) = 3$"):
+    with pytest.raises(ValueError, match=r"^params\.a: need len\(a\) = len\(b\) - 1 or len\(b\), got 1 for len\(b\) = 3$"):
         make_initial_data("table", {"a": [1.0], "b": [1.0, 2.0, 3.0]})
     # a subnormal decay alpha would make alpha / n round to 0
-    with pytest.raises(ValueError, match=r"^alpha: need at least 2.2250738585072014e-308, the smallest normal double"):
+    with pytest.raises(ValueError, match=r"^params\.alpha: need at least 2.2250738585072014e-308, the smallest normal double"):
         make_initial_data("decay", {"alpha": 1e-310})
 
 
@@ -429,3 +430,17 @@ def test_no_solution_past_blow_up_is_not_converged():
     b1 = np.array([h[-1, 0] for h in report.diag_history])
     moves = np.abs(np.diff(b1))
     assert np.all(moves[1:] < moves[:-1]) and moves[-1] <= 1e-12 * abs(b1[-1])
+
+
+def test_a_breakdown_is_raised_not_reported():
+    # b_n = n at t = 30: the evolved weights of a truncation sit on
+    # fewer nodes than the m + 1 Lanczos steps need
+    init = make_initial_data("linear_b", {"beta": 1.0})
+    with pytest.raises(DegenerateMeasureError, match="^orthogonalization norm .* at step 1; measure is numerically "
+                       "supported on fewer than 4 points$"):
+        solve_toda_semi_infinite(init, [0.0, 30.0], 3, 1e-8, 64)
+    # a_n = 1e40: the report's moments sum |lam|^k w up to k = 15, past the
+    # double range, while 2 t lam stays small on the grid [0, 1e-41]
+    init = make_initial_data("linear_b", {"alpha": 1e40})
+    with pytest.raises(OverflowError, match=r"^\|node\|\^k \* weight for some k < 16 left the double-precision range$"):
+        solve_toda_semi_infinite(init, [0.0, 1e-41], 8, 1e-8, 64)
